@@ -283,11 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="whose schemas to tabulate (default: both)",
     )
-    p.add_argument("--max-worlds", type=_positive_int, default=3)
-    p.add_argument("--max-indices", type=_positive_int, default=2)
-    add_coherence(p)
-    p.add_argument("--poset", metavar="FILE", help="fixed index poset file")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    add_search(p)
     p.set_defaults(handler=_cmd_axioms)
 
     p = sub.add_parser("export", help="export a model as a layered graph")

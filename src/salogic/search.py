@@ -44,6 +44,7 @@ evaluator.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -352,9 +353,9 @@ def _scan(
         total += block.size
     offsets = tuple(offsets)
     plans = tuple(_compile(formula, block.atoms) for block in blocks)
-    if workers <= 1 or total < 2:
+    workers = min(workers, total, os.cpu_count() or 1)
+    if workers <= 1:
         return _scan_range(blocks, offsets, plans, policy, 0, total)
-    workers = min(workers, total)
     step = -(-total // workers)
     spans = [(i * step, min((i + 1) * step, total)) for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

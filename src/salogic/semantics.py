@@ -11,7 +11,10 @@ assumption.
 Frame validation is configured by a FramePolicy.  The two coherence
 directions are both on offer because neither is privileged by the
 semantics itself; permissive policies report violations as data, strict
-policies make downstream operations refuse the model.
+policies make downstream operations refuse the model.  Every violation
+names an index pair.  The world order is not a frame condition:
+StratifiedModel stores it as the closure computed by poset_closure,
+which is a partial order by construction.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "FramePolicy",
     "VIOLATION_COHERENCE",
     "VIOLATION_STABLE_REFLEXIVITY",
-    "VIOLATION_WORLD_ORDER",
     "Violation",
     "evaluate",
     "evaluate_with_trace",
@@ -51,7 +53,6 @@ __all__ = [
 
 VIOLATION_COHERENCE = "coherence"
 VIOLATION_STABLE_REFLEXIVITY = "stable-reflexivity"
-VIOLATION_WORLD_ORDER = "world-order"
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,16 @@ class FramePolicy:
 
 @dataclass(frozen=True)
 class Violation:
-    """One frame defect: its kind, the index pair it concerns (None for
-    world-order defects), and the witnessing world pair."""
+    """One frame defect: its kind, the index pair it concerns (a pair
+    (a, a) for stable-reflexivity defects), and the witnessing world pair."""
 
     kind: str
-    index_pair: tuple[str, str] | None
+    index_pair: tuple[str, str]
     world_pair: tuple[str, str]
 
     def render(self) -> str:
-        u, v = self.world_pair
-        where = f"{self.index_pair[0]}<={self.index_pair[1]}" if self.index_pair else "worlds"
-        return f"{self.kind} {where} {u}->{v}"
+        (low, high), (u, v) = self.index_pair, self.world_pair
+        return f"{self.kind} {low}<={high} {u}->{v}"
 
 
 def validate_frame(model: StratifiedModel, policy: FramePolicy) -> list[Violation]:
@@ -96,17 +96,13 @@ def validate_frame(model: StratifiedModel, policy: FramePolicy) -> list[Violatio
     """
     out: list[Violation] = []
     wpos = {w: i for i, w in enumerate(model.worlds)}
-
-    def sorted_pairs(pairs):
-        return sorted(pairs, key=lambda uv: (wpos[uv[0]], wpos[uv[1]]))
-
     if policy.coherence is not CoherenceMode.NONE:
         for low, high in model.poset.strict_pairs():
             if policy.coherence is CoherenceMode.SHRINK:
                 missing = model.relations[high] - model.relations[low]
             else:
                 missing = model.relations[low] - model.relations[high]
-            for pair in sorted_pairs(missing):
+            for pair in sorted(missing, key=lambda uv: (wpos[uv[0]], wpos[uv[1]])):
                 out.append(Violation(VIOLATION_COHERENCE, (low, high), pair))
     if policy.require_stable_reflexive:
         for idx in model.poset.indices:
@@ -115,20 +111,6 @@ def validate_frame(model: StratifiedModel, policy: FramePolicy) -> list[Violatio
             for w in model.worlds:
                 if (w, w) not in model.relations[idx]:
                     out.append(Violation(VIOLATION_STABLE_REFLEXIVITY, (idx, idx), (w, w)))
-    if model.world_order is not None:
-        # Construction stores a validated closure, so these can only fire
-        # on models assembled around the constructor.
-        order = model.world_order
-        for w in model.worlds:
-            if (w, w) not in order:
-                out.append(Violation(VIOLATION_WORLD_ORDER, None, (w, w)))
-        for u, v in sorted_pairs(order):
-            if u != v and (v, u) in order:
-                out.append(Violation(VIOLATION_WORLD_ORDER, None, (u, v)))
-        for u, v in sorted_pairs(order):
-            for x, y in sorted_pairs(order):
-                if v == x and (u, y) not in order:
-                    out.append(Violation(VIOLATION_WORLD_ORDER, None, (u, y)))
     return out
 
 
@@ -178,12 +160,10 @@ def _labels(model: StratifiedModel, formula: Formula) -> dict[Formula, frozenset
             good = sat[sub.operand]
             rows = successors(sub.index)
             out = frozenset(w for w in model.worlds if rows[w] <= good)
-        elif isinstance(sub, Diamond):
+        else:  # Diamond: _check_inputs has rejected every other node type
             good = sat[sub.operand]
             rows = successors(sub.index)
             out = frozenset(w for w in model.worlds if rows[w] & good)
-        else:
-            raise TypeError(f"not a formula: {sub!r}")
         sat[sub] = out
     return sat
 
@@ -246,19 +226,18 @@ def evaluate_with_trace(
             else:
                 verdict = (not left.verdict) or right.verdict
             return EvalTrace(w, index, g, verdict, (left, right))
-        if isinstance(g, (Box, Diamond)):
-            want = isinstance(g, Diamond)  # the verdict that settles early
-            examined: list[EvalTrace] = []
-            witness = None
-            for v in model.successors(g.index, w):
-                child = go(v, g.operand)
-                examined.append(child)
-                if child.verdict == want:
-                    witness = v
-                    break
-            verdict = witness is not None if want else witness is None
-            return EvalTrace(w, index, g, verdict, tuple(examined), witness)
-        raise TypeError(f"not a formula: {g!r}")
+        # Box or Diamond: _check_inputs has rejected every other node type.
+        want = isinstance(g, Diamond)  # the verdict that settles early
+        examined: list[EvalTrace] = []
+        witness = None
+        for v in model.successors(g.index, w):
+            child = go(v, g.operand)
+            examined.append(child)
+            if child.verdict == want:
+                witness = v
+                break
+        verdict = witness is not None if want else witness is None
+        return EvalTrace(w, index, g, verdict, tuple(examined), witness)
 
     root = go(world, formula)
     return root.verdict, root

@@ -60,12 +60,7 @@ from .core import (
     children,
     is_identifier,
 )
-from .errors import (
-    ForwardReference,
-    ParseError,
-    SourceSpan,
-    UndeclaredIdentifier,
-)
+from .errors import ParseError, SourceSpan, UndeclaredIdentifier
 from .proofs import Axiom, Derivation, ModusPonens, Necessitation, ProofLine, SCHEMA_TAGS
 
 __all__ = [
@@ -408,14 +403,6 @@ class _Sections:
             raise ParseError(
                 "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
             )
-        declared = set(self.indices)
-        for name in self.stable:
-            if name not in declared:
-                raise UndeclaredIdentifier(f"stable mentions undeclared index {name!r}")
-        for a, b in self.order:
-            for name in (a, b):
-                if name not in declared:
-                    raise UndeclaredIdentifier(f"order mentions undeclared index {name!r}")
         return IndexPoset.from_order(self.indices, self.order, self.stable)
 
     def build_model(self, text: str) -> StratifiedModel:
@@ -424,29 +411,6 @@ class _Sections:
             raise ParseError(
                 "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
             )
-        world_set = set(self.worlds)
-        for idx in self.rel:
-            if idx not in poset.indices:
-                raise UndeclaredIdentifier(f"rel given for undeclared index {idx!r}")
-        for idx, pairs in self.rel.items():
-            for u, v in pairs:
-                for w in (u, v):
-                    if w not in world_set:
-                        raise UndeclaredIdentifier(
-                            f"rel {idx}: mentions undeclared world {w!r}"
-                        )
-        for atom, ws in self.val.items():
-            for w in ws:
-                if w not in world_set:
-                    raise UndeclaredIdentifier(
-                        f"val {atom}: mentions undeclared world {w!r}"
-                    )
-        for u, v in self.worldorder:
-            for w in (u, v):
-                if w not in world_set:
-                    raise UndeclaredIdentifier(
-                        f"worldorder mentions undeclared world {w!r}"
-                    )
         return StratifiedModel(
             poset=poset,
             worlds=tuple(self.worlds),
@@ -531,7 +495,7 @@ def _collect_indices_in_order(formula: Formula, into: list[str]) -> None:
         _collect_indices_in_order(child, into)
 
 
-def _parse_justification(text, words, line_no):
+def _parse_justification(text, words):
     if not words:
         raise ParseError(
             "missing justification",
@@ -547,22 +511,11 @@ def _parse_justification(text, words, line_no):
     if word == "MP":
         if len(words) != 3 or not all(w[0].isdigit() for w in words[1:]):
             raise ParseError("MP needs two line numbers", span, {"MP i j"})
-        premise, implication = int(words[1][0]), int(words[2][0])
-        for cited in (premise, implication):
-            if not 1 <= cited < line_no:
-                raise ForwardReference(
-                    f"line {line_no} cites line {cited}, which is not an earlier line"
-                )
-        return ModusPonens(premise, implication)
+        return ModusPonens(int(words[1][0]), int(words[2][0]))
     if word == "NEC":
         if len(words) != 3 or not is_identifier(words[1][0]) or not words[2][0].isdigit():
             raise ParseError("NEC needs an index and a line number", span, {"NEC a i"})
-        cited = int(words[2][0])
-        if not 1 <= cited < line_no:
-            raise ForwardReference(
-                f"line {line_no} cites line {cited}, which is not an earlier line"
-            )
-        return Necessitation(words[1][0], cited)
+        return Necessitation(words[1][0], int(words[2][0]))
     raise ParseError(
         f"unknown justification {word!r}", span, set(SCHEMA_TAGS) | {"MP", "NEC"}
     )
@@ -615,7 +568,7 @@ def parse_proof(
                 err.expected,
             ) from None
         just_words = _words_with_offsets(just_text, offset + head.end() + len(formula_text) + 1)
-        justification = _parse_justification(text, just_words, number)
+        justification = _parse_justification(text, just_words)
         lines.append(ProofLine(number, formula, justification))
 
     if sections.order and not sections.indices:

@@ -13,6 +13,7 @@ from salogic.core import (
     Not,
     StratifiedModel,
 )
+import salogic.search as search
 from salogic.errors import BoundsTooLarge, UndeclaredIdentifier
 from salogic.search import (
     Counterexample,
@@ -193,6 +194,36 @@ def test_determinism_and_worker_equivalence():
         assert runs[0] == runs[1] == runs[2]
         again = decide_valid(formula, SearchBounds(2, 2), SHRINK)
         assert again == runs[0]
+
+
+def test_scan_threads_capped_at_cpu_count(monkeypatch):
+    # The fake pool maps inline, so no thread is ever started and no real
+    # pool is ever asked for a large worker count.
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
+    formula = parse_formula("<a>p -> <b>p")
+    expected = decide_valid(formula, SearchBounds(2, 2), SHRINK)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert decide_valid(formula, SearchBounds(2, 2), SHRINK, workers=100_000) == expected
+    assert requested == [3]
+    # An unknown CPU count scans sequentially.
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert decide_valid(formula, SearchBounds(2, 2), SHRINK, workers=100_000) == expected
+    assert requested == [3]
 
 
 def test_ceiling_and_bit_guard():

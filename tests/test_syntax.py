@@ -159,16 +159,20 @@ def test_parse_minimal_model():
 
 
 def test_parse_model_undeclared_identifiers():
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="'b'"):
         parse_model("indices: a\nworlds: w\nrel b: w->w\n")
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="'v'"):
         parse_model("indices: a\nworlds: w\nrel a: w->v\n")
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="'v'"):
         parse_model("indices: a\nworlds: w\nval p: v\n")
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="'b'"):
         parse_model("indices: a\nworlds: w\nstable: b\n")
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="'w9'"):
         parse_model("indices: a\nworlds: w0 w1\nworldorder: w0<=w9\n")
+    with pytest.raises(UndeclaredIdentifier, match="'z'"):
+        parse_model("indices: a\norder: a<=z\nworlds: w\n")
+    with pytest.raises(UndeclaredIdentifier, match="'z'"):
+        parse_poset("indices: a\norder: a<=z\n")
 
 
 def test_parse_model_structural_errors():
@@ -242,6 +246,11 @@ def test_parse_proof_forward_reference():
         parse_proof("1. q ; MP 2 3\n")
     with pytest.raises(ForwardReference):
         parse_proof("1. p -> p ; A1\n2. [a]p ; NEC a 2\n")
+    # With a header the check runs after the poset is built.
+    with pytest.raises(ForwardReference, match="line 2 cites line 2"):
+        parse_proof("indices: a\nstable: a\n1. p -> p ; A1\n2. [a]p ; NEC a 2\n")
+    with pytest.raises(ForwardReference, match="line 1 cites line 0"):
+        parse_proof("1. q ; MP 0 1\n")
 
 
 def test_parse_proof_stores_tags_uninterpreted():
