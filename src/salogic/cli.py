@@ -67,8 +67,8 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _policy(args, strict: bool = False) -> FramePolicy:
-    return FramePolicy(coherence=args.coherence, strict=strict)
+def _policy(args) -> FramePolicy:
+    return FramePolicy(coherence=args.coherence)
 
 
 def _bounds(args) -> SearchBounds:
@@ -78,7 +78,7 @@ def _bounds(args) -> SearchBounds:
 
 def _cmd_check_model(args) -> ExitStatus:
     model = parse_model(_read(args.file))
-    violations = validate_frame(model, _policy(args, strict=args.strict))
+    violations = validate_frame(model, _policy(args))
     for violation in violations:
         print(violation.render())
     if not violations:
@@ -305,10 +305,7 @@ def main(argv=None) -> int:
         return ExitStatus.OK if code == 0 else ExitStatus.ERROR
     try:
         return int(args.handler(args))
-    except SalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.ERROR
-    except OSError as exc:
+    except (SalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.ERROR
 

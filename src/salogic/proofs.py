@@ -167,9 +167,8 @@ def propositional_skeleton(formula: Formula) -> Formula:
             return And(walk(g.left), walk(g.right))
         if isinstance(g, Or):
             return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left), walk(g.right))
-        raise TypeError(f"not a formula: {g!r}")
+        # Implies: atom_names above has rejected every other node type.
+        return Implies(walk(g.left), walk(g.right))
 
     return walk(formula)
 

@@ -20,9 +20,14 @@ parallel/serial equivalence:
   relations vary lexicographically in index declaration order with
   valuations varying fastest.
 * Candidates whose frame fails validate_frame under the active policy are
-  skipped.  They still occupy their enumeration positions, so the
-  reported countermodel -- defined as the enumeration-order minimum --
-  does not depend on how the range is partitioned across workers.
+  skipped but keep their enumeration positions; the reported
+  countermodel is the enumeration-order minimum of the rest.
+
+Blocks are scanned one after another.  With more than one worker, each
+block is cut into at most `workers` contiguous spans, none shorter than
+one scan chunk, that are scanned side by side; the least hit of the
+first block that has one is the enumeration-order minimum whatever the
+worker count.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,63 +326,6 @@ def _scan_block(
     return None
 
 
-def _scan_range(
-    blocks: tuple[_Block, ...],
-    offsets: tuple[int, ...],
-    plans: tuple[list[tuple], ...],
-    policy: FramePolicy,
-    lo: int,
-    hi: int,
-) -> int | None:
-    """First failing global candidate index in [lo, hi), or None."""
-    for block, offset, ops in zip(blocks, offsets, plans):
-        block_lo = max(lo, offset)
-        block_hi = min(hi, offset + block.size)
-        if block_lo >= block_hi:
-            continue
-        local = _scan_block(block, ops, policy, block_lo - offset, block_hi - offset)
-        if local is not None:
-            return offset + local
-    return None
-
-
-def _scan(
-    blocks: tuple[_Block, ...],
-    formula: Formula,
-    policy: FramePolicy,
-    workers: int,
-) -> int | None:
-    offsets = []
-    total = 0
-    for block in blocks:
-        offsets.append(total)
-        total += block.size
-    offsets = tuple(offsets)
-    plans = tuple(_compile(formula, block.atoms) for block in blocks)
-    workers = min(workers, total, os.cpu_count() or 1)
-    if workers <= 1:
-        return _scan_range(blocks, offsets, plans, policy, 0, total)
-    step = -(-total // workers)
-    spans = [(i * step, min((i + 1) * step, total)) for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = list(
-            pool.map(
-                lambda span: _scan_range(blocks, offsets, plans, policy, *span), spans
-            )
-        )
-    hits = [h for h in hits if h is not None]
-    return min(hits) if hits else None
-
-
-def _block_at(blocks: tuple[_Block, ...], global_index: int) -> tuple[_Block, int]:
-    offset = 0
-    for block in blocks:
-        if global_index < offset + block.size:
-            return block, global_index - offset
-        offset += block.size
-    raise IndexError(global_index)
-
-
 def _resolve_atoms(formula: Formula, bounds: SearchBounds) -> tuple[str, ...]:
     needed = atom_names(formula)
     if bounds.atoms is None:
@@ -417,11 +366,22 @@ def _first_counterexample(
     policy: FramePolicy,
     workers: int,
 ) -> Counterexample | None:
-    hit = _scan(blocks, formula, policy, workers)
-    if hit is None:
-        return None
-    block, local = _block_at(blocks, hit)
-    model = _decode(block, local)
+    ops = _compile(formula, blocks[0].atoms)  # every block shares the atoms
+    workers = min(workers, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool:
+        scan = pool.map if workers > 1 else map
+        for block in blocks:
+            step = max(_CHUNK, -(-block.size // workers))
+            spans = [(lo, min(lo + step, block.size)) for lo in range(0, block.size, step)]
+            # Every span's result is read before the loop rebinds `block`.
+            results = scan(lambda span: _scan_block(block, ops, policy, *span), spans)
+            hits = [hit for hit in results if hit is not None]
+            if hits:
+                break
+        else:
+            return None
+    model = _decode(block, min(hits))
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
     index = model.poset.indices[0]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .core import (
     And,
@@ -149,7 +150,7 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, expected) -> None:
+    def fail(self, message: str, expected) -> NoReturn:
         tok = self.peek()
         raise ParseError(
             message, _byte_span(self.text, tok.start, tok.end), expected
@@ -234,7 +235,6 @@ class _FormulaParser:
             finally:
                 self.depth -= 1
         self.fail("expected a formula", _ATOM_STARTERS)
-        raise AssertionError("unreachable")
 
 
 def parse_formula(text: str) -> Formula:

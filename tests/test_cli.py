@@ -282,6 +282,23 @@ def test_module_entry_point_runs():
     assert result.stdout.splitlines()[0] == "true"
 
 
+def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    commands = [
+        ["eval", str(bad), "p", "--world", "w0", "--index", "a"],
+        ["prove", str(bad)],
+        ["check-model", str(bad)],
+        ["export", str(bad)],
+        ["valid", "p", "--poset", str(bad)],
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error:"), argv
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

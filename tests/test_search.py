@@ -226,6 +226,52 @@ def test_scan_threads_capped_at_cpu_count(monkeypatch):
     assert requested == [3]
 
 
+def test_blocks_split_across_workers(monkeypatch):
+    # At 2 worlds no block outgrows one real chunk, so a chunk of 8 is what
+    # cuts the 2-world blocks into one span per worker.
+    # Valid on one world; its 2-world countermodels lie in every span.
+    spread = parse_formula("p -> [a]p")
+    # Needs both worlds a-reflexive, so its countermodel lies late.
+    late = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p))")
+    formulas = [
+        parse_formula("<a>p -> <b>p"),
+        parse_formula("[a]p -> [b]p"),
+        parse_formula("p | ~p"),
+        parse_formula("<a>(p & ~p)"),
+        spread,
+        late,
+    ]
+    bounds = SearchBounds(2, 2)
+    expected = [decide_valid(formula, bounds, SHRINK) for formula in formulas]
+    matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
+    expected_rows = axiom_matrix(*matrix_args)
+
+    monkeypatch.setattr(search, "_CHUNK", 8)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    scan_block = search._scan_block
+    hit_spans = []
+
+    def recording_scan_block(block, ops, policy, lo, hi):
+        hit = scan_block(block, ops, policy, lo, hi)
+        if hit is not None:
+            hit_spans.append((block.n, lo, hi))
+        return hit
+
+    monkeypatch.setattr(search, "_scan_block", recording_scan_block)
+    for formula, verdict in zip(formulas, expected):
+        for workers in (1, 2, 3):
+            assert decide_valid(formula, bounds, SHRINK, workers=workers) == verdict
+    # The premises, on the first 2-world block (1024 candidates): `late`
+    # hits only past the first span, `spread` in both spans.
+    hit_spans.clear()
+    decide_valid(late, bounds, SHRINK, workers=2)
+    assert hit_spans == [(2, 512, 1024)]
+    hit_spans.clear()
+    decide_valid(spread, bounds, SHRINK, workers=2)
+    assert sorted(hit_spans) == [(2, 0, 512), (2, 512, 1024)]
+    assert axiom_matrix(*matrix_args, workers=3) == expected_rows
+
+
 def test_ceiling_and_bit_guard():
     with pytest.raises(BoundsTooLarge):
         decide_valid(parse_formula("p"), SearchBounds(4, 2), ceiling=1000)
