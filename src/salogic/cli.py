@@ -64,7 +64,10 @@ def _coherence(text: str) -> CoherenceMode:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _policy(args) -> FramePolicy:
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
         return ExitStatus.OK if code == 0 else ExitStatus.ERROR
     try:
         return int(args.handler(args))
-    except (SalError, OSError, UnicodeDecodeError) as exc:
+    except (SalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.ERROR
 

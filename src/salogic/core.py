@@ -50,7 +50,7 @@ def _require_identifier(name: object, role: str) -> None:
 
 
 def poset_closure(
-    pairs: Iterable[tuple[str, str]], elements: Iterable[str]
+    pairs: Iterable[tuple[str, str]], elements: Iterable[str], kind: str = "element"
 ) -> frozenset[tuple[str, str]]:
     """Reflexive-transitive closure of the generators `pairs` over `elements`.
 
@@ -60,7 +60,8 @@ def poset_closure(
 
     Raises CycleError when two distinct elements end up related in both
     directions, i.e. the generators do not describe a partial order, and
-    UndeclaredIdentifier when a generator mentions an unknown element.
+    UndeclaredIdentifier when a generator mentions an unknown element;
+    its message calls the element a `kind` ("index", "world").
     """
     elems = tuple(elements)
     known = set(elems)
@@ -69,7 +70,7 @@ def poset_closure(
         for name in (a, b):
             if name not in known:
                 raise UndeclaredIdentifier(
-                    f"order generator mentions undeclared element {name!r}"
+                    f"order generator mentions undeclared {kind} {name!r}"
                 )
         below[a].add(b)
     # The element sets are tiny; a quadratic saturation sweep is fine.
@@ -144,7 +145,7 @@ class IndexPoset:
     ) -> "IndexPoset":
         """Build a poset from order generators; the closure is computed here."""
         indices = tuple(indices)
-        return cls(indices, poset_closure(order, indices), frozenset(stable))
+        return cls(indices, poset_closure(order, indices, "index"), frozenset(stable))
 
     def leq(self, a: str, b: str) -> bool:
         """Whether a <= b in this poset."""
@@ -347,7 +348,7 @@ class StratifiedModel:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "valuation", valuation)
         if self.world_order is not None:
-            closed = poset_closure(self.world_order, self.worlds)
+            closed = poset_closure(self.world_order, self.worlds, "world")
             object.__setattr__(self, "world_order", closed)
 
     def successors(self, index: str, world: str) -> tuple[str, ...]:

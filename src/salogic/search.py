@@ -20,14 +20,18 @@ parallel/serial equivalence:
   relations vary lexicographically in index declaration order with
   valuations varying fastest.
 * Candidates whose frame fails validate_frame under the active policy are
-  skipped but keep their enumeration positions; the reported
-  countermodel is the enumeration-order minimum of the rest.
+  never generated, and the rest keep their raw positions: a block lists
+  its admissible relation tuples directly, in increasing order, and
+  crosses each with every valuation.  The reported countermodel is the
+  enumeration-order minimum of the admissible candidates.
 
-Blocks are scanned one after another.  With more than one worker, each
-block is cut into at most `workers` contiguous spans, none shorter than
-one scan chunk, that are scanned side by side; the least hit of the
-first block that has one is the enumeration-order minimum whatever the
-worker count.
+Blocks are scanned one after another, each in chunks of about _CHUNK
+admissible candidates in increasing order.  With more than one worker,
+the chunks go out in rounds of `workers` consecutive chunks that are
+scanned side by side; the first hit of the first round that has one is
+the block's least hit, and the least hit of the first block that has one
+is the enumeration-order minimum whatever the worker count.  The search
+ceiling still counts raw candidates, admissible or not.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
@@ -40,8 +44,8 @@ levels: its rows range over the stable sets containing the instance
 index, whatever the reflexivity policy says, since otherwise the row
 would be vacuous whenever the policy stops enforcing reflexivity.
 
-Scanning is vectorized with numpy over chunks of candidate integers.  A
-hit is rebuilt as a plain StratifiedModel and re-checked through
+Scanning is vectorized with numpy over chunks of candidates.  A hit is
+rebuilt as a plain StratifiedModel and re-checked through
 semantics.evaluate and semantics.validate_frame before it is reported,
 so every emitted witness has already survived the independent scalar
 evaluator.
@@ -50,9 +54,11 @@ evaluator.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -92,7 +98,7 @@ __all__ = [
 ]
 
 DEFAULT_CEILING = 10**9
-_CHUNK = 1 << 19
+_CHUNK = 1 << 16  # candidates per kernel call
 _MAX_CANDIDATE_BITS = 62  # candidates are scanned as int64 vectors
 
 
@@ -251,78 +257,155 @@ def _compile(formula: Formula, atoms: tuple[str, ...]) -> list[tuple]:
     return ops
 
 
-def _scan_block(
-    block: _Block, ops: list[tuple], policy: FramePolicy, lo: int, hi: int
+def _relation_tuples(
+    block: _Block, policy: FramePolicy, limit: int
+) -> Iterator[np.ndarray]:
+    """The block's frame-admissible relation tuples in increasing order, in
+    arrays of at most `limit` entries.
+
+    A tuple packs one n*n-bit mask per index, the first declared index in
+    the most significant position, as in a candidate's relation bits.  The
+    masks are chosen in declaration order.  Given the earlier masks, index
+    j's mask m ranges over must <= m <= may: `must` joins the earlier masks
+    that policy puts inside m, plus the diagonal when m must be reflexive;
+    `may` meets the earlier masks that policy puts around m.  The m of one
+    prefix are listed in increasing order by depositing a counter's bits
+    into the free positions of may & ~must.
+    """
+    n, rel_bits = block.n, block.rel_bits
+    poset = block.poset
+    full = (1 << rel_bits) - 1
+    diag = sum(1 << (i * n + i) for i in range(n))
+    ipos = {idx: i for i, idx in enumerate(poset.indices)}
+    # A stable level's diagonal spreads along the inclusions, so that every
+    # prefix has an admissible next mask.
+    stable = poset.stable if policy.require_stable_reflexive else frozenset()
+    reflexive = set(stable)
+    inside: list[list[int]] = [[] for _ in poset.indices]  # earlier masks within m
+    around: list[list[int]] = [[] for _ in poset.indices]  # earlier masks around m
+    if policy.coherence is not CoherenceMode.NONE:
+        for low, high in poset.strict_pairs():
+            # The policy puts R_sub within R_sup.
+            if policy.coherence is CoherenceMode.SHRINK:
+                sub, sup = high, low
+            else:
+                sub, sup = low, high
+            if sub in stable:
+                reflexive.add(sup)
+            if ipos[sub] < ipos[sup]:
+                inside[ipos[sup]].append(ipos[sub])
+            else:
+                around[ipos[sub]].append(ipos[sup])
+    fixed = [diag if idx in reflexive else 0 for idx in poset.indices]
+
+    def walk(prefixes: np.ndarray, j: int) -> Iterator[np.ndarray]:
+        if j == len(poset.indices):
+            yield prefixes
+            return
+        must = np.full(prefixes.shape, fixed[j], dtype=np.int64)
+        may = np.full(prefixes.shape, full, dtype=np.int64)
+        for i in inside[j]:
+            must |= (prefixes >> (rel_bits * (j - 1 - i))) & full
+        for i in around[j]:
+            may &= (prefixes >> (rel_bits * (j - 1 - i))) & full
+        free = may & ~must
+        counts = np.ones_like(free)
+        for b in range(rel_bits):
+            counts <<= (free >> b) & 1
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for lo in range(0, total, limit):
+            pos = np.arange(lo, min(lo + limit, total), dtype=np.int64)
+            row = np.searchsorted(ends, pos, side="right")
+            counter = pos - (ends[row] - counts[row])
+            bits = free[row]
+            mask = must[row]
+            for b in range(rel_bits):
+                bit = (bits >> b) & 1
+                mask |= (counter & bit) << b
+                counter >>= bit
+            yield from walk((prefixes[row] << rel_bits) | mask, j + 1)
+
+    yield from walk(np.zeros(1, dtype=np.int64), 0)
+
+
+def _chunks(block: _Block, policy: FramePolicy) -> Iterator[tuple[np.ndarray, int, int]]:
+    """The block's admissible candidates in increasing order, as pieces of
+    about _CHUNK candidates: (relation tuples, lo, hi) crosses the tuples
+    with the valuations lo..hi-1."""
+    valuations = 1 << block.val_bits
+    step = min(valuations, _CHUNK)
+    for tuples in _relation_tuples(block, policy, max(1, _CHUNK // valuations)):
+        for lo in range(0, valuations, step):
+            yield tuples, lo, lo + step
+
+
+def _scan_chunk(
+    block: _Block, ops: list[tuple], tuples: np.ndarray, lo: int, hi: int
 ) -> int | None:
-    """First block-local candidate in [lo, hi) that passes frame validation
-    and falsifies the formula somewhere, or None."""
+    """Least candidate of the chunk that falsifies the formula at some
+    world, or None.
+
+    World sets are n-bit masks held as uint8 (n <= 7 by the bit guard).
+    Subformula values broadcast over a (tuple, valuation) grid, so
+    propositional subformulas are computed once per valuation.
+    """
     n = block.n
     k = len(block.poset.indices)
     full = (1 << n) - 1
-    ipos = {idx: i for i, idx in enumerate(block.poset.indices)}
-    diag = sum(1 << (i * n + i) for i in range(n))
-    stable_slots = [
-        ipos[idx] for idx in block.poset.indices if idx in block.poset.stable
-    ]
-    strict = block.poset.strict_pairs()
+    vals = np.arange(lo, hi, dtype=np.int64)[None, :]
+    # rows[idx][w]: the successors of world w under idx, one per tuple
+    rows = {
+        idx: [
+            ((tuples >> ((k - 1 - j) * block.rel_bits + w * n)) & full)
+            .astype(np.uint8)[:, None]
+            for w in range(n)
+        ]
+        for j, idx in enumerate(block.poset.indices)
+    }
+    sat: list[np.ndarray] = [None] * len(ops)  # type: ignore[list-item]
+    for si, op in enumerate(ops):
+        kind = op[0]
+        if kind == "atom":
+            sat[si] = ((vals >> (op[1] * n)) & full).astype(np.uint8)
+        elif kind == "not":
+            sat[si] = sat[op[1]] ^ full
+        elif kind == "and":
+            sat[si] = sat[op[1]] & sat[op[2]]
+        elif kind == "or":
+            sat[si] = sat[op[1]] | sat[op[2]]
+        elif kind == "implies":
+            sat[si] = (sat[op[1]] ^ full) | sat[op[2]]
+        elif kind == "box":
+            fails = sat[op[2]] ^ full  # worlds where the operand fails
+            out = 0
+            for w, row in enumerate(rows[op[1]]):
+                out = out | (((row & fails) == 0).astype(np.uint8) << w)
+            sat[si] = out
+        else:  # dia
+            holds = sat[op[2]]
+            out = 0
+            for w, row in enumerate(rows[op[1]]):
+                out = out | (((row & holds) != 0).astype(np.uint8) << w)
+            sat[si] = out
+    falsified = np.broadcast_to(sat[-1] != full, (len(tuples), hi - lo))
+    if not falsified.any():
+        return None
+    t, v = divmod(int(falsified.argmax()), hi - lo)
+    return (int(tuples[t]) << block.val_bits) | (lo + v)
 
-    for chunk_lo in range(lo, hi, _CHUNK):
-        chunk_hi = min(chunk_lo + _CHUNK, hi)
-        cand = np.arange(chunk_lo, chunk_hi, dtype=np.int64)
-        val = cand & ((1 << block.val_bits) - 1)
-        rel: list[np.ndarray] = [None] * k  # type: ignore[list-item]
-        shifted = cand >> block.val_bits
-        for j in range(k - 1, -1, -1):
-            rel[j] = shifted & ((1 << block.rel_bits) - 1)
-            shifted = shifted >> block.rel_bits
 
-        ok = np.ones(cand.shape, dtype=bool)
-        if policy.coherence is CoherenceMode.SHRINK:
-            for low, high in strict:
-                ok &= (rel[ipos[high]] & ~rel[ipos[low]]) == 0
-        elif policy.coherence is CoherenceMode.GROW:
-            for low, high in strict:
-                ok &= (rel[ipos[low]] & ~rel[ipos[high]]) == 0
-        if policy.require_stable_reflexive:
-            for j in stable_slots:
-                ok &= (rel[j] & diag) == diag
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            if keep.size == 0:
-                continue
-            cand = cand[keep]
-            val = val[keep]
-            rel = [r[keep] for r in rel]
-
-        rows = [[(rel[j] >> (w * n)) & full for w in range(n)] for j in range(k)]
-        sat: list[np.ndarray] = [None] * len(ops)  # type: ignore[list-item]
-        for si, op in enumerate(ops):
-            kind = op[0]
-            if kind == "atom":
-                sat[si] = (val >> (op[1] * n)) & full
-            elif kind == "not":
-                sat[si] = sat[op[1]] ^ full
-            elif kind == "and":
-                sat[si] = sat[op[1]] & sat[op[2]]
-            elif kind == "or":
-                sat[si] = sat[op[1]] | sat[op[2]]
-            elif kind == "implies":
-                sat[si] = (sat[op[1]] ^ full) | sat[op[2]]
-            elif kind == "box":
-                child = sat[op[2]] ^ full  # worlds where the operand fails
-                out = np.zeros(cand.shape, dtype=np.int64)
-                for w in range(n):
-                    out |= ((rows[ipos[op[1]]][w] & child) == 0).astype(np.int64) << w
-                sat[si] = out
-            else:  # dia
-                child = sat[op[2]]
-                out = np.zeros(cand.shape, dtype=np.int64)
-                for w in range(n):
-                    out |= ((rows[ipos[op[1]]][w] & child) != 0).astype(np.int64) << w
-                sat[si] = out
-        bad = np.flatnonzero(sat[-1] != full)
-        if bad.size:
-            return int(cand[bad[0]])
+def _first_hit(
+    block: _Block, ops: list[tuple], policy: FramePolicy, scan, workers: int
+) -> int | None:
+    """Least falsifying candidate of the block, or None.  Chunks go out in
+    rounds of `workers` consecutive chunks; results come back in chunk
+    order, so the first hit seen is the least one."""
+    chunks = _chunks(block, policy)
+    while batch := list(islice(chunks, workers)):
+        for hit in scan(lambda chunk: _scan_chunk(block, ops, *chunk), batch):
+            if hit is not None:
+                return hit
     return None
 
 
@@ -372,16 +455,12 @@ def _first_counterexample(
     with pool:
         scan = pool.map if workers > 1 else map
         for block in blocks:
-            step = max(_CHUNK, -(-block.size // workers))
-            spans = [(lo, min(lo + step, block.size)) for lo in range(0, block.size, step)]
-            # Every span's result is read before the loop rebinds `block`.
-            results = scan(lambda span: _scan_block(block, ops, policy, *span), spans)
-            hits = [hit for hit in results if hit is not None]
-            if hits:
+            hit = _first_hit(block, ops, policy, scan, workers)
+            if hit is not None:
                 break
         else:
             return None
-    model = _decode(block, min(hits))
+    model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
     index = model.poset.indices[0]

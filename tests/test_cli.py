@@ -297,6 +297,7 @@ def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys):
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error:"), argv
+        assert str(bad) in err, argv
 
 
 def test_help_exits_zero(capsys):

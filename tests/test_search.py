@@ -227,12 +227,14 @@ def test_scan_threads_capped_at_cpu_count(monkeypatch):
 
 
 def test_blocks_split_across_workers(monkeypatch):
-    # At 2 worlds no block outgrows one real chunk, so a chunk of 8 is what
-    # cuts the 2-world blocks into one span per worker.
-    # Valid on one world; its 2-world countermodels lie in every span.
+    # A chunk of 4 candidates holds one relation tuple of a 2-world block
+    # with one atom (and a quarter of one with two), so the blocks split
+    # into many chunks, scanned in rounds of one chunk per worker.
+    # Valid on one world; once it hits, it hits in every chunk of the round.
     spread = parse_formula("p -> [a]p")
-    # Needs both worlds a-reflexive, so its countermodel lies late.
-    late = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p))")
+    # Needs both worlds a-reflexive and a b-pair; in its round only the
+    # later chunk hits.
+    late = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p) & <b>p)")
     formulas = [
         parse_formula("<a>p -> <b>p"),
         parse_formula("[a]p -> [b]p"),
@@ -246,29 +248,37 @@ def test_blocks_split_across_workers(monkeypatch):
     matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
     expected_rows = axiom_matrix(*matrix_args)
 
-    monkeypatch.setattr(search, "_CHUNK", 8)
+    monkeypatch.setattr(search, "_CHUNK", 4)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    scan_block = search._scan_block
-    hit_spans = []
+    scan_chunk = search._scan_chunk
+    scanned = []
 
-    def recording_scan_block(block, ops, policy, lo, hi):
-        hit = scan_block(block, ops, policy, lo, hi)
-        if hit is not None:
-            hit_spans.append((block.n, lo, hi))
+    def recording_scan_chunk(block, ops, tuples, lo, hi):
+        hit = scan_chunk(block, ops, tuples, lo, hi)
+        first = (int(tuples[0]) << block.val_bits) | lo
+        scanned.append((block.n, block.poset, first, hit))
         return hit
 
-    monkeypatch.setattr(search, "_scan_block", recording_scan_block)
+    monkeypatch.setattr(search, "_scan_chunk", recording_scan_chunk)
     for formula, verdict in zip(formulas, expected):
         for workers in (1, 2, 3):
             assert decide_valid(formula, bounds, SHRINK, workers=workers) == verdict
-    # The premises, on the first 2-world block (1024 candidates): `late`
-    # hits only past the first span, `spread` in both spans.
-    hit_spans.clear()
-    decide_valid(late, bounds, SHRINK, workers=2)
-    assert hit_spans == [(2, 512, 1024)]
-    hit_spans.clear()
-    decide_valid(spread, bounds, SHRINK, workers=2)
-    assert sorted(hit_spans) == [(2, 0, 512), (2, 512, 1024)]
+
+    def last_round(formula, workers):
+        scanned.clear()
+        decide_valid(formula, bounds, SHRINK, workers=workers)
+        n, poset = scanned[-1][:2]
+        in_block = sorted(
+            (first, hit) for m, p, first, hit in scanned if (m, p) == (n, poset)
+        )
+        assert len(in_block) % workers == 0
+        return n, [hit for _first, hit in in_block[-workers:]]
+
+    # The premises, at 2 workers on a 2-world block.
+    n, hits = last_round(late, 2)
+    assert n == 2 and hits[0] is None and hits[1] is not None
+    n, hits = last_round(spread, 2)
+    assert n == 2 and None not in hits
     assert axiom_matrix(*matrix_args, workers=3) == expected_rows
 
 

@@ -167,11 +167,11 @@ def test_parse_model_undeclared_identifiers():
         parse_model("indices: a\nworlds: w\nval p: v\n")
     with pytest.raises(UndeclaredIdentifier, match="'b'"):
         parse_model("indices: a\nworlds: w\nstable: b\n")
-    with pytest.raises(UndeclaredIdentifier, match="'w9'"):
+    with pytest.raises(UndeclaredIdentifier, match="undeclared world 'w9'"):
         parse_model("indices: a\nworlds: w0 w1\nworldorder: w0<=w9\n")
-    with pytest.raises(UndeclaredIdentifier, match="'z'"):
+    with pytest.raises(UndeclaredIdentifier, match="undeclared index 'z'"):
         parse_model("indices: a\norder: a<=z\nworlds: w\n")
-    with pytest.raises(UndeclaredIdentifier, match="'z'"):
+    with pytest.raises(UndeclaredIdentifier, match="undeclared index 'z'"):
         parse_poset("indices: a\norder: a<=z\n")
 
 
