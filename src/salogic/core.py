@@ -246,17 +246,29 @@ def children(formula: Formula) -> tuple[Formula, ...]:
 
 def subformulas(formula: Formula) -> tuple[Formula, ...]:
     """Every subformula of `formula` including itself, deduplicated, in
-    bottom-up order (children strictly before parents, `formula` last)."""
-    found: dict[Formula, None] = {}
+    bottom-up order (children strictly before parents, `formula` last).
 
-    def walk(g: Formula) -> None:
-        if g in found:
-            return
-        for child in children(g):
-            walk(child)
-        found[g] = None
-
-    walk(formula)
+    Iterative, so arbitrarily deep formulas work.  Nodes are deduplicated
+    by a structural key made of their type, their label and their
+    children's positions, since hashing a deep node recurses through it."""
+    found: list[Formula] = []
+    keys: dict[tuple, int] = {}  # structural key -> position in `found`
+    seen: dict[int, int] = {}  # id of a visited node -> position of its key
+    stack = [(formula, False)]
+    while stack:
+        g, ready = stack.pop()
+        if id(g) in seen:
+            continue
+        kids = children(g)
+        if not ready:
+            stack.append((g, True))
+            stack.extend([(child, False) for child in reversed(kids)])
+            continue
+        label = g.name if isinstance(g, Atom) else getattr(g, "index", None)
+        pos = keys.setdefault((type(g), label, *[seen[id(c)] for c in kids]), len(found))
+        if pos == len(found):
+            found.append(g)
+        seen[id(g)] = pos
     return tuple(found)
 
 

@@ -3,7 +3,7 @@ validity and satisfiability up to size bounds, countermodel extraction,
 and the empirical axiom-validity matrix across coherence modes.
 
 Candidate order -- the contract behind "first countermodel" and behind
-parallel/serial equivalence:
+identical output at every worker count:
 
 * Worlds are named w0..w{n-1}.  World counts run 1..max_worlds, smallest
   first (outermost loop).
@@ -26,12 +26,22 @@ parallel/serial equivalence:
   enumeration-order minimum of the admissible candidates.
 
 Blocks are scanned one after another, each in chunks of about _CHUNK
-admissible candidates in increasing order.  With more than one worker,
-the chunks go out in rounds of `workers` consecutive chunks that are
-scanned side by side; the first hit of the first round that has one is
-the block's least hit, and the least hit of the first block that has one
-is the enumeration-order minimum whatever the worker count.  The search
-ceiling still counts raw candidates, admissible or not.
+admissible candidates in increasing order, in one thread; the `workers`
+argument is kept for compatibility and does not change the scan.
+
+Projection.  A formula's truth depends only on the relations of the
+indices its modalities name; the other levels matter only through the
+coherence and stable-reflexivity constraints they put on those.  Each
+block is therefore first scanned over the relations of the named
+indices alone (none at all for a propositional formula), with the
+inclusions and the propagated stable diagonal still taken from the
+whole poset.  Every admissible projected tuple extends to an admissible
+full one, so the projection hits exactly when the full block does and a
+ValidUpTo verdict is exact.  A dropped index may sit in the high bits,
+so the projected hit is not the enumeration-order minimum: the block
+that hits is rescanned in full to find it.  The search ceiling and the
+62-bit guard still count raw candidates of the full blocks, admissible
+or not.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
@@ -53,12 +63,8 @@ evaluator.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,11 +182,18 @@ def enumerated_posets(max_indices: int) -> tuple[IndexPoset, ...]:
 
 @dataclass(frozen=True)
 class _Block:
-    """One (poset, world count) slab of the candidate space."""
+    """One (poset, world count) slab of the candidate space.  A projection
+    leaves out the relations of the `dropped` indices: its tuples hold
+    the masks of the kept indices only.  Sizes count the full block."""
 
     poset: IndexPoset
     n: int
     atoms: tuple[str, ...]
+    dropped: frozenset[str] = frozenset()
+
+    @property
+    def kept(self) -> tuple[str, ...]:
+        return tuple(idx for idx in self.poset.indices if idx not in self.dropped)
 
     @property
     def worlds(self) -> tuple[str, ...]:
@@ -263,26 +276,33 @@ def _relation_tuples(
     """The block's frame-admissible relation tuples in increasing order, in
     arrays of at most `limit` entries.
 
-    A tuple packs one n*n-bit mask per index, the first declared index in
-    the most significant position, as in a candidate's relation bits.  The
-    masks are chosen in declaration order.  Given the earlier masks, index
-    j's mask m ranges over must <= m <= may: `must` joins the earlier masks
-    that policy puts inside m, plus the diagonal when m must be reflexive;
-    `may` meets the earlier masks that policy puts around m.  The m of one
-    prefix are listed in increasing order by depositing a counter's bits
-    into the free positions of may & ~must.
+    A tuple packs one n*n-bit mask per kept index, the first declared index
+    in the most significant position, as in a candidate's relation bits.
+    The masks are chosen in declaration order.  Given the earlier masks,
+    index j's mask m ranges over must <= m <= may: `must` joins the earlier
+    masks that policy puts inside m, plus the diagonal when m must be
+    reflexive; `may` meets the earlier masks that policy puts around m.
+    The m of one prefix are listed in increasing order by depositing a
+    counter's bits into the free positions of may & ~must.
+
+    The inclusions (closed under transitivity) and the reflexive levels
+    come from the whole poset, so a projection lists exactly the
+    restrictions of the full admissible tuples: a dropped index can take
+    the union of the kept masks that must sit inside it, plus the diagonal
+    when it is reflexive.  With no kept index the block has one empty
+    tuple.
     """
     n, rel_bits = block.n, block.rel_bits
-    poset = block.poset
+    poset, kept = block.poset, block.kept
     full = (1 << rel_bits) - 1
     diag = sum(1 << (i * n + i) for i in range(n))
-    ipos = {idx: i for i, idx in enumerate(poset.indices)}
+    ipos = {idx: i for i, idx in enumerate(kept)}
     # A stable level's diagonal spreads along the inclusions, so that every
     # prefix has an admissible next mask.
     stable = poset.stable if policy.require_stable_reflexive else frozenset()
     reflexive = set(stable)
-    inside: list[list[int]] = [[] for _ in poset.indices]  # earlier masks within m
-    around: list[list[int]] = [[] for _ in poset.indices]  # earlier masks around m
+    inside: list[list[int]] = [[] for _ in kept]  # earlier masks within m
+    around: list[list[int]] = [[] for _ in kept]  # earlier masks around m
     if policy.coherence is not CoherenceMode.NONE:
         for low, high in poset.strict_pairs():
             # The policy puts R_sub within R_sup.
@@ -292,14 +312,16 @@ def _relation_tuples(
                 sub, sup = low, high
             if sub in stable:
                 reflexive.add(sup)
+            if sub not in ipos or sup not in ipos:
+                continue
             if ipos[sub] < ipos[sup]:
                 inside[ipos[sup]].append(ipos[sub])
             else:
                 around[ipos[sub]].append(ipos[sup])
-    fixed = [diag if idx in reflexive else 0 for idx in poset.indices]
+    fixed = [diag if idx in reflexive else 0 for idx in kept]
 
     def walk(prefixes: np.ndarray, j: int) -> Iterator[np.ndarray]:
-        if j == len(poset.indices):
+        if j == len(kept):
             yield prefixes
             return
         must = np.full(prefixes.shape, fixed[j], dtype=np.int64)
@@ -350,18 +372,17 @@ def _scan_chunk(
     Subformula values broadcast over a (tuple, valuation) grid, so
     propositional subformulas are computed once per valuation.
     """
-    n = block.n
-    k = len(block.poset.indices)
+    n, kept = block.n, block.kept
     full = (1 << n) - 1
     vals = np.arange(lo, hi, dtype=np.int64)[None, :]
     # rows[idx][w]: the successors of world w under idx, one per tuple
     rows = {
         idx: [
-            ((tuples >> ((k - 1 - j) * block.rel_bits + w * n)) & full)
+            ((tuples >> ((len(kept) - 1 - j) * block.rel_bits + w * n)) & full)
             .astype(np.uint8)[:, None]
             for w in range(n)
         ]
-        for j, idx in enumerate(block.poset.indices)
+        for j, idx in enumerate(kept)
     }
     sat: list[np.ndarray] = [None] * len(ops)  # type: ignore[list-item]
     for si, op in enumerate(ops):
@@ -395,17 +416,12 @@ def _scan_chunk(
     return (int(tuples[t]) << block.val_bits) | (lo + v)
 
 
-def _first_hit(
-    block: _Block, ops: list[tuple], policy: FramePolicy, scan, workers: int
-) -> int | None:
-    """Least falsifying candidate of the block, or None.  Chunks go out in
-    rounds of `workers` consecutive chunks; results come back in chunk
-    order, so the first hit seen is the least one."""
-    chunks = _chunks(block, policy)
-    while batch := list(islice(chunks, workers)):
-        for hit in scan(lambda chunk: _scan_chunk(block, ops, *chunk), batch):
-            if hit is not None:
-                return hit
+def _first_hit(block: _Block, ops: list[tuple], policy: FramePolicy) -> int | None:
+    """Least falsifying candidate of the block, or None."""
+    for chunk in _chunks(block, policy):
+        hit = _scan_chunk(block, ops, *chunk)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -444,22 +460,24 @@ def _guard_ceiling(blocks: tuple[_Block, ...], ceiling: int) -> None:
 
 
 def _first_counterexample(
-    blocks: tuple[_Block, ...],
-    formula: Formula,
-    policy: FramePolicy,
-    workers: int,
+    blocks: tuple[_Block, ...], formula: Formula, policy: FramePolicy
 ) -> Counterexample | None:
     ops = _compile(formula, blocks[0].atoms)  # every block shares the atoms
-    workers = min(workers, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with pool:
-        scan = pool.map if workers > 1 else map
-        for block in blocks:
-            hit = _first_hit(block, ops, policy, scan, workers)
-            if hit is not None:
-                break
-        else:
-            return None
+    used = frozenset(modal_indices(formula))
+    for block in blocks:
+        # The formula reads only the relations of the indices it names, so
+        # the projection onto them hits exactly when the full block does;
+        # the full block's least hit is then found by scanning it too.
+        projected = replace(block, dropped=frozenset(block.poset.indices) - used)
+        hit = _first_hit(projected, ops, policy)
+        if hit is not None:
+            if projected.dropped:
+                hit = _first_hit(block, ops, policy)
+                if hit is None:
+                    raise RuntimeError("scan of a block missed the hit of its projection")
+            break
+    else:
+        return None
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
@@ -484,8 +502,9 @@ def decide_valid(
 
     Returns ValidUpTo, or the enumeration-order-first Counterexample.
     Deterministic: identical inputs give identical verdicts and identical
-    countermodels, for any worker count.  Raises BoundsTooLarge when the
-    candidate estimate exceeds `ceiling`.
+    countermodels.  The scan is sequential; `workers` is accepted and
+    does not change it.  Raises BoundsTooLarge when the raw candidate
+    count exceeds `ceiling`.
     """
     atoms = _resolve_atoms(formula, bounds)
     if bounds.poset is not None:
@@ -495,7 +514,7 @@ def decide_valid(
     _check_indices(formula, posets)
     blocks = _blocks(posets, bounds.max_worlds, atoms)
     _guard_ceiling(blocks, ceiling)
-    found = _first_counterexample(blocks, formula, policy, workers)
+    found = _first_counterexample(blocks, formula, policy)
     if found is None:
         return ValidUpTo(bounds)
     return found
@@ -605,7 +624,6 @@ def _scan_validity(
     max_worlds: int,
     policy: FramePolicy,
     memo: dict,
-    workers: int,
     ceiling: int,
 ) -> Verdict:
     key = _memo_key(formula, posets, max_worlds, policy)
@@ -613,7 +631,7 @@ def _scan_validity(
         return memo[key]
     blocks = _blocks(posets, max_worlds, atom_names(formula))
     _guard_ceiling(blocks, ceiling)
-    found = _first_counterexample(blocks, formula, policy, workers)
+    found = _first_counterexample(blocks, formula, policy)
     if found is None:
         bounds = SearchBounds(max_worlds, max(len(p.indices) for p in posets))
         verdict: Verdict = ValidUpTo(bounds)
@@ -668,7 +686,6 @@ def axiom_matrix(
                         bounds.max_worlds,
                         policy,
                         memo,
-                        workers,
                         ceiling,
                     )
                     rows.append(

@@ -94,6 +94,22 @@ def test_subformulas_examples():
     assert subformulas(f) == (p, q, Implies(p, q), f)
     g = Diamond("b", Diamond("b", p))
     assert subformulas(g) == (p, Diamond("b", p), g)
+    # Equal copies are kept once, as the first one met bottom-up.
+    h = And(Box("a", Atom("p")), Box("a", Atom("p")))
+    assert subformulas(h) == (p, Box("a", p), h)
+    assert subformulas(h)[1] is h.left
+
+
+def test_subformulas_of_a_deep_chain():
+    p = Atom("p")
+    f = Diamond("b", p)
+    for _ in range(3000):
+        f = Not(f)
+    subs = subformulas(f)
+    assert len(subs) == 3002
+    assert subs[0] is p and subs[-1] is f
+    assert atom_names(f) == ("p",)
+    assert modal_indices(f) == ("b",)
 
 
 def _node_count(f):

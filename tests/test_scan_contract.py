@@ -10,7 +10,9 @@ unchanged.  Regenerate the goldens (only when the contract itself
 changes) with `PYTHONPATH=src python tests/test_scan_contract.py`.
 
 The admissible relation tuples a block lists must be exactly the raw
-relation space filtered by the frame conditions, in increasing order.
+relation space filtered by the frame conditions, in increasing order;
+those of a projection onto some of the indices, the distinct
+restrictions of that filtered space, in increasing order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,10 @@ FIXED = (
     "~(<a>(p & <a>p) & <a>(~p & <a>~p))",
     "~(p & <a>(~p & ~<a>p) & <a>(~p & <a>p))",
     "~(p & <b>(~p & ~<a>p) & <a>(~p & <b>p))",
+    # `b` alone: the unnamed `a` sits in the high bits of a candidate.
+    "[b]p -> p",
+    "<b>p -> [b]p",
+    "[b]p -> [b][b]p",
 )
 
 
@@ -171,14 +178,19 @@ def raw_frame_filter(poset, n, policy) -> np.ndarray:
     return tuples[ok]
 
 
-def test_admissible_tuples_equal_the_filtered_raw_space():
+def contract_blocks() -> list[tuple[IndexPoset, int]]:
+    """Every shape's posets at 1-3 worlds, and a 3-index poset at 2."""
     posets = [*enumerated_posets(1), *enumerated_posets(2)]
     posets += [poset for _k, poset in SHAPES.values() if poset is not None]
     blocks = [(poset, n) for poset in posets for n in (1, 2, 3)]
     three = IndexPoset.from_order(("a", "b", "c"), [("b", "a"), ("b", "c")], ("c",))
     blocks.append((three, 2))
+    return blocks
+
+
+def test_admissible_tuples_equal_the_filtered_raw_space():
     for policy in POLICIES:
-        for poset, n in blocks:
+        for poset, n in contract_blocks():
             block = search._Block(poset, n, ("p",))
             expected = raw_frame_filter(poset, n, policy)
             # A small limit cuts every level into several pieces.
@@ -187,6 +199,37 @@ def test_admissible_tuples_equal_the_filtered_raw_space():
                 assert all(0 < len(piece) <= limit for piece in pieces)
                 got = np.concatenate(pieces)
                 assert np.array_equal(got, expected), (policy, poset, n, limit)
+
+
+def projected_tuples(poset, n, policy, kept) -> np.ndarray:
+    dropped = frozenset(poset.indices) - set(kept)
+    block = search._Block(poset, n, ("p",), dropped)
+    return np.concatenate(list(search._relation_tuples(block, policy, 1 << 13)))
+
+
+def test_projected_tuples_equal_the_restricted_filtered_space():
+    for policy in POLICIES:
+        for poset, n in contract_blocks():
+            rel_bits, k = n * n, len(poset.indices)
+            full = raw_frame_filter(poset, n, policy)
+            for size in range(k + 1):
+                for kept in combinations(poset.indices, size):
+                    restricted = np.zeros_like(full)
+                    for idx in kept:
+                        shift = (k - 1 - poset.indices.index(idx)) * rel_bits
+                        mask = (full >> shift) & ((1 << rel_bits) - 1)
+                        restricted = (restricted << rel_bits) | mask
+                    got = projected_tuples(poset, n, policy, kept)
+                    assert np.array_equal(got, np.unique(restricted)), (
+                        policy, poset, n, kept,
+                    )
+    # Among them the case that needs the whole poset: under shrink the
+    # dropped stable `b` above `a` puts the diagonal inside R_b within R_a.
+    chain_stable_b = SHAPES["chain-stable-b"][1]
+    for n in (1, 2, 3):
+        diag = sum(1 << (i * n + i) for i in range(n))
+        got = projected_tuples(chain_stable_b, n, FramePolicy(CoherenceMode.SHRINK), ("a",))
+        assert len(got) == 1 << (n * n - n) and ((got & diag) == diag).all()
 
 
 if __name__ == "__main__":

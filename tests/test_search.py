@@ -196,49 +196,19 @@ def test_determinism_and_worker_equivalence():
         assert again == runs[0]
 
 
-def test_scan_threads_capped_at_cpu_count(monkeypatch):
-    # The fake pool maps inline, so no thread is ever started and no real
-    # pool is ever asked for a large worker count.
-    requested = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
-    formula = parse_formula("<a>p -> <b>p")
-    expected = decide_valid(formula, SearchBounds(2, 2), SHRINK)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    assert decide_valid(formula, SearchBounds(2, 2), SHRINK, workers=100_000) == expected
-    assert requested == [3]
-    # An unknown CPU count scans sequentially.
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert decide_valid(formula, SearchBounds(2, 2), SHRINK, workers=100_000) == expected
-    assert requested == [3]
-
-
-def test_blocks_split_across_workers(monkeypatch):
+def test_small_chunks_and_worker_counts_keep_witnesses(monkeypatch):
     # A chunk of 4 candidates holds one relation tuple of a 2-world block
     # with one atom (and a quarter of one with two), so the blocks split
-    # into many chunks, scanned in rounds of one chunk per worker.
-    # Valid on one world; once it hits, it hits in every chunk of the round.
+    # into many chunks.  Only `a` is named here: one world has no
+    # countermodel, and on two worlds the projection onto `a` hits.
     spread = parse_formula("p -> [a]p")
-    # Needs both worlds a-reflexive and a b-pair; in its round only the
-    # later chunk hits.
+    # Needs both worlds a-reflexive and a b-pair.
     late = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p) & <b>p)")
+    tautology = parse_formula("p | ~p")
     formulas = [
         parse_formula("<a>p -> <b>p"),
         parse_formula("[a]p -> [b]p"),
-        parse_formula("p | ~p"),
+        tautology,
         parse_formula("<a>(p & ~p)"),
         spread,
         late,
@@ -249,37 +219,41 @@ def test_blocks_split_across_workers(monkeypatch):
     expected_rows = axiom_matrix(*matrix_args)
 
     monkeypatch.setattr(search, "_CHUNK", 4)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     scan_chunk = search._scan_chunk
     scanned = []
 
     def recording_scan_chunk(block, ops, tuples, lo, hi):
         hit = scan_chunk(block, ops, tuples, lo, hi)
-        first = (int(tuples[0]) << block.val_bits) | lo
-        scanned.append((block.n, block.poset, first, hit))
+        scanned.append((block.n, block.dropped, len(tuples), hit))
         return hit
 
     monkeypatch.setattr(search, "_scan_chunk", recording_scan_chunk)
     for formula, verdict in zip(formulas, expected):
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 5, 100_000):
             assert decide_valid(formula, bounds, SHRINK, workers=workers) == verdict
-
-    def last_round(formula, workers):
-        scanned.clear()
-        decide_valid(formula, bounds, SHRINK, workers=workers)
-        n, poset = scanned[-1][:2]
-        in_block = sorted(
-            (first, hit) for m, p, first, hit in scanned if (m, p) == (n, poset)
-        )
-        assert len(in_block) % workers == 0
-        return n, [hit for _first, hit in in_block[-workers:]]
-
-    # The premises, at 2 workers on a 2-world block.
-    n, hits = last_round(late, 2)
-    assert n == 2 and hits[0] is None and hits[1] is not None
-    n, hits = last_round(spread, 2)
-    assert n == 2 and None not in hits
     assert axiom_matrix(*matrix_args, workers=3) == expected_rows
+
+    def chunks(formula):
+        scanned.clear()
+        decide_valid(formula, bounds, SHRINK)
+        return list(scanned)
+
+    # A formula with no modal index scans one empty tuple per block.
+    assert all(
+        dropped == {"a", "b"} and size == 1 and hit is None
+        for _n, dropped, size, hit in chunks(tautology)
+    )
+    # A formula naming every index scans each block once, in full.
+    assert all(dropped == frozenset() for _n, dropped, _s, _h in chunks(late))
+    # A projected hit is followed by a full scan of the same block, which
+    # ends at the block's least hit.
+    got = chunks(spread)
+    first = next(i for i, (_n, _d, _s, hit) in enumerate(got) if hit is not None)
+    assert got[first][:2] == (2, {"b"})
+    assert all(dropped == {"b"} for _n, dropped, _s, _h in got[: first + 1])
+    rescan = got[first + 1 :]
+    assert rescan and all((n, dropped) == (2, frozenset()) for n, dropped, _s, _h in rescan)
+    assert [hit is not None for *_rest, hit in rescan] == [False] * (len(rescan) - 1) + [True]
 
 
 def test_ceiling_and_bit_guard():
