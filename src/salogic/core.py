@@ -1,6 +1,6 @@
 """Core vocabulary shared by every other module: index posets, the formula
-AST, stratified models, and the configuration enums for coherence checking
-and for the two axiom profiles.
+AST and its bit-set program, stratified models, and the configuration
+enums for coherence checking and for the two axiom profiles.
 
 Everything defined here is immutable after construction and safe to share
 across threads.
@@ -27,6 +27,7 @@ __all__ = [
     "IndexPoset",
     "Not",
     "Or",
+    "Program",
     "StratifiedModel",
     "atom_names",
     "children",
@@ -244,16 +245,17 @@ def children(formula: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def subformulas(formula: Formula) -> tuple[Formula, ...]:
-    """Every subformula of `formula` including itself, deduplicated, in
-    bottom-up order (children strictly before parents, `formula` last).
+def _walk(formula: Formula) -> tuple[list[Formula], list[tuple]]:
+    """The distinct subformulas of `formula` in bottom-up order (children
+    strictly before parents, `formula` last), each with its step: the
+    tuple (type, label, *child positions), where the label is an atom's
+    name, a modal operator's index, or None.
 
     Iterative, so arbitrarily deep formulas work.  Nodes are deduplicated
-    by a structural key made of their type, their label and their
-    children's positions, since hashing a deep node recurses through it."""
+    by their step, since hashing a deep node recurses through it."""
     found: list[Formula] = []
-    keys: dict[tuple, int] = {}  # structural key -> position in `found`
-    seen: dict[int, int] = {}  # id of a visited node -> position of its key
+    keys: dict[tuple, int] = {}  # step -> position in `found`
+    seen: dict[int, int] = {}  # id of a visited node -> position of its step
     stack = [(formula, False)]
     while stack:
         g, ready = stack.pop()
@@ -269,7 +271,49 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
         if pos == len(found):
             found.append(g)
         seen[id(g)] = pos
-    return tuple(found)
+    return found, list(keys)
+
+
+def subformulas(formula: Formula) -> tuple[Formula, ...]:
+    """Every subformula of `formula` including itself, deduplicated, in
+    bottom-up order (children strictly before parents, `formula` last)."""
+    return tuple(_walk(formula)[0])
+
+
+class Program:
+    """A formula compiled to straight-line code over bit sets: one step
+    (type, label, *child positions) per distinct subformula, in the order
+    of `subformulas`.
+
+    A bit set is a Python int or a numpy integer array, and `full` is the
+    set of all positions.  The connectives are bitwise operations against
+    `full`, and `[i]x` is computed as `~<i>~x`, so a caller supplies only
+    `atom(name)` and `diamond(index, x)`, the positions with an
+    `index`-successor in x."""
+
+    def __init__(self, formula: Formula):
+        self.steps = tuple(_walk(formula)[1])
+
+    def run(self, full, atom, diamond) -> list:
+        """The bit set of every step; the last one is the formula's."""
+        values: list = []
+        for kind, label, *args in self.steps:
+            if kind is Atom:
+                value = atom(label)
+            elif kind is Diamond:
+                value = diamond(label, values[args[0]])
+            elif kind is Box:
+                value = full ^ diamond(label, full ^ values[args[0]])
+            elif kind is Not:
+                value = full ^ values[args[0]]
+            elif kind is And:
+                value = values[args[0]] & values[args[1]]
+            elif kind is Or:
+                value = values[args[0]] | values[args[1]]
+            else:  # Implies: children() has rejected every other node type
+                value = (full ^ values[args[0]]) | values[args[1]]
+            values.append(value)
+        return values
 
 
 def atom_names(formula: Formula) -> tuple[str, ...]:

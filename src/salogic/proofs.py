@@ -31,6 +31,7 @@ from .core import (
     IndexPoset,
     Not,
     Or,
+    Program,
     atom_names,
 )
 from .errors import ForwardReference, IllegalTagForProfile, UndeclaredIdentifier
@@ -67,6 +68,8 @@ REASON_BAD_NECESSITATION = "necessitation-shape-mismatch"
 REASON_NON_STABLE_NECESSITATION = "non-stable-necessitation"
 REASON_UNDECLARED_INDEX = "undeclared-index"
 REASON_CITED_LINE_REJECTED = "cited-line-rejected"
+
+_TABLE_WIDTH = 12  # atoms whose truth-table columns is_tautology holds at once
 
 
 @dataclass(frozen=True)
@@ -173,26 +176,32 @@ def propositional_skeleton(formula: Formula) -> Formula:
     return walk(formula)
 
 
-def _truth(formula: Formula, env: dict[str, bool]) -> bool:
-    if isinstance(formula, Atom):
-        return env[formula.name]
-    if isinstance(formula, Not):
-        return not _truth(formula.operand, env)
-    if isinstance(formula, And):
-        return _truth(formula.left, env) and _truth(formula.right, env)
-    if isinstance(formula, Or):
-        return _truth(formula.left, env) or _truth(formula.right, env)
-    if isinstance(formula, Implies):
-        return (not _truth(formula.left, env)) or _truth(formula.right, env)
-    raise TypeError(f"modal operator in a propositional context: {formula!r}")
-
-
 def is_tautology(formula: Formula) -> bool:
-    """Truth-table check; `formula` must be purely propositional."""
-    names = atom_names(formula)
-    for bits in range(1 << len(names)):
-        env = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
-        if not _truth(formula, env):
+    """Truth-table check; `formula` must be purely propositional, and a
+    modal operator raises TypeError.
+
+    The formula's bit-set program runs over truth-table columns, one int
+    per atom and one bit per row, built by doubling the table for each of
+    the first _TABLE_WIDTH atoms.  Each assignment of any further atoms
+    is one more run with those atoms constant, so a column never exceeds
+    2^_TABLE_WIDTH bits."""
+    program = Program(formula)
+    names = sorted({label for kind, label, *_args in program.steps if kind is Atom})
+    rows, columns = 1, {}
+    for name in names[:_TABLE_WIDTH]:
+        for other in columns:
+            columns[other] |= columns[other] << rows
+        columns[name] = ((1 << rows) - 1) << rows
+        rows <<= 1
+    full = (1 << rows) - 1
+
+    def modal(index: str, x: int) -> int:
+        raise TypeError(f"modal operator on index {index!r} in a propositional context")
+
+    high = names[_TABLE_WIDTH:]
+    for bits in range(1 << len(high)):
+        columns.update((name, full * (bits >> i & 1)) for i, name in enumerate(high))
+        if program.run(full, columns.__getitem__, modal)[-1] != full:
             return False
     return True
 

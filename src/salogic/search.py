@@ -54,11 +54,12 @@ levels: its rows range over the stable sets containing the instance
 index, whatever the reflexivity policy says, since otherwise the row
 would be vacuous whenever the policy stops enforcing reflexivity.
 
-Scanning is vectorized with numpy over chunks of candidates.  A hit is
-rebuilt as a plain StratifiedModel and re-checked through
-semantics.evaluate and semantics.validate_frame before it is reported,
-so every emitted witness has already survived the independent scalar
-evaluator.
+Scanning runs the formula's bit-set program (core.Program) with numpy
+over chunks of candidates, world sets being uint8 masks over a (relation
+tuple, valuation) grid.  A hit is rebuilt as a plain StratifiedModel and
+re-checked through semantics.evaluate and semantics.validate_frame
+before it is reported, so every emitted witness has already survived the
+independent scalar evaluator.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ from .core import (
     Implies,
     IndexPoset,
     Not,
+    Program,
     StratifiedModel,
     atom_names,
     modal_indices,
-    subformulas,
 )
 from .errors import BoundsTooLarge, UndeclaredIdentifier
 from .proofs import PROFILE_SCHEMAS
@@ -250,26 +251,6 @@ def _decode(block: _Block, candidate: int) -> StratifiedModel:
     return StratifiedModel(block.poset, worlds, relations, valuation)
 
 
-def _compile(formula: Formula, atoms: tuple[str, ...]) -> list[tuple]:
-    """Flatten the formula into postorder ops over deduplicated slots."""
-    order = subformulas(formula)
-    slot = {f: i for i, f in enumerate(order)}
-    atom_slot = {name: i for i, name in enumerate(atoms)}
-    ops: list[tuple] = []
-    for f in order:
-        if isinstance(f, Atom):
-            ops.append(("atom", atom_slot[f.name]))
-        elif isinstance(f, Not):
-            ops.append(("not", slot[f.operand]))
-        elif isinstance(f, Box):
-            ops.append(("box", f.index, slot[f.operand]))
-        elif isinstance(f, Diamond):
-            ops.append(("dia", f.index, slot[f.operand]))
-        else:
-            ops.append((type(f).__name__.lower(), slot[f.left], slot[f.right]))
-    return ops
-
-
 def _relation_tuples(
     block: _Block, policy: FramePolicy, limit: int
 ) -> Iterator[np.ndarray]:
@@ -363,7 +344,7 @@ def _chunks(block: _Block, policy: FramePolicy) -> Iterator[tuple[np.ndarray, in
 
 
 def _scan_chunk(
-    block: _Block, ops: list[tuple], tuples: np.ndarray, lo: int, hi: int
+    block: _Block, program: Program, tuples: np.ndarray, lo: int, hi: int
 ) -> int | None:
     """Least candidate of the chunk that falsifies the formula at some
     world, or None.
@@ -384,42 +365,27 @@ def _scan_chunk(
         ]
         for j, idx in enumerate(kept)
     }
-    sat: list[np.ndarray] = [None] * len(ops)  # type: ignore[list-item]
-    for si, op in enumerate(ops):
-        kind = op[0]
-        if kind == "atom":
-            sat[si] = ((vals >> (op[1] * n)) & full).astype(np.uint8)
-        elif kind == "not":
-            sat[si] = sat[op[1]] ^ full
-        elif kind == "and":
-            sat[si] = sat[op[1]] & sat[op[2]]
-        elif kind == "or":
-            sat[si] = sat[op[1]] | sat[op[2]]
-        elif kind == "implies":
-            sat[si] = (sat[op[1]] ^ full) | sat[op[2]]
-        elif kind == "box":
-            fails = sat[op[2]] ^ full  # worlds where the operand fails
-            out = 0
-            for w, row in enumerate(rows[op[1]]):
-                out = out | (((row & fails) == 0).astype(np.uint8) << w)
-            sat[si] = out
-        else:  # dia
-            holds = sat[op[2]]
-            out = 0
-            for w, row in enumerate(rows[op[1]]):
-                out = out | (((row & holds) != 0).astype(np.uint8) << w)
-            sat[si] = out
-    falsified = np.broadcast_to(sat[-1] != full, (len(tuples), hi - lo))
+
+    def atom(name: str) -> np.ndarray:
+        return ((vals >> (block.atoms.index(name) * n)) & full).astype(np.uint8)
+
+    def diamond(index: str, x: np.ndarray) -> np.ndarray:
+        return sum(
+            ((row & x) != 0).astype(np.uint8) << w for w, row in enumerate(rows[index])
+        )
+
+    truth = program.run(full, atom, diamond)[-1]
+    falsified = np.broadcast_to(truth != full, (len(tuples), hi - lo))
     if not falsified.any():
         return None
     t, v = divmod(int(falsified.argmax()), hi - lo)
     return (int(tuples[t]) << block.val_bits) | (lo + v)
 
 
-def _first_hit(block: _Block, ops: list[tuple], policy: FramePolicy) -> int | None:
+def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
     """Least falsifying candidate of the block, or None."""
     for chunk in _chunks(block, policy):
-        hit = _scan_chunk(block, ops, *chunk)
+        hit = _scan_chunk(block, program, *chunk)
         if hit is not None:
             return hit
     return None
@@ -462,17 +428,17 @@ def _guard_ceiling(blocks: tuple[_Block, ...], ceiling: int) -> None:
 def _first_counterexample(
     blocks: tuple[_Block, ...], formula: Formula, policy: FramePolicy
 ) -> Counterexample | None:
-    ops = _compile(formula, blocks[0].atoms)  # every block shares the atoms
+    program = Program(formula)
     used = frozenset(modal_indices(formula))
     for block in blocks:
         # The formula reads only the relations of the indices it names, so
         # the projection onto them hits exactly when the full block does;
         # the full block's least hit is then found by scanning it too.
         projected = replace(block, dropped=frozenset(block.poset.indices) - used)
-        hit = _first_hit(projected, ops, policy)
+        hit = _first_hit(projected, program, policy)
         if hit is not None:
             if projected.dropped:
-                hit = _first_hit(block, ops, policy)
+                hit = _first_hit(block, program, policy)
                 if hit is None:
                     raise RuntimeError("scan of a block missed the hit of its projection")
             break

@@ -1,12 +1,12 @@
 """Stratified satisfaction and frame validation.
 
-Evaluation is the standard explicit-state labeling scheme: the set of
-satisfying worlds is computed bottom-up for every subformula, which is
-O(|formula| * |worlds|^2) in the worst case.  The ambient evaluation
-index is carried through the API and the traces but cannot change a
-verdict: each modal operator quantifies over the relation named by its
-own subscript.  That independence is a tested property, not an
-assumption.
+Evaluation runs the formula's bit-set program (core.Program) over world
+masks, Python ints whose bit i stands for the i-th declared world: each
+distinct subformula costs O(|worlds|) operations on |worlds|-bit ints,
+its diamonds included.  The ambient evaluation index is carried through
+the API and the traces but cannot change a verdict: each modal operator
+quantifies over the relation named by its own subscript.  That
+independence is a tested property, not an assumption.
 
 Frame validation is configured by a FramePolicy.  The two coherence
 directions are both on offer because neither is privileged by the
@@ -22,17 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    And,
     Atom,
     Box,
     CoherenceMode,
     Diamond,
     Formula,
-    Implies,
-    Not,
-    Or,
+    Program,
     StratifiedModel,
-    subformulas,
+    children,
 )
 from .errors import FrameViolation, UndeclaredIdentifier
 from .syntax import print_formula
@@ -114,64 +111,46 @@ def validate_frame(model: StratifiedModel, policy: FramePolicy) -> list[Violatio
     return out
 
 
-def _check_inputs(
+def _world_masks(
     model: StratifiedModel,
     formula: Formula,
     world: str | None = None,
     index: str | None = None,
-) -> None:
+) -> tuple[Program, list[int]]:
+    """The program of `formula` and the worlds where each of its steps
+    holds, as ints whose bit i stands for the i-th declared world.
+
+    Every name the inputs use is checked before anything is evaluated."""
     if world is not None and world not in model.worlds:
         raise UndeclaredIdentifier(f"unknown world {world!r}")
     if index is not None and index not in model.poset.indices:
         raise UndeclaredIdentifier(f"unknown index {index!r}")
-    for sub in subformulas(formula):
-        if isinstance(sub, Atom) and sub.name not in model.valuation:
-            raise UndeclaredIdentifier(f"atom {sub.name!r} is not declared in the model")
-        if isinstance(sub, (Box, Diamond)) and sub.index not in model.poset.indices:
-            raise UndeclaredIdentifier(f"unknown index {sub.index!r}")
+    program = Program(formula)
+    for kind, label, *_args in program.steps:
+        if kind is Atom and label not in model.valuation:
+            raise UndeclaredIdentifier(f"atom {label!r} is not declared in the model")
+        if kind in (Box, Diamond) and label not in model.poset.indices:
+            raise UndeclaredIdentifier(f"unknown index {label!r}")
+    pos = {w: i for i, w in enumerate(model.worlds)}
+    rows: dict[str, list[int]] = {}  # index -> successor mask of each world
 
+    def atom(name: str) -> int:
+        return sum(1 << pos[w] for w in model.valuation[name])
 
-def _labels(model: StratifiedModel, formula: Formula) -> dict[Formula, frozenset[str]]:
-    full = frozenset(model.worlds)
-    succ: dict[str, dict[str, frozenset[str]]] = {}
+    def diamond(idx: str, x: int) -> int:
+        if idx not in rows:
+            rows[idx] = [0] * len(pos)
+            for u, v in model.relations[idx]:
+                rows[idx][pos[u]] |= 1 << pos[v]
+        return sum(1 << i for i, row in enumerate(rows[idx]) if row & x)
 
-    def successors(index: str) -> dict[str, frozenset[str]]:
-        if index not in succ:
-            pairs = model.relations[index]
-            succ[index] = {
-                w: frozenset(v for v in model.worlds if (w, v) in pairs)
-                for w in model.worlds
-            }
-        return succ[index]
-
-    sat: dict[Formula, frozenset[str]] = {}
-    for sub in subformulas(formula):
-        if isinstance(sub, Atom):
-            out = model.valuation[sub.name]
-        elif isinstance(sub, Not):
-            out = full - sat[sub.operand]
-        elif isinstance(sub, And):
-            out = sat[sub.left] & sat[sub.right]
-        elif isinstance(sub, Or):
-            out = sat[sub.left] | sat[sub.right]
-        elif isinstance(sub, Implies):
-            out = (full - sat[sub.left]) | sat[sub.right]
-        elif isinstance(sub, Box):
-            good = sat[sub.operand]
-            rows = successors(sub.index)
-            out = frozenset(w for w in model.worlds if rows[w] <= good)
-        else:  # Diamond: _check_inputs has rejected every other node type
-            good = sat[sub.operand]
-            rows = successors(sub.index)
-            out = frozenset(w for w in model.worlds if rows[w] & good)
-        sat[sub] = out
-    return sat
+    return program, program.run((1 << len(pos)) - 1, atom, diamond)
 
 
 def satisfying_worlds(model: StratifiedModel, formula: Formula) -> frozenset[str]:
     """The set of worlds where `formula` holds."""
-    _check_inputs(model, formula)
-    return _labels(model, formula)[formula]
+    mask = _world_masks(model, formula)[1][-1]
+    return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
 
 
 def evaluate(model: StratifiedModel, world: str, index: str, formula: Formula) -> bool:
@@ -181,8 +160,8 @@ def evaluate(model: StratifiedModel, world: str, index: str, formula: Formula) -
     in traces but does not influence the verdict (see module docstring).
     Raises UndeclaredIdentifier for unknown worlds, indices, or atoms.
     """
-    _check_inputs(model, formula, world, index)
-    return world in _labels(model, formula)[formula]
+    mask = _world_masks(model, formula, world, index)[1][-1]
+    return bool(mask >> model.worlds.index(world) & 1)
 
 
 @dataclass(frozen=True)
@@ -209,37 +188,24 @@ def evaluate_with_trace(
     model: StratifiedModel, world: str, index: str, formula: Formula
 ) -> tuple[bool, EvalTrace]:
     """Like evaluate, but also returns the explanation tree."""
-    _check_inputs(model, formula, world, index)
+    program, masks = _world_masks(model, formula, world, index)
+    pos = {w: i for i, w in enumerate(model.worlds)}
 
-    def go(w: str, g: Formula) -> EvalTrace:
-        if isinstance(g, Atom):
-            return EvalTrace(w, index, g, w in model.valuation[g.name])
-        if isinstance(g, Not):
-            child = go(w, g.operand)
-            return EvalTrace(w, index, g, not child.verdict, (child,))
-        if isinstance(g, (And, Or, Implies)):
-            left, right = go(w, g.left), go(w, g.right)
-            if isinstance(g, And):
-                verdict = left.verdict and right.verdict
-            elif isinstance(g, Or):
-                verdict = left.verdict or right.verdict
-            else:
-                verdict = (not left.verdict) or right.verdict
-            return EvalTrace(w, index, g, verdict, (left, right))
-        # Box or Diamond: _check_inputs has rejected every other node type.
-        want = isinstance(g, Diamond)  # the verdict that settles early
+    def go(w: str, g: Formula, step: int) -> EvalTrace:
+        kind, _label, *args = program.steps[step]
+        verdict = bool(masks[step] >> pos[w] & 1)
+        if kind not in (Box, Diamond):
+            kids = tuple(go(w, c, a) for c, a in zip(children(g), args))
+            return EvalTrace(w, index, g, verdict, kids)
+        settles = kind is Diamond  # the child verdict that settles early
         examined: list[EvalTrace] = []
-        witness = None
         for v in model.successors(g.index, w):
-            child = go(v, g.operand)
-            examined.append(child)
-            if child.verdict == want:
-                witness = v
-                break
-        verdict = witness is not None if want else witness is None
-        return EvalTrace(w, index, g, verdict, tuple(examined), witness)
+            examined.append(go(v, g.operand, args[0]))
+            if examined[-1].verdict == settles:
+                return EvalTrace(w, index, g, verdict, tuple(examined), v)
+        return EvalTrace(w, index, g, verdict, tuple(examined))
 
-    root = go(world, formula)
+    root = go(world, formula, len(masks) - 1)
     return root.verdict, root
 
 

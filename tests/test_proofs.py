@@ -3,6 +3,7 @@ import random
 import pytest
 
 from salogic.core import (
+    And,
     Atom,
     AxiomProfile,
     Box,
@@ -13,6 +14,7 @@ from salogic.core import (
     Not,
     Or,
 )
+import salogic.proofs as proofs
 from salogic.errors import ForwardReference, IllegalTagForProfile, UndeclaredIdentifier
 from salogic.proofs import (
     Axiom,
@@ -138,6 +140,34 @@ def test_a1_agrees_with_truth_table_oracle():
     for _ in range(500):
         f = random_formula(rng, 4)
         assert match_axiom(f, "A1", CHAIN, S2) == propositional_tautology(f)
+
+
+def test_wide_tautologies_agree_with_truth_table_oracle(monkeypatch):
+    # 8-14 skeleton variables.  A premise that fixes every atom leaves one
+    # row of the table that can falsify, so that row may sit in any loop
+    # round over the atoms past the column width.
+    rng = random.Random(227)
+    cases = []
+    for _ in range(24):
+        names = [f"x{i}" for i in range(rng.randint(8, 14))]
+        premise = Atom(names[0])
+        for name in names[1:]:
+            literal = Atom(name) if rng.random() < 0.7 else Not(Atom(name))
+            premise = And(premise, literal)
+        g = random_formula(rng, 3, atoms=tuple(names))
+        h = random_formula(rng, 2, atoms=tuple(names))
+        conclusion = rng.choice([g, Or(g, Not(g)), Or(g, Not(h))])
+        cases.append(Implies(premise, conclusion))
+    expected = [propositional_tautology(f) for f in cases]
+    assert 0 < sum(expected) < len(cases)
+    for width in (3, proofs._TABLE_WIDTH):
+        monkeypatch.setattr(proofs, "_TABLE_WIDTH", width)
+        for f, verdict in zip(cases, expected):
+            assert match_axiom(f, "A1", CHAIN, S2) == verdict, f
+            assert is_tautology(propositional_skeleton(f)) == verdict, f
+    for f in ("[a]p", "p | <a>p", "(p | ~p) | [a]q"):
+        with pytest.raises(TypeError):
+            is_tautology(parse_formula(f))
 
 
 def test_skeleton_shares_placeholders():

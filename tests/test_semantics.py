@@ -13,6 +13,8 @@ from salogic.core import (
     StratifiedModel,
 )
 from salogic.errors import FrameViolation, UndeclaredIdentifier
+from salogic.proofs import is_tautology
+from salogic.search import SearchBounds, decide_sat, decide_valid
 from salogic.semantics import (
     EvalTrace,
     FramePolicy,
@@ -137,6 +139,49 @@ def test_oracle_agreement_and_duality_fuzz():
         for w in m.worlds:
             assert evaluate(m, w, idx, f) == naive_eval(m, w, f)
             assert evaluate(m, w, idx, dual_left) == evaluate(m, w, idx, dual_right)
+
+
+def test_wide_model_agrees_with_oracle():
+    # Past 64 worlds a world mask no longer fits one machine word.
+    rng = random.Random(107)
+    worlds = tuple(f"w{i}" for i in range(70))
+    relations = {
+        idx: frozenset((u, rng.choice(worlds)) for u in worlds for _ in range(2))
+        for idx in ("a", "b")
+    }
+    valuation = {atom: frozenset(rng.sample(worlds, 35)) for atom in ("p", "q")}
+    m = StratifiedModel(IndexPoset.from_order(("a", "b")), worlds, relations, valuation)
+    for _ in range(30):
+        f = random_formula(rng, 3, atoms=("p", "q"))
+        expected = frozenset(w for w in worlds if naive_eval(m, w, f))
+        assert satisfying_worlds(m, f) == expected
+        assert {w for w in worlds if evaluate(m, w, "a", f)} == expected
+
+
+def test_deep_formulas_are_total():
+    # A 3000-deep chain is far past the interpreter's recursion limit.
+    boxed = Box("a", Atom("p"))
+    deep = boxed
+    for _ in range(3000):
+        deep = Not(deep)
+    worlds = ("w0", "w1")
+    m = StratifiedModel(
+        IndexPoset.from_order(("a",)),
+        worlds,
+        {"a": {("w0", "w0")}},
+        {"p": {"w1"}},
+    )
+    assert satisfying_worlds(m, deep) == satisfying_worlds(m, boxed) == {"w1"}
+    assert [evaluate(m, w, "a", deep) for w in worlds] == [False, True]
+    assert evaluate(m, "w0", "a", Not(deep)) is True
+    bounds = SearchBounds(2, 1)
+    assert decide_valid(deep, bounds) == decide_valid(boxed, bounds)
+    assert decide_sat(deep, bounds) == decide_sat(boxed, bounds)
+    tautology = parse_formula("p | ~p")
+    for _ in range(3000):
+        tautology = Not(tautology)
+    assert is_tautology(tautology) is True
+    assert is_tautology(Not(tautology)) is False
 
 
 def test_ambient_index_never_changes_verdicts():
