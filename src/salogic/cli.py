@@ -95,8 +95,9 @@ def _cmd_eval(args) -> ExitStatus:
     formula = parse_formula(args.formula)
     if args.trace:
         verdict, trace = evaluate_with_trace(model, args.world, args.index, formula)
+        text = render_trace(trace)  # may refuse, so before any output
         print("true" if verdict else "false")
-        print(render_trace(trace))
+        print(text)
     else:
         verdict = evaluate(model, args.world, args.index, formula)
         print("true" if verdict else "false")

@@ -232,46 +232,60 @@ class Diamond(Formula):
         _require_identifier(self.index, "index")
 
 
+_NODE_TYPES = (Atom, Not, And, Or, Implies, Box, Diamond)
+
+
+def _parts(formula: Formula) -> tuple[type, tuple[Formula, ...]]:
+    """The node type of an AST node (the base type for a subclass of
+    one) and its immediate subformulas."""
+    kind = type(formula)
+    if kind not in _NODE_TYPES:
+        kind = next((t for t in _NODE_TYPES if isinstance(formula, t)), None)
+        if kind is None:
+            raise TypeError(f"not a formula: {formula!r}")
+    if kind is Atom:
+        return kind, ()
+    if kind is And or kind is Or or kind is Implies:
+        return kind, (formula.left, formula.right)
+    return kind, (formula.operand,)
+
+
 def children(formula: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas of an AST node."""
-    if isinstance(formula, Atom):
-        return ()
-    if isinstance(formula, Not):
-        return (formula.operand,)
-    if isinstance(formula, (And, Or, Implies)):
-        return (formula.left, formula.right)
-    if isinstance(formula, (Box, Diamond)):
-        return (formula.operand,)
-    raise TypeError(f"not a formula: {formula!r}")
+    return _parts(formula)[1]
 
 
 def _walk(formula: Formula) -> tuple[list[Formula], list[tuple]]:
     """The distinct subformulas of `formula` in bottom-up order (children
     strictly before parents, `formula` last), each with its step: the
-    tuple (type, label, *child positions), where the label is an atom's
-    name, a modal operator's index, or None.
+    tuple (node type, label, *child positions), where the label is an
+    atom's name, a modal operator's index, or None.
 
     Iterative, so arbitrarily deep formulas work.  Nodes are deduplicated
-    by their step, since hashing a deep node recurses through it."""
+    by exact type, label and child positions, since hashing a deep node
+    recurses through it.  A subclass of a node type gets that type's step."""
     found: list[Formula] = []
-    keys: dict[tuple, int] = {}  # step -> position in `found`
+    steps: list[tuple] = []
+    keys: dict[tuple, int] = {}  # (exact type, label, *child positions) -> position
     seen: dict[int, int] = {}  # id of a visited node -> position of its step
     stack = [(formula, False)]
     while stack:
         g, ready = stack.pop()
         if id(g) in seen:
             continue
-        kids = children(g)
+        kind, kids = _parts(g)
         if not ready:
             stack.append((g, True))
             stack.extend([(child, False) for child in reversed(kids)])
             continue
-        label = g.name if isinstance(g, Atom) else getattr(g, "index", None)
-        pos = keys.setdefault((type(g), label, *[seen[id(c)] for c in kids]), len(found))
+        label = g.name if kind is Atom else getattr(g, "index", None)
+        key = (type(g), label, *[seen[id(c)] for c in kids])
+        pos = keys.setdefault(key, len(found))
         if pos == len(found):
             found.append(g)
+            steps.append(key if key[0] is kind else (kind, *key[1:]))
         seen[id(g)] = pos
-    return found, list(keys)
+    return found, steps
 
 
 def subformulas(formula: Formula) -> tuple[Formula, ...]:
@@ -282,8 +296,8 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
 
 class Program:
     """A formula compiled to straight-line code over bit sets: one step
-    (type, label, *child positions) per distinct subformula, in the order
-    of `subformulas`.
+    (node type, label, *child positions) per distinct subformula, in the order
+    of `subformulas`, which `nodes` holds.
 
     A bit set is a Python int or a numpy integer array, and `full` is the
     set of all positions.  The connectives are bitwise operations against
@@ -292,7 +306,8 @@ class Program:
     `index`-successor in x."""
 
     def __init__(self, formula: Formula):
-        self.steps = tuple(_walk(formula)[1])
+        nodes, steps = _walk(formula)
+        self.nodes, self.steps = tuple(nodes), tuple(steps)
 
     def run(self, full, atom, diamond) -> list:
         """The bit set of every step; the last one is the formula's."""

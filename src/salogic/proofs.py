@@ -19,9 +19,9 @@ cite any earlier accepted line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .core import (
-    And,
     Atom,
     AxiomProfile,
     Box,
@@ -29,12 +29,14 @@ from .core import (
     Formula,
     Implies,
     IndexPoset,
-    Not,
-    Or,
     Program,
-    atom_names,
 )
-from .errors import ForwardReference, IllegalTagForProfile, UndeclaredIdentifier
+from .errors import (
+    BoundsTooLarge,
+    ForwardReference,
+    IllegalTagForProfile,
+    UndeclaredIdentifier,
+)
 
 __all__ = [
     "Axiom",
@@ -70,6 +72,7 @@ REASON_UNDECLARED_INDEX = "undeclared-index"
 REASON_CITED_LINE_REJECTED = "cited-line-rejected"
 
 _TABLE_WIDTH = 12  # atoms whose truth-table columns is_tautology holds at once
+_MAX_TABLE_ATOMS = 24  # atoms past which is_tautology refuses the truth table
 
 
 @dataclass(frozen=True)
@@ -143,37 +146,27 @@ class Derivation:
 def propositional_skeleton(formula: Formula) -> Formula:
     """`formula` with each maximal modal subformula replaced by a fresh
     placeholder atom; syntactically equal modal subformulas share one
-    placeholder.  Placeholder names avoid the formula's own atoms."""
-    taken = set(atom_names(formula))
-    placeholders: dict[Formula, Atom] = {}
-    counter = 0
-
-    def fresh() -> Atom:
-        nonlocal counter
-        while True:
-            name = f"m{counter}_"
-            counter += 1
-            if name not in taken:
-                taken.add(name)
-                return Atom(name)
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Box, Diamond)):
-            if g not in placeholders:
-                placeholders[g] = fresh()
-            return placeholders[g]
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.operand))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        # Implies: atom_names above has rejected every other node type.
-        return Implies(walk(g.left), walk(g.right))
-
-    return walk(formula)
+    placeholder.  Placeholder names avoid the formula's own atoms and are
+    numbered m0_, m1_, ... in the order the modal subformulas are first
+    met, left to right."""
+    program = Program(formula)
+    taken = {label for kind, label, *_args in program.steps if kind is Atom}
+    fresh = (Atom(name) for name in (f"m{i}_" for i in count()) if name not in taken)
+    built: dict[int, Formula] = {}  # step position -> its skeleton
+    stack = [(len(program.steps) - 1, False)]
+    while stack:
+        step, ready = stack.pop()
+        kind, _label, *args = program.steps[step]
+        if ready:  # an atom stays, a connective joins its operands' skeletons
+            built[step] = kind(*[built[a] for a in args]) if args else program.nodes[step]
+        elif step in built:
+            continue
+        elif kind in (Box, Diamond):
+            built[step] = next(fresh)
+        else:  # operands first, leftmost on top
+            stack.append((step, True))
+            stack.extend((a, False) for a in reversed(args))
+    return built[len(program.steps) - 1]
 
 
 def is_tautology(formula: Formula) -> bool:
@@ -184,9 +177,17 @@ def is_tautology(formula: Formula) -> bool:
     per atom and one bit per row, built by doubling the table for each of
     the first _TABLE_WIDTH atoms.  Each assignment of any further atoms
     is one more run with those atoms constant, so a column never exceeds
-    2^_TABLE_WIDTH bits."""
+    2^_TABLE_WIDTH bits.
+
+    Raises BoundsTooLarge, before any run, when the formula has more
+    than _MAX_TABLE_ATOMS atoms: each atom doubles the table."""
     program = Program(formula)
     names = sorted({label for kind, label, *_args in program.steps if kind is Atom})
+    if len(names) > _MAX_TABLE_ATOMS:
+        raise BoundsTooLarge(
+            f"a truth table over {len(names)} atoms exceeds the ceiling of "
+            f"{_MAX_TABLE_ATOMS} atoms"
+        )
     rows, columns = 1, {}
     for name in names[:_TABLE_WIDTH]:
         for other in columns:

@@ -8,6 +8,12 @@ the API and the traces but cannot change a verdict: each modal operator
 quantifies over the relation named by its own subscript.  That
 independence is a tested property, not an assumption.
 
+A trace is built with one node per reachable (world, step) pair of the
+program, its verdict read from the same masks, and parents share their
+children, so building costs O(reachable pairs).  Rendered, it has one
+line per path from the root, which is exponential in modal depth:
+render_trace counts the lines first and refuses past _MAX_TRACE_LINES.
+
 Frame validation is configured by a FramePolicy.  The two coherence
 directions are both on offer because neither is privileged by the
 semantics itself; permissive policies report violations as data, strict
@@ -29,10 +35,9 @@ from .core import (
     Formula,
     Program,
     StratifiedModel,
-    children,
 )
-from .errors import FrameViolation, UndeclaredIdentifier
-from .syntax import print_formula
+from .errors import BoundsTooLarge, FrameViolation, UndeclaredIdentifier
+from .syntax import _step_texts, print_formula
 
 __all__ = [
     "EvalTrace",
@@ -50,6 +55,8 @@ __all__ = [
 
 VIOLATION_COHERENCE = "coherence"
 VIOLATION_STABLE_REFLEXIVITY = "stable-reflexivity"
+
+_MAX_TRACE_LINES = 1_000_000  # lines past which render_trace refuses
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,9 @@ class EvalTrace:
     verdict early: the witness of a true diamond or the counterexample of
     a false box.  `children` holds every sub-evaluation actually
     performed, in a fixed order (operands left to right, successors in
-    world declaration order, stopping at the deciding one).
+    world declaration order, stopping at the deciding one).  A trace from
+    evaluate_with_trace is a DAG: one node object stands for each (world,
+    subformula) it reaches and may be the child of several parents.
     """
 
     world: str
@@ -190,39 +199,67 @@ def evaluate_with_trace(
     """Like evaluate, but also returns the explanation tree."""
     program, masks = _world_masks(model, formula, world, index)
     pos = {w: i for i, w in enumerate(model.worlds)}
-
-    def go(w: str, g: Formula, step: int) -> EvalTrace:
-        kind, _label, *args = program.steps[step]
-        verdict = bool(masks[step] >> pos[w] & 1)
-        if kind not in (Box, Diamond):
-            kids = tuple(go(w, c, a) for c, a in zip(children(g), args))
-            return EvalTrace(w, index, g, verdict, kids)
-        settles = kind is Diamond  # the child verdict that settles early
-        examined: list[EvalTrace] = []
-        for v in model.successors(g.index, w):
-            examined.append(go(v, g.operand, args[0]))
-            if examined[-1].verdict == settles:
-                return EvalTrace(w, index, g, verdict, tuple(examined), v)
-        return EvalTrace(w, index, g, verdict, tuple(examined))
-
-    root = go(world, formula, len(masks) - 1)
-    return root.verdict, root
+    built: dict[tuple[str, int], EvalTrace] = {}  # (world, step) -> its node
+    root = (world, len(masks) - 1)
+    stack = [root]
+    while stack:
+        w, step = key = stack.pop()
+        kind, label, *args = program.steps[step]
+        kids, witness = [(w, a) for a in args], None
+        if kind in (Box, Diamond):
+            kids = []
+            for v in model.successors(label, w):
+                kids.append((v, args[0]))
+                if masks[args[0]] >> pos[v] & 1 == (kind is Diamond):  # settles it
+                    witness = v
+                    break
+        todo = [kid for kid in kids if kid not in built]
+        if todo:
+            stack += [key, *todo]
+        elif key not in built:
+            verdict = bool(masks[step] >> pos[w] & 1)
+            below = tuple(built[kid] for kid in kids)
+            built[key] = EvalTrace(w, index, program.nodes[step], verdict, below, witness)
+    return built[root].verdict, built[root]
 
 
 def render_trace(trace: EvalTrace, depth: int = 0) -> str:
-    """Indented text rendering of an evaluation trace."""
-    pad = "  " * depth
-    tail = ""
-    if trace.witness is not None:
-        role = "witness" if trace.verdict else "fails at"
-        tail = f"  ({role} {trace.witness})"
-    lines = [
-        f"{pad}{trace.world} [{trace.index}] {print_formula(trace.formula)}"
-        f" = {'true' if trace.verdict else 'false'}{tail}"
-    ]
-    for child in trace.children:
-        lines.append(render_trace(child, depth + 1))
-    return "\n".join(lines)
+    """Indented text rendering of an evaluation trace, one line per node
+    below its parent; a node shared by several parents is printed under each.
+
+    Raises BoundsTooLarge, before building any text, when that is more
+    than _MAX_TRACE_LINES lines."""
+    lines: dict[int, int] = {}  # id of a node -> lines it renders to
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        todo = [kid for kid in node.children if id(kid) not in lines]
+        if todo:
+            stack += [node, *todo]
+        else:
+            lines[id(node)] = 1 + sum(lines[id(kid)] for kid in node.children)
+    if lines[id(trace)] > _MAX_TRACE_LINES:
+        raise BoundsTooLarge(
+            f"the trace renders to {lines[id(trace)]} lines, past the ceiling "
+            f"of {_MAX_TRACE_LINES}"
+        )
+    program = Program(trace.formula)
+    texts = {id(g): text for g, text in zip(program.nodes, _step_texts(program))}
+    out: list[str] = []
+    stack = [iter((trace,))]  # the children left to print at each depth
+    while stack:
+        for node in stack[-1]:
+            role = "witness" if node.verdict else "fails at"
+            tail = "" if node.witness is None else f"  ({role} {node.witness})"
+            text = texts.get(id(node.formula)) or print_formula(node.formula)
+            verdict = "true" if node.verdict else "false"
+            pad = "  " * (depth + len(stack) - 1)
+            out.append(f"{pad}{node.world} [{node.index}] {text} = {verdict}{tail}")
+            stack.append(iter(node.children))
+            break
+        else:
+            stack.pop()
+    return "\n".join(out)
 
 
 def is_admissible(

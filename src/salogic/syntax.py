@@ -57,6 +57,7 @@ from .core import (
     IndexPoset,
     Not,
     Or,
+    Program,
     StratifiedModel,
     children,
     is_identifier,
@@ -252,32 +253,32 @@ def parse_formula(text: str) -> Formula:
 
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_PREFIX, _PREC_ATOM = range(5)
 
+# Node type -> (format of the label and the operand texts, the node's
+# precedence level, the least level each operand may have unparenthesized).
+_LAYOUT = {
+    Atom: ("{0}", _PREC_ATOM, ()),
+    Not: ("~{1}", _PREC_PREFIX, (_PREC_PREFIX,)),
+    Box: ("[{0}] {1}", _PREC_PREFIX, (_PREC_PREFIX,)),
+    Diamond: ("<{0}> {1}", _PREC_PREFIX, (_PREC_PREFIX,)),
+    And: ("{1} & {2}", _PREC_AND, (_PREC_AND, _PREC_PREFIX)),
+    Or: ("{1} | {2}", _PREC_OR, (_PREC_OR, _PREC_AND)),
+    Implies: ("{1} -> {2}", _PREC_IMPLIES, (_PREC_OR, _PREC_IMPLIES)),
+}
 
-def _fmt(formula: Formula, minimum: int) -> str:
-    if isinstance(formula, Atom):
-        text, level = formula.name, _PREC_ATOM
-    elif isinstance(formula, Not):
-        text, level = "~" + _fmt(formula.operand, _PREC_PREFIX), _PREC_PREFIX
-    elif isinstance(formula, Box):
-        text = f"[{formula.index}] " + _fmt(formula.operand, _PREC_PREFIX)
-        level = _PREC_PREFIX
-    elif isinstance(formula, Diamond):
-        text = f"<{formula.index}> " + _fmt(formula.operand, _PREC_PREFIX)
-        level = _PREC_PREFIX
-    elif isinstance(formula, And):
-        text = _fmt(formula.left, _PREC_AND) + " & " + _fmt(formula.right, _PREC_PREFIX)
-        level = _PREC_AND
-    elif isinstance(formula, Or):
-        text = _fmt(formula.left, _PREC_OR) + " | " + _fmt(formula.right, _PREC_AND)
-        level = _PREC_OR
-    elif isinstance(formula, Implies):
-        text = _fmt(formula.left, _PREC_OR) + " -> " + _fmt(formula.right, _PREC_IMPLIES)
-        level = _PREC_IMPLIES
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if level < minimum:
-        return "(" + text + ")"
-    return text
+
+def _step_texts(program: Program) -> list[str]:
+    """The canonical text of every step of `program`, in step order."""
+    texts: list[str] = []
+    levels: list[int] = []
+    for kind, label, *args in program.steps:
+        layout, level, minimums = _LAYOUT[kind]
+        operands = [
+            texts[a] if levels[a] >= least else "(" + texts[a] + ")"
+            for a, least in zip(args, minimums)
+        ]
+        texts.append(layout.format(label, *operands))
+        levels.append(level)
+    return texts
 
 
 def print_formula(formula: Formula) -> str:
@@ -285,7 +286,7 @@ def print_formula(formula: Formula) -> str:
 
     parse_formula(print_formula(f)) == f for every AST f.
     """
-    return _fmt(formula, _PREC_IMPLIES)
+    return _step_texts(Program(formula))[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,25 @@ def test_eval_trace(capsys):
     assert any("w0 [beta] p = true" in line for line in lines[2:])
 
 
+def test_eval_trace_line_cap_is_an_input_error(tmp_path, capsys):
+    # <a>^8 p on 6 complete worlds renders to 2,015,539 lines.
+    worlds = [f"w{i}" for i in range(6)]
+    model = tmp_path / "complete.salm"
+    model.write_text(
+        "indices: a\nworlds: " + " ".join(worlds) + "\n"
+        "rel a: " + " ".join(f"{u}->{v}" for u in worlds for v in worlds) + "\n"
+        "val p:\n",
+        encoding="utf-8",
+    )
+    argv = ["eval", str(model), "<a>" * 8 + "p", "--world", "w0", "--index", "a"]
+    code, out, err = run(capsys, *argv, "--trace")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (1, "false\n")
+
+
 def test_eval_unknown_world_is_an_input_error(capsys):
     code, _, err = run(capsys, "eval", SEC33, "p", "--world", "w9", "--index", "beta")
     assert code == 2
@@ -193,6 +212,16 @@ def test_prove_malformed_justification(tmp_path, capsys):
     script.write_text("1. p -> p ; WAT\n", encoding="utf-8")
     code, _, err = run(capsys, "prove", str(script))
     assert code == 2
+
+
+def test_prove_a1_row_ceiling_is_an_input_error(tmp_path, capsys):
+    script = tmp_path / "proof.sal"
+    atoms = " & ".join(f"x{i}" for i in range(25))
+    script.write_text(f"1. {atoms} -> x0 ; A1\n", encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_prove_profile_switch(tmp_path, capsys):

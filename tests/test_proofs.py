@@ -15,7 +15,12 @@ from salogic.core import (
     Or,
 )
 import salogic.proofs as proofs
-from salogic.errors import ForwardReference, IllegalTagForProfile, UndeclaredIdentifier
+from salogic.errors import (
+    BoundsTooLarge,
+    ForwardReference,
+    IllegalTagForProfile,
+    UndeclaredIdentifier,
+)
 from salogic.proofs import (
     Axiom,
     Derivation,
@@ -168,6 +173,22 @@ def test_wide_tautologies_agree_with_truth_table_oracle(monkeypatch):
     for f in ("[a]p", "p | <a>p", "(p | ~p) | [a]q"):
         with pytest.raises(TypeError):
             is_tautology(parse_formula(f))
+
+
+def test_a1_row_ceiling():
+    # x0 & ... & x{k-1} -> x0: the largest table still checked, and the
+    # first one refused before any row is evaluated.
+    def line(k):
+        return parse_formula(" & ".join(f"x{i}" for i in range(k)) + " -> x0")
+
+    assert proofs._MAX_TABLE_ATOMS == 24
+    assert match_axiom(line(24), "A1", CHAIN, S2) is True
+    with pytest.raises(BoundsTooLarge, match="25 atoms"):
+        match_axiom(line(25), "A1", CHAIN, S2)
+    # Placeholders count as atoms.
+    wide = parse_formula(" & ".join([f"x{i}" for i in range(23)] + ["[a]p", "<a>p"]) + " -> x0")
+    with pytest.raises(BoundsTooLarge):
+        match_axiom(wide, "A1", CHAIN, S2)
 
 
 def test_skeleton_shares_placeholders():

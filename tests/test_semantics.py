@@ -1,19 +1,24 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from salogic import load_example_model
 from salogic.core import (
+    And,
     Atom,
+    AxiomProfile,
     Box,
     CoherenceMode,
     Diamond,
     IndexPoset,
     Not,
+    Or,
     StratifiedModel,
+    subformulas,
 )
-from salogic.errors import FrameViolation, UndeclaredIdentifier
-from salogic.proofs import is_tautology
+from salogic.errors import BoundsTooLarge, FrameViolation, ParseError, UndeclaredIdentifier
+from salogic.proofs import is_tautology, match_axiom, propositional_skeleton
 from salogic.search import SearchBounds, decide_sat, decide_valid
 from salogic.semantics import (
     EvalTrace,
@@ -28,7 +33,7 @@ from salogic.semantics import (
     satisfying_worlds,
     validate_frame,
 )
-from salogic.syntax import parse_formula
+from salogic.syntax import parse_formula, print_formula
 
 from fuzz import random_formula, random_model
 from oracles import naive_eval
@@ -182,6 +187,50 @@ def test_deep_formulas_are_total():
         tautology = Not(tautology)
     assert is_tautology(tautology) is True
     assert is_tautology(Not(tautology)) is False
+    # Printing, with a round trip on text the parser nests no deeper than
+    # its limit: a left-nested chain of conjunctions.
+    assert print_formula(deep) == "~" * 3000 + "[a] p"
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_formula(print_formula(deep))
+    chain = " & ".join(["p", "[a] p"] * 1500)
+    assert print_formula(parse_formula(chain)) == chain
+    # The A1 skeleton, and A1 itself.
+    assert print_formula(propositional_skeleton(deep)) == "~" * 3000 + "m0_"
+    poset, profile = m.poset, AxiomProfile.SECTION2
+    assert match_axiom(Or(Not(deep), deep), "A1", poset, profile) is True
+    assert match_axiom(deep, "A1", poset, profile) is False
+    # Traces: 3000 negations, the box, and the successor that falsifies it.
+    verdict, trace = evaluate_with_trace(m, "w0", "a", deep)
+    assert verdict is evaluate(m, "w0", "a", deep) is False
+    lines = render_trace(trace).split("\n")
+    assert len(lines) == 3002
+    assert lines[3000] == "  " * 3000 + "w0 [a] [a] p = false  (fails at w0)"
+    assert lines[3001] == "  " * 3001 + "w0 [a] p = false"
+
+
+def test_node_subclasses_mean_their_base_type():
+    @dataclass(frozen=True)
+    class MyAnd(And):
+        pass
+
+    @dataclass(frozen=True)
+    class MyBox(Box):
+        pass
+
+    sub = MyAnd(MyBox("a", Atom("p")), Not(Atom("p")))
+    base = And(Box("a", Atom("p")), Not(Atom("p")))
+    m = StratifiedModel(
+        IndexPoset.from_order(("a",)), ("w0", "w1"), {"a": {("w1", "w0")}}, {"p": {"w1"}}
+    )
+    assert satisfying_worlds(m, sub) == satisfying_worlds(m, base) == {"w0"}
+    assert print_formula(sub) == print_formula(base) == "[a] p & ~p"
+    assert print_formula(propositional_skeleton(sub)) == "m0_ & ~p"
+    for w in m.worlds:
+        (verdict, trace), want = evaluate_with_trace(m, w, "a", sub), evaluate_with_trace(m, w, "a", base)
+        assert verdict == want[0] and render_trace(trace) == render_trace(want[1])
+    # Deduplication still tells a subclass node from an equal-looking base one.
+    parts = (Atom("p"), sub.left, Not(Atom("p")), sub, base.left, base, And(sub, base))
+    assert subformulas(And(sub, base)) == parts
 
 
 def test_ambient_index_never_changes_verdicts():
@@ -295,6 +344,29 @@ def test_trace_example_shape():
     assert verdict is True
     assert trace.witness == "w0"
     assert "witness w0" in render_trace(trace)
+    # A trace is a DAG: q at w0 is one node under both of its parents.
+    m = StratifiedModel(IndexPoset.from_order(("a",)), ("w0",), {"a": {("w0", "w0")}}, {"q": {"w0"}})
+    _, trace = evaluate_with_trace(m, "w0", "a", parse_formula("q & <a> q"))
+    assert trace.children[0] is trace.children[1].children[0]
+    assert render_trace(trace).count("w0 [a] q = true") == 2
+
+
+def test_render_trace_line_cap():
+    # <a>^k p on n complete worlds with p nowhere renders
+    # 1 + n + ... + n^k lines.
+    def chain(n, k):
+        worlds = tuple(f"w{i}" for i in range(n))
+        complete = {(u, v) for u in worlds for v in worlds}
+        m = StratifiedModel(IndexPoset.from_order(("a",)), worlds, {"a": complete}, {"p": set()})
+        f = Atom("p")
+        for _ in range(k):
+            f = Diamond("a", f)
+        return evaluate_with_trace(m, "w0", "a", f)[1]
+
+    assert render_trace(chain(5, 6)).count("\n") + 1 == 19531
+    assert render_trace(chain(6, 7)).count("\n") + 1 == 335923
+    with pytest.raises(BoundsTooLarge, match="2015539 lines"):
+        render_trace(chain(6, 8))
 
 
 # --- admissibility ----------------------------------------------------------
