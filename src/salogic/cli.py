@@ -20,7 +20,6 @@ from pathlib import Path
 from .core import AxiomProfile, CoherenceMode
 from .errors import SalError
 from .search import (
-    Counterexample,
     SearchBounds,
     UnsatUpTo,
     ValidUpTo,

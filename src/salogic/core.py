@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import CycleError, UndeclaredIdentifier
@@ -309,6 +310,16 @@ class Program:
         nodes, steps = _walk(formula)
         self.nodes, self.steps = tuple(nodes), tuple(steps)
 
+    @cached_property
+    def atoms(self) -> tuple[str, ...]:
+        """Sorted names of the atoms the formula uses."""
+        return tuple(sorted({step[1] for step in self.steps if step[0] is Atom}))
+
+    @cached_property
+    def indices(self) -> tuple[str, ...]:
+        """Sorted indices the formula's modal operators name."""
+        return tuple(sorted({step[1] for step in self.steps if step[0] in (Box, Diamond)}))
+
     def run(self, full, atom, diamond) -> list:
         """The bit set of every step; the last one is the formula's."""
         values: list = []
@@ -325,7 +336,7 @@ class Program:
                 value = values[args[0]] & values[args[1]]
             elif kind is Or:
                 value = values[args[0]] | values[args[1]]
-            else:  # Implies: children() has rejected every other node type
+            else:  # Implies: _parts() has rejected every other node type
                 value = (full ^ values[args[0]]) | values[args[1]]
             values.append(value)
         return values
@@ -333,14 +344,12 @@ class Program:
 
 def atom_names(formula: Formula) -> tuple[str, ...]:
     """Sorted names of the atoms occurring in `formula`."""
-    return tuple(sorted({f.name for f in subformulas(formula) if isinstance(f, Atom)}))
+    return Program(formula).atoms
 
 
 def modal_indices(formula: Formula) -> tuple[str, ...]:
     """Sorted indices occurring on modal operators in `formula`."""
-    return tuple(
-        sorted({f.index for f in subformulas(formula) if isinstance(f, (Box, Diamond))})
-    )
+    return Program(formula).indices
 
 
 class CoherenceMode(Enum):

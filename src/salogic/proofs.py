@@ -150,7 +150,7 @@ def propositional_skeleton(formula: Formula) -> Formula:
     numbered m0_, m1_, ... in the order the modal subformulas are first
     met, left to right."""
     program = Program(formula)
-    taken = {label for kind, label, *_args in program.steps if kind is Atom}
+    taken = set(program.atoms)
     fresh = (Atom(name) for name in (f"m{i}_" for i in count()) if name not in taken)
     built: dict[int, Formula] = {}  # step position -> its skeleton
     stack = [(len(program.steps) - 1, False)]
@@ -182,7 +182,7 @@ def is_tautology(formula: Formula) -> bool:
     Raises BoundsTooLarge, before any run, when the formula has more
     than _MAX_TABLE_ATOMS atoms: each atom doubles the table."""
     program = Program(formula)
-    names = sorted({label for kind, label, *_args in program.steps if kind is Atom})
+    names = program.atoms
     if len(names) > _MAX_TABLE_ATOMS:
         raise BoundsTooLarge(
             f"a truth table over {len(names)} atoms exceeds the ceiling of "

@@ -25,9 +25,16 @@ identical output at every worker count:
   crosses each with every valuation.  The reported countermodel is the
   enumeration-order minimum of the admissible candidates.
 
-Blocks are scanned one after another, each in chunks of about _CHUNK
-admissible candidates in increasing order, in one thread; the `workers`
-argument is kept for compatibility and does not change the scan.
+One scan path.  decide_valid (and through it decide_sat) and each
+axiom_matrix row compile the query once to a core.Program, whose atoms
+and indices size and check the blocks.  _blocks lists the blocks and
+raises BoundsTooLarge at the first one past the ceiling, before any is
+scanned; _first_counterexample scans them one after another, each in
+chunks of about _CHUNK admissible candidates in increasing order, in one
+thread.  The `workers` argument is kept for compatibility and does not
+change the scan.  axiom_matrix keeps one dict of verdicts per mode, keyed
+by the instance formula and its poset variants, so an instance that
+recurs under a mode (A4 and DDOWN at a reflexive pair) is scanned once.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
@@ -57,9 +64,9 @@ would be vacuous whenever the policy stops enforcing reflexivity.
 Scanning runs the formula's bit-set program (core.Program) with numpy
 over chunks of candidates, world sets being uint8 masks over a (relation
 tuple, valuation) grid.  A hit is rebuilt as a plain StratifiedModel and
-re-checked through semantics.evaluate and semantics.validate_frame
-before it is reported, so every emitted witness has already survived the
-independent scalar evaluator.
+re-checked through semantics.satisfying_worlds and
+semantics.validate_frame before it is reported, so every emitted witness
+has already survived the independent scalar evaluator.
 """
 
 from __future__ import annotations
@@ -81,12 +88,10 @@ from .core import (
     Not,
     Program,
     StratifiedModel,
-    atom_names,
-    modal_indices,
 )
 from .errors import BoundsTooLarge, UndeclaredIdentifier
 from .proofs import PROFILE_SCHEMAS
-from .semantics import FramePolicy, evaluate, validate_frame
+from .semantics import FramePolicy, satisfying_worlds, validate_frame
 
 __all__ = [
     "Counterexample",
@@ -218,13 +223,29 @@ class _Block:
 
 
 def _blocks(
-    posets: tuple[IndexPoset, ...], max_worlds: int, atoms: tuple[str, ...]
-) -> tuple[_Block, ...]:
-    return tuple(
-        _Block(poset, n, atoms)
-        for n in range(1, max_worlds + 1)
-        for poset in posets
-    )
+    posets: tuple[IndexPoset, ...], max_worlds: int, atoms: tuple[str, ...], ceiling: int
+) -> list[_Block]:
+    """The blocks in scan order.  Raises BoundsTooLarge at the first block
+    that takes the raw candidate count past `ceiling` or needs more than
+    _MAX_CANDIDATE_BITS bits, so no more blocks than that are built."""
+    blocks: list[_Block] = []
+    total = 0
+    for n in range(1, max_worlds + 1):
+        for poset in posets:
+            block = _Block(poset, n, atoms)
+            total += block.size
+            if total > ceiling:
+                raise BoundsTooLarge(
+                    f"search space up to {n} worlds exceeds the ceiling of {ceiling} "
+                    "candidates"
+                )
+            if block.total_bits > _MAX_CANDIDATE_BITS:
+                raise BoundsTooLarge(
+                    f"a block needs {block.total_bits} candidate bits; at most "
+                    f"{_MAX_CANDIDATE_BITS} are supported"
+                )
+            blocks.append(block)
+    return blocks
 
 
 def _decode(block: _Block, candidate: int) -> StratifiedModel:
@@ -332,17 +353,6 @@ def _relation_tuples(
     yield from walk(np.zeros(1, dtype=np.int64), 0)
 
 
-def _chunks(block: _Block, policy: FramePolicy) -> Iterator[tuple[np.ndarray, int, int]]:
-    """The block's admissible candidates in increasing order, as pieces of
-    about _CHUNK candidates: (relation tuples, lo, hi) crosses the tuples
-    with the valuations lo..hi-1."""
-    valuations = 1 << block.val_bits
-    step = min(valuations, _CHUNK)
-    for tuples in _relation_tuples(block, policy, max(1, _CHUNK // valuations)):
-        for lo in range(0, valuations, step):
-            yield tuples, lo, lo + step
-
-
 def _scan_chunk(
     block: _Block, program: Program, tuples: np.ndarray, lo: int, hi: int
 ) -> int | None:
@@ -383,26 +393,32 @@ def _scan_chunk(
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
-    """Least falsifying candidate of the block, or None."""
-    for chunk in _chunks(block, policy):
-        hit = _scan_chunk(block, program, *chunk)
-        if hit is not None:
-            return hit
+    """Least falsifying candidate of the block, or None.
+
+    The admissible candidates are scanned in increasing order, in chunks
+    of about _CHUNK: each crosses some relation tuples with a run of
+    valuations."""
+    valuations = 1 << block.val_bits
+    step = min(valuations, _CHUNK)
+    for tuples in _relation_tuples(block, policy, max(1, _CHUNK // valuations)):
+        for lo in range(0, valuations, step):
+            hit = _scan_chunk(block, program, tuples, lo, lo + step)
+            if hit is not None:
+                return hit
     return None
 
 
-def _resolve_atoms(formula: Formula, bounds: SearchBounds) -> tuple[str, ...]:
-    needed = atom_names(formula)
+def _resolve_atoms(program: Program, bounds: SearchBounds) -> tuple[str, ...]:
     if bounds.atoms is None:
-        return needed
-    missing = set(needed) - set(bounds.atoms)
+        return program.atoms
+    missing = set(program.atoms) - set(bounds.atoms)
     if missing:
         raise ValueError(f"bounds.atoms is missing formula atoms: {sorted(missing)}")
     return bounds.atoms
 
 
-def _check_indices(formula: Formula, posets: tuple[IndexPoset, ...]) -> None:
-    for name in modal_indices(formula):
+def _check_indices(program: Program, posets: tuple[IndexPoset, ...]) -> None:
+    for name in program.indices:
         for poset in posets:
             if name not in poset.indices:
                 raise UndeclaredIdentifier(
@@ -411,25 +427,12 @@ def _check_indices(formula: Formula, posets: tuple[IndexPoset, ...]) -> None:
                 )
 
 
-def _guard_ceiling(blocks: tuple[_Block, ...], ceiling: int) -> None:
-    total = sum(block.size for block in blocks)
-    if total > ceiling:
-        raise BoundsTooLarge(
-            f"search space of {total} candidates exceeds the ceiling of {ceiling}"
-        )
-    for block in blocks:
-        if block.total_bits > _MAX_CANDIDATE_BITS:
-            raise BoundsTooLarge(
-                f"a block needs {block.total_bits} candidate bits; at most "
-                f"{_MAX_CANDIDATE_BITS} are supported"
-            )
-
-
 def _first_counterexample(
-    blocks: tuple[_Block, ...], formula: Formula, policy: FramePolicy
+    program: Program, blocks: list[_Block], policy: FramePolicy
 ) -> Counterexample | None:
-    program = Program(formula)
-    used = frozenset(modal_indices(formula))
+    """The enumeration-order-first countermodel to the program's formula,
+    re-checked by the scalar evaluator, or None when the blocks hold none."""
+    used = frozenset(program.indices)
     for block in blocks:
         # The formula reads only the relations of the indices it names, so
         # the projection onto them hits exactly when the full block does;
@@ -447,10 +450,10 @@ def _first_counterexample(
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
-    index = model.poset.indices[0]
+    holds = satisfying_worlds(model, program.nodes[-1])
     for world in model.worlds:
-        if not evaluate(model, world, index, formula):
-            return Counterexample(model, world, index)
+        if world not in holds:
+            return Counterexample(model, world, model.poset.indices[0])
     raise RuntimeError("scan reported a model the scalar evaluator cannot falsify")
 
 
@@ -472,18 +475,15 @@ def decide_valid(
     does not change it.  Raises BoundsTooLarge when the raw candidate
     count exceeds `ceiling`.
     """
-    atoms = _resolve_atoms(formula, bounds)
+    program = Program(formula)
+    atoms = _resolve_atoms(program, bounds)
     if bounds.poset is not None:
         posets: tuple[IndexPoset, ...] = (bounds.poset,)
     else:
         posets = enumerated_posets(bounds.max_indices)
-    _check_indices(formula, posets)
-    blocks = _blocks(posets, bounds.max_worlds, atoms)
-    _guard_ceiling(blocks, ceiling)
-    found = _first_counterexample(blocks, formula, policy)
-    if found is None:
-        return ValidUpTo(bounds)
-    return found
+    _check_indices(program, posets)
+    blocks = _blocks(posets, bounds.max_worlds, atoms, ceiling)
+    return _first_counterexample(program, blocks, policy) or ValidUpTo(bounds)
 
 
 def decide_sat(
@@ -568,45 +568,6 @@ def _stable_variants(schema: str, poset: IndexPoset, alpha: str) -> tuple[IndexP
     return tuple(variants)
 
 
-def _memo_key(
-    formula: Formula,
-    posets: tuple[IndexPoset, ...],
-    max_worlds: int,
-    policy: FramePolicy,
-):
-    # Coherence only bites through strict comparable pairs, and stable
-    # reflexivity only through non-empty stable sets; normalizing makes
-    # e.g. the antichain rows shared across modes.
-    mode = policy.coherence
-    if all(not poset.strict_pairs() for poset in posets):
-        mode = CoherenceMode.NONE
-    require = policy.require_stable_reflexive and any(p.stable for p in posets)
-    return (formula, posets, max_worlds, mode, require)
-
-
-def _scan_validity(
-    formula: Formula,
-    posets: tuple[IndexPoset, ...],
-    max_worlds: int,
-    policy: FramePolicy,
-    memo: dict,
-    ceiling: int,
-) -> Verdict:
-    key = _memo_key(formula, posets, max_worlds, policy)
-    if key in memo:
-        return memo[key]
-    blocks = _blocks(posets, max_worlds, atom_names(formula))
-    _guard_ceiling(blocks, ceiling)
-    found = _first_counterexample(blocks, formula, policy)
-    if found is None:
-        bounds = SearchBounds(max_worlds, max(len(p.indices) for p in posets))
-        verdict: Verdict = ValidUpTo(bounds)
-    else:
-        verdict = found
-    memo[key] = verdict
-    return verdict
-
-
 def axiom_matrix(
     profiles,
     modes,
@@ -637,23 +598,22 @@ def axiom_matrix(
         posets: tuple[IndexPoset, ...] = (bounds.poset,)
     else:
         posets = enumerated_posets(bounds.max_indices)
-    memo: dict = {}
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
+        verdicts: dict = {}  # (formula, poset variants) -> verdict
         for poset in posets:
+            valid = ValidUpTo(SearchBounds(bounds.max_worlds, len(poset.indices)))
             for schema in schemas:
                 for alpha, beta in _schema_instances(schema, poset):
                     formula = schema_instance(schema, alpha, beta)
                     variants = _stable_variants(schema, poset, alpha)
-                    verdict = _scan_validity(
-                        formula,
-                        variants,
-                        bounds.max_worlds,
-                        policy,
-                        memo,
-                        ceiling,
-                    )
+                    if (formula, variants) not in verdicts:
+                        program = Program(formula)
+                        blocks = _blocks(variants, bounds.max_worlds, program.atoms, ceiling)
+                        found = _first_counterexample(program, blocks, policy)
+                        verdicts[formula, variants] = found or valid
+                    verdict = verdicts[formula, variants]
                     rows.append(
                         MatrixRow(
                             schema,

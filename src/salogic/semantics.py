@@ -72,6 +72,10 @@ class FramePolicy:
     require_stable_reflexive: bool = True
     strict: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.coherence, CoherenceMode):
+            raise TypeError(f"not a coherence mode: {self.coherence!r}")
+
 
 @dataclass(frozen=True)
 class Violation:

@@ -510,11 +510,11 @@ def _parse_justification(text, words):
             raise ParseError(f"{word} takes no arguments", span, set())
         return Axiom(word)
     if word == "MP":
-        if len(words) != 3 or not all(w[0].isdigit() for w in words[1:]):
+        if len(words) != 3 or not all(w[0].isdecimal() for w in words[1:]):
             raise ParseError("MP needs two line numbers", span, {"MP i j"})
         return ModusPonens(int(words[1][0]), int(words[2][0]))
     if word == "NEC":
-        if len(words) != 3 or not is_identifier(words[1][0]) or not words[2][0].isdigit():
+        if len(words) != 3 or not is_identifier(words[1][0]) or not words[2][0].isdecimal():
             raise ParseError("NEC needs an index and a line number", span, {"NEC a i"})
         return Necessitation(words[1][0], int(words[2][0]))
     raise ParseError(

@@ -151,6 +151,14 @@ def test_valid_bounds_ceiling_is_an_input_error(capsys):
     assert "exceeds the ceiling" in err
 
 
+def test_valid_ceiling_is_checked_before_building_every_block(capsys):
+    for worlds in ("90", "100000"):
+        code, out, err = run(capsys, "valid", "p", "--max-worlds", worlds)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the ceiling" in err and len(err) < 120
+
+
 def test_axioms_with_user_poset(tmp_path, capsys):
     poset = tmp_path / "levels.poset"
     poset.write_text("indices: lo hi\norder: lo<=hi\n", encoding="utf-8")
@@ -212,6 +220,16 @@ def test_prove_malformed_justification(tmp_path, capsys):
     script.write_text("1. p -> p ; WAT\n", encoding="utf-8")
     code, _, err = run(capsys, "prove", str(script))
     assert code == 2
+
+
+def test_prove_non_decimal_citation_is_an_input_error(tmp_path, capsys):
+    script = tmp_path / "proof.sal"
+    for citation in ("MP ² 1", "NEC a ¹"):
+        script.write_text(f"1. p -> p ; A1\n2. [a](p -> p) ; {citation}\n", encoding="utf-8")
+        code, out, err = run(capsys, "prove", str(script))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_prove_a1_row_ceiling_is_an_input_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from salogic.core import (
     Implies,
     IndexPoset,
     Not,
+    Program,
     StratifiedModel,
     atom_names,
     children,
@@ -136,6 +137,8 @@ def test_atom_and_index_collectors():
     f = And(Box("b", Atom("q")), Diamond("a", Atom("p")))
     assert atom_names(f) == ("p", "q")
     assert modal_indices(f) == ("a", "b")
+    program = Program(f)
+    assert (program.atoms, program.indices) == (("p", "q"), ("a", "b"))
 
 
 def test_formula_identifier_validation():

@@ -13,6 +13,7 @@ from salogic.core import (
     Not,
     StratifiedModel,
 )
+import salogic.core as core
 import salogic.search as search
 from salogic.errors import BoundsTooLarge, UndeclaredIdentifier
 from salogic.search import (
@@ -261,6 +262,53 @@ def test_ceiling_and_bit_guard():
         decide_valid(parse_formula("p"), SearchBounds(4, 2), ceiling=1000)
     with pytest.raises(BoundsTooLarge):
         decide_valid(parse_formula("p"), SearchBounds(8, 2), ceiling=10**30)
+
+
+def test_ceiling_is_checked_while_blocks_are_listed():
+    # The default ceiling is passed at 4 worlds; no later block is built,
+    # and the message names no candidate count.
+    for worlds in (90, 100_000):
+        with pytest.raises(BoundsTooLarge, match="exceeds the ceiling") as info:
+            decide_valid(parse_formula("p"), SearchBounds(worlds, 2))
+        assert len(str(info.value)) < 100
+        with pytest.raises(BoundsTooLarge, match="exceeds the ceiling"):
+            axiom_matrix((AxiomProfile.SECTION2,), (CoherenceMode.NONE,), SearchBounds(worlds, 2))
+
+
+def test_each_query_compiles_its_formula_once(monkeypatch):
+    walk = core._walk
+    walked = []
+
+    def counting_walk(formula):
+        walked.append(formula)
+        return walk(formula)
+
+    monkeypatch.setattr(core, "_walk", counting_walk)
+    valid = parse_formula("[a](p & q) -> [a]p")
+    assert isinstance(decide_valid(valid, SearchBounds(3, 2), SHRINK), ValidUpTo)
+    assert walked == [valid]
+    # A countermodel is re-checked by the scalar evaluator: one compile more.
+    walked.clear()
+    invalid = parse_formula("<a>p -> <b>p")
+    assert isinstance(decide_valid(invalid, SearchBounds(3, 2), SHRINK), Counterexample)
+    assert walked == [invalid, invalid]
+
+    # The matrix compiles each distinct instance once per mode, plus once
+    # more for each countermodel it re-checks.
+    walked.clear()
+    rows = axiom_matrix((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), SearchBounds(3, 2))
+    assert all(isinstance(row.verdict, ValidUpTo) for row in rows)
+    assert len(walked) == len({(row.formula, row.poset) for row in rows})
+    walked.clear()
+    rows = axiom_matrix(tuple(AxiomProfile), tuple(CoherenceMode), SearchBounds(3, 2))
+    instances = {(row.mode, row.formula, row.poset) for row in rows}
+    refuted = {
+        (row.mode, row.formula, row.poset)
+        for row in rows
+        if isinstance(row.verdict, Counterexample)
+    }
+    assert refuted and len(instances) < len(rows)
+    assert len(walked) == len(instances) + len(refuted)
 
 
 def test_rejects_indices_outside_search_space():

@@ -80,6 +80,14 @@ def test_example_model_clean_under_none():
     assert validate_frame(SEC33, FramePolicy(CoherenceMode.NONE)) == []
 
 
+
+def test_frame_policy_coherence_must_be_a_mode():
+    # A string would otherwise be scanned and validated as GROW.
+    for bad in ("shrink", "bogus", None):
+        with pytest.raises(TypeError):
+            FramePolicy(bad)
+    with pytest.raises(TypeError):
+        FramePolicy(coherence="none", require_stable_reflexive=False)
 def test_stable_reflexivity_check():
     poset = IndexPoset.from_order(("a",), stable=("a",))
     m = StratifiedModel(poset, ("w0", "w1"), {"a": {("w0", "w0")}}, {})

@@ -282,6 +282,13 @@ def test_parse_proof_header_and_validation():
         parse_proof("1. p @ p ; A1\n")
 
 
+def test_parse_proof_citations_must_be_decimal():
+    # Superscripts pass str.isdigit() but int() rejects them.
+    for citation in ("MP ² 1", "MP 1 ²", "NEC a ¹"):
+        with pytest.raises(ParseError):
+            parse_proof(f"1. p -> p ; A1\n2. [a](p -> p) ; {citation}\n")
+
+
 def test_proof_round_trip():
     rng = random.Random(37)
     from fuzz import SWEEP_POSETS, random_derivation
