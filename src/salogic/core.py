@@ -256,20 +256,21 @@ def children(formula: Formula) -> tuple[Formula, ...]:
     return _parts(formula)[1]
 
 
-def _walk(formula: Formula) -> tuple[list[Formula], list[tuple]]:
-    """The distinct subformulas of `formula` in bottom-up order (children
-    strictly before parents, `formula` last), each with its step: the
-    tuple (node type, label, *child positions), where the label is an
-    atom's name, a modal operator's index, or None.
+def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
+    """The distinct subformulas of `formulas` in bottom-up order (children
+    strictly before parents), each with its step: the tuple (node type,
+    label, *child positions), where the label is an atom's name, a modal
+    operator's index, or None; and the position of each formula.
 
     Iterative, so arbitrarily deep formulas work.  Nodes are deduplicated
     by exact type, label and child positions, since hashing a deep node
-    recurses through it.  A subclass of a node type gets that type's step."""
+    recurses through it, so two nodes share a position exactly when they
+    are equal.  A subclass of a node type gets that type's step."""
     found: list[Formula] = []
     steps: list[tuple] = []
     keys: dict[tuple, int] = {}  # (exact type, label, *child positions) -> position
     seen: dict[int, int] = {}  # id of a visited node -> position of its step
-    stack = [(formula, False)]
+    stack = [(formula, False) for formula in reversed(formulas)]  # first on top
     while stack:
         g, ready = stack.pop()
         if id(g) in seen:
@@ -286,7 +287,7 @@ def _walk(formula: Formula) -> tuple[list[Formula], list[tuple]]:
             found.append(g)
             steps.append(key if key[0] is kind else (kind, *key[1:]))
         seen[id(g)] = pos
-    return found, steps
+    return found, steps, [seen[id(formula)] for formula in formulas]
 
 
 def subformulas(formula: Formula) -> tuple[Formula, ...]:
@@ -296,9 +297,10 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
 
 
 class Program:
-    """A formula compiled to straight-line code over bit sets: one step
+    """Formulas compiled to straight-line code over bit sets: one step
     (node type, label, *child positions) per distinct subformula, in the order
-    of `subformulas`, which `nodes` holds.
+    of `subformulas`, which `nodes` holds.  `roots` holds the position of
+    each formula; one formula's is the last.  Equal nodes share a position.
 
     A bit set is a Python int or a numpy integer array, and `full` is the
     set of all positions.  The connectives are bitwise operations against
@@ -306,9 +308,9 @@ class Program:
     `atom(name)` and `diamond(index, x)`, the positions with an
     `index`-successor in x."""
 
-    def __init__(self, formula: Formula):
-        nodes, steps = _walk(formula)
-        self.nodes, self.steps = tuple(nodes), tuple(steps)
+    def __init__(self, *formulas: Formula):
+        nodes, steps, roots = _walk(*formulas)
+        self.nodes, self.steps, self.roots = tuple(nodes), tuple(steps), tuple(roots)
 
     @cached_property
     def atoms(self) -> tuple[str, ...]:
@@ -321,7 +323,7 @@ class Program:
         return tuple(sorted({step[1] for step in self.steps if step[0] in (Box, Diamond)}))
 
     def run(self, full, atom, diamond) -> list:
-        """The bit set of every step; the last one is the formula's."""
+        """The bit set of every step, by position."""
         values: list = []
         for kind, label, *args in self.steps:
             if kind is Atom:

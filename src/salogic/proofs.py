@@ -1,19 +1,15 @@
 """Hilbert-style proof checking for the stratified proof system.
 
-Schemas, with phi/psi arbitrary formulas and the side conditions read
-against the derivation's index poset:
-
-    A1     any formula whose propositional skeleton is a tautology
-    K      [g](phi -> psi) -> ([g]phi -> [g]psi)
-    A2     [a]phi -> [b]phi          for a <= b
-    A3     [a]phi -> phi             for stable a
-    A4     <a>phi -> <b>phi          for a <= b   (SECTION3 only)
-    DDOWN  <b>phi -> <a>phi          for a <= b   (SECTION2 only)
+The axiom schemas are A1, any formula whose propositional skeleton is a
+tautology, and the modal schemas defined in SCHEMAS, each a shape with a
+side condition read against the derivation's index poset.
 
 Rules: modus ponens, and index-local necessitation from an earlier line,
 optionally restricted to stable indices (the default).  Derivations are
 hypothesis-free: every accepted line is a theorem, so necessitation may
-cite any earlier accepted line.
+cite any earlier accepted line.  check_derivation compiles all lines into
+one core.Program and compares formulas by step position, never with ==,
+so lines of any depth are checked without recursion.
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ __all__ = [
     "Necessitation",
     "PROFILE_SCHEMAS",
     "ProofLine",
+    "SCHEMAS",
     "SCHEMA_TAGS",
     "check_derivation",
     "is_tautology",
@@ -54,7 +51,20 @@ __all__ = [
     "propositional_skeleton",
 ]
 
-SCHEMA_TAGS = ("A1", "K", "A2", "A3", "A4", "DDOWN")
+_P, _Q = Atom("P"), Atom("Q")
+
+# The modal axiom schemas, tag -> (shape, side condition): a shape is
+# compiled from a formula over indices a, b and atoms P, Q standing for
+# formulas; the side condition is None, "a<=b" or "a stable".
+SCHEMAS: dict[str, tuple[Program, str | None]] = {
+    "K": (Program(Implies(Box("a", Implies(_P, _Q)), Implies(Box("a", _P), Box("a", _Q)))), None),
+    "A2": (Program(Implies(Box("a", _P), Box("b", _P))), "a<=b"),
+    "A3": (Program(Implies(Box("a", _P), _P)), "a stable"),
+    "A4": (Program(Implies(Diamond("a", _P), Diamond("b", _P))), "a<=b"),
+    "DDOWN": (Program(Implies(Diamond("b", _P), Diamond("a", _P))), "a<=b"),
+}
+
+SCHEMA_TAGS = ("A1", *SCHEMAS)
 
 PROFILE_SCHEMAS = {
     AxiomProfile.SECTION3: frozenset({"A1", "K", "A2", "A3", "A4"}),
@@ -150,10 +160,15 @@ def propositional_skeleton(formula: Formula) -> Formula:
     numbered m0_, m1_, ... in the order the modal subformulas are first
     met, left to right."""
     program = Program(formula)
+    return _skeleton(program, len(program.steps) - 1)
+
+
+def _skeleton(program: Program, root: int) -> Formula:
+    """The skeleton of the formula at step `root`, avoiding all of `program`'s atoms."""
     taken = set(program.atoms)
     fresh = (Atom(name) for name in (f"m{i}_" for i in count()) if name not in taken)
     built: dict[int, Formula] = {}  # step position -> its skeleton
-    stack = [(len(program.steps) - 1, False)]
+    stack = [(root, False)]
     while stack:
         step, ready = stack.pop()
         kind, _label, *args = program.steps[step]
@@ -166,7 +181,7 @@ def propositional_skeleton(formula: Formula) -> Formula:
         else:  # operands first, leftmost on top
             stack.append((step, True))
             stack.extend((a, False) for a in reversed(args))
-    return built[len(program.steps) - 1]
+    return built[root]
 
 
 def is_tautology(formula: Formula) -> bool:
@@ -207,12 +222,6 @@ def is_tautology(formula: Formula) -> bool:
     return True
 
 
-def _as_implication(formula: Formula) -> tuple[Formula, Formula] | None:
-    if isinstance(formula, Implies):
-        return formula.left, formula.right
-    return None
-
-
 def match_axiom(
     formula: Formula, tag: str, poset: IndexPoset, profile: AxiomProfile
 ) -> bool:
@@ -222,57 +231,52 @@ def match_axiom(
     (A4 is SECTION3-only, DDOWN is SECTION2-only) and UndeclaredIdentifier
     when a matching formula names an index the poset does not declare.
     """
+    program = Program(formula)
+    return _match_line(program, len(program.steps) - 1, tag, poset, profile)
+
+
+def _match_line(
+    program: Program, root: int, tag: str, poset: IndexPoset, profile: AxiomProfile
+) -> bool:
+    """match_axiom for the formula at step `root` of `program`.  A modal
+    schema's shape is walked against the program: a formula variable binds
+    to a position and an index variable to a label, each the same wherever
+    it occurs."""
     if tag not in SCHEMA_TAGS:
         raise ValueError(f"unknown axiom tag {tag!r}")
     if tag not in PROFILE_SCHEMAS[profile]:
         raise IllegalTagForProfile(f"{tag} is not part of profile {profile.value}")
-
     if tag == "A1":
-        return is_tautology(propositional_skeleton(formula))
+        return is_tautology(_skeleton(program, root))
 
-    parts = _as_implication(formula)
-    if parts is None:
-        return False
-    left, right = parts
+    shape, condition = SCHEMAS[tag]
+    bound: dict[str | None, object] = {}  # variable -> position or label
+    pairs = [(len(shape.steps) - 1, root)]  # (shape position, program position)
+    while pairs:
+        at, position = pairs.pop()
+        kind, var, *args = shape.steps[at]
+        if kind is Atom:
+            value = position
+        else:
+            found, value, *operands = program.steps[position]
+            if found is not kind:
+                return False
+            pairs.extend(zip(args, operands))
+        # A connective binds None to its label, which is None too.
+        if bound.setdefault(var, value) != value:
+            return False
+    a = bound["a"]
+    ordered = poset.leq(a, bound.get("b", a))  # raises for an undeclared index
+    if condition == "a<=b":
+        return ordered
+    if condition == "a stable":
+        return a in poset.stable
+    return True
 
-    if tag == "K":
-        # [g](phi -> psi) -> ([g]phi -> [g]psi)
-        if not (isinstance(left, Box) and isinstance(left.operand, Implies)):
-            return False
-        inner = _as_implication(right)
-        if inner is None or not isinstance(inner[0], Box) or not isinstance(inner[1], Box):
-            return False
-        same_index = left.index == inner[0].index == inner[1].index
-        if not same_index:
-            return False
-        if left.index not in poset.indices:
-            raise UndeclaredIdentifier(f"unknown index {left.index!r}")
-        return (
-            left.operand.left == inner[0].operand
-            and left.operand.right == inner[1].operand
-        )
 
-    if tag == "A2":
-        if not (isinstance(left, Box) and isinstance(right, Box)):
-            return False
-        return left.operand == right.operand and poset.leq(left.index, right.index)
-
-    if tag == "A3":
-        if not isinstance(left, Box) or left.operand != right:
-            return False
-        if left.index not in poset.indices:
-            raise UndeclaredIdentifier(f"unknown index {left.index!r}")
-        return left.index in poset.stable
-
-    if tag == "A4":
-        if not (isinstance(left, Diamond) and isinstance(right, Diamond)):
-            return False
-        return left.operand == right.operand and poset.leq(left.index, right.index)
-
-    # DDOWN: <b>phi -> <a>phi for a <= b.
-    if not (isinstance(left, Diamond) and isinstance(right, Diamond)):
-        return False
-    return left.operand == right.operand and poset.leq(right.index, left.index)
+def _has_step(program: Program, position: int, *step) -> bool:
+    """Whether the node at `position` == a new node with this step."""
+    return type(program.nodes[position]) is step[0] and program.steps[position] == step
 
 
 @dataclass(frozen=True)
@@ -308,13 +312,15 @@ def check_derivation(derivation: Derivation) -> CheckReport:
     """
     verdicts: list[LineVerdict] = []
     accepted: dict[int, bool] = {}
-    by_number = {line.number: line for line in derivation.lines}
+    program = Program(*(line.formula for line in derivation.lines))
+    roots = (None, *program.roots)  # line number -> position of its formula
     for line in derivation.lines:
         reason: str | None = None
         just = line.justification
+        here = roots[line.number]
         if isinstance(just, Axiom):
             try:
-                if not match_axiom(line.formula, just.tag, derivation.poset, derivation.profile):
+                if not _match_line(program, here, just.tag, derivation.poset, derivation.profile):
                     reason = (
                         REASON_NOT_A_TAUTOLOGY if just.tag == "A1" else REASON_SCHEMA_MISMATCH
                     )
@@ -325,8 +331,8 @@ def check_derivation(derivation: Derivation) -> CheckReport:
         elif isinstance(just, ModusPonens):
             if not (accepted[just.premise] and accepted[just.implication]):
                 reason = REASON_CITED_LINE_REJECTED
-            elif by_number[just.implication].formula != Implies(
-                by_number[just.premise].formula, line.formula
+            elif not _has_step(
+                program, roots[just.implication], Implies, None, roots[just.premise], here
             ):
                 reason = REASON_BAD_MODUS_PONENS
         elif isinstance(just, Necessitation):
@@ -334,7 +340,7 @@ def check_derivation(derivation: Derivation) -> CheckReport:
                 reason = REASON_UNDECLARED_INDEX
             elif not accepted[just.premise]:
                 reason = REASON_CITED_LINE_REJECTED
-            elif line.formula != Box(just.index, by_number[just.premise].formula):
+            elif not _has_step(program, here, Box, just.index, roots[just.premise]):
                 reason = REASON_BAD_NECESSITATION
             elif derivation.nec_requires_stable and just.index not in derivation.poset.stable:
                 reason = REASON_NON_STABLE_NECESSITATION

@@ -77,20 +77,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    Atom,
     AxiomProfile,
-    Box,
     CoherenceMode,
-    Diamond,
     Formula,
-    Implies,
     IndexPoset,
     Not,
     Program,
     StratifiedModel,
+    _require_identifier,
 )
 from .errors import BoundsTooLarge, UndeclaredIdentifier
-from .proofs import PROFILE_SCHEMAS
+from .proofs import PROFILE_SCHEMAS, SCHEMAS
 from .semantics import FramePolicy, satisfying_worlds, validate_frame
 
 __all__ = [
@@ -133,6 +130,8 @@ class SearchBounds:
         if self.max_worlds < 1 or self.max_indices < 1:
             raise ValueError("bounds must allow at least one world and one index")
         if self.atoms is not None:
+            for name in self.atoms:
+                _require_identifier(name, "atom")
             object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
 
 
@@ -507,31 +506,25 @@ def decide_sat(
 # ---------------------------------------------------------------------------
 # Axiom-validity matrix
 
-SCHEMA_ORDER = ("K", "A2", "A3", "A4", "DDOWN")
+SCHEMA_ORDER = tuple(SCHEMAS)
 
 
 def schema_instance(schema: str, alpha: str, beta: str) -> Formula:
-    """The concrete instance of a schema at the given indices.
+    """The concrete instance of a schema at the given indices: its shape
+    in proofs.SCHEMAS with a := alpha, b := beta, P := p and Q := q.
 
-    Single-index schemas (K, A3) ignore `beta`.  K is instantiated with
-    two atoms because its one-atom instances collapse into tautologies
-    that would test nothing.
+    Schemas whose shape names only a (K, A3) ignore `beta`.  K is
+    instantiated with two atoms because its one-atom instances collapse
+    into tautologies that would test nothing.
     """
-    p = Atom("p")
-    if schema == "K":
-        q = Atom("q")
-        return Implies(
-            Box(alpha, Implies(p, q)), Implies(Box(alpha, p), Box(alpha, q))
-        )
-    if schema == "A2":
-        return Implies(Box(alpha, p), Box(beta, p))
-    if schema == "A3":
-        return Implies(Box(alpha, p), p)
-    if schema == "A4":
-        return Implies(Diamond(alpha, p), Diamond(beta, p))
-    if schema == "DDOWN":
-        return Implies(Diamond(beta, p), Diamond(alpha, p))
-    raise ValueError(f"unknown schema {schema!r}")
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}")
+    rename = {"a": alpha, "b": beta, "P": "p", "Q": "q"}
+    built: list[Formula] = []
+    for kind, var, *args in SCHEMAS[schema][0].steps:
+        labels = [] if var is None else [rename[var]]  # a connective has no label
+        built.append(kind(*labels, *[built[i] for i in args]))
+    return built[-1]
 
 
 @dataclass(frozen=True)
@@ -550,13 +543,13 @@ class MatrixRow:
 
 
 def _schema_instances(schema: str, poset: IndexPoset) -> tuple[tuple[str, str], ...]:
-    if schema in ("K", "A3"):
-        return tuple((idx, idx) for idx in poset.indices)
-    return poset.ordered_pairs()
+    if SCHEMAS[schema][1] == "a<=b":
+        return poset.ordered_pairs()
+    return tuple((idx, idx) for idx in poset.indices)
 
 
 def _stable_variants(schema: str, poset: IndexPoset, alpha: str) -> tuple[IndexPoset, ...]:
-    if schema != "A3":
+    if SCHEMAS[schema][1] != "a stable":
         return (poset,)
     # Reflection quantifies over stability: range over every stable set
     # containing the instance index, in subset-mask order.

@@ -75,6 +75,9 @@ class FramePolicy:
     def __post_init__(self):
         if not isinstance(self.coherence, CoherenceMode):
             raise TypeError(f"not a coherence mode: {self.coherence!r}")
+        for name in ("require_stable_reflexive", "strict"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,6 +16,7 @@ from salogic.core import (
     Or,
 )
 import salogic.proofs as proofs
+import salogic.search as search
 from salogic.errors import (
     BoundsTooLarge,
     ForwardReference,
@@ -28,6 +30,7 @@ from salogic.proofs import (
     Necessitation,
     ProofLine,
     REASON_BAD_MODUS_PONENS,
+    REASON_BAD_NECESSITATION,
     REASON_CITED_LINE_REJECTED,
     REASON_ILLEGAL_TAG,
     REASON_NON_STABLE_NECESSITATION,
@@ -38,7 +41,7 @@ from salogic.proofs import (
     match_axiom,
     propositional_skeleton,
 )
-from salogic.search import SearchBounds, ValidUpTo, decide_valid
+from salogic.search import SearchBounds, ValidUpTo, axiom_matrix, decide_valid, schema_instance
 from salogic.semantics import FramePolicy
 from salogic.syntax import parse_formula, parse_proof
 
@@ -102,6 +105,92 @@ def test_profile_legality():
 def test_match_raises_on_undeclared_index():
     with pytest.raises(UndeclaredIdentifier):
         match_axiom(parse_formula("[z]p -> [z]p"), "A2", CHAIN, S2)
+
+
+def test_k_compares_operands_before_the_index_is_declared():
+    # As A2, A3, A4 and DDOWN always did: a formula that does not match
+    # is a mismatch whatever its indices; one that does names them all.
+    mismatch = parse_formula("[z](p -> q) -> ([z]r -> [z]s)")
+    assert match_axiom(mismatch, "K", CHAIN, S2) is False
+    d = Derivation((ProofLine(1, mismatch, Axiom("K")),), CHAIN)
+    assert check_derivation(d).lines[0].reason == REASON_SCHEMA_MISMATCH
+    with pytest.raises(UndeclaredIdentifier):
+        match_axiom(parse_formula("[z](p -> q) -> ([z]p -> [z]q)"), "K", CHAIN, S2)
+
+
+def test_every_matrix_instance_matches_its_schema():
+    chain3 = IndexPoset.from_order(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    bounds = [SearchBounds(1, 1), SearchBounds(1, 2), SearchBounds(1, 3, poset=chain3)]
+    seen = set()
+    for bound in bounds:
+        rows = axiom_matrix(tuple(AxiomProfile), (CoherenceMode.NONE,), bound)
+        for row in rows:
+            assert row.formula == schema_instance(row.schema, row.alpha, row.beta)
+            profile = S3 if row.schema == "A4" else S2
+            for poset in search._stable_variants(row.schema, row.poset, row.alpha):
+                assert match_axiom(row.formula, row.schema, poset, profile) is True, row
+            seen.add(row.schema)
+    assert seen == set(proofs.SCHEMAS)
+
+
+def test_node_subclasses_keep_their_verdicts():
+    # Structure is read through isinstance, as a subclass node means its
+    # base type; operands and cited lines compare as ==, which tells a
+    # subclass node from a base one.
+    @dataclass(frozen=True)
+    class MyBox(Box):
+        pass
+
+    @dataclass(frozen=True)
+    class MyImplies(Implies):
+        pass
+
+    @dataclass(frozen=True)
+    class MyNot(Not):
+        pass
+
+    cases = [
+        (MyImplies(MyBox("a", P), Box("b", P)), "A2", True),
+        (Implies(Box("a", MyNot(P)), Box("b", MyNot(P))), "A2", True),
+        (Implies(Box("a", MyNot(P)), Box("b", Not(P))), "A2", False),
+        (Implies(MyBox("a", Not(P)), Not(P)), "A3", True),
+        (Implies(Box("a", Not(P)), MyNot(P)), "A3", False),
+        (Implies(Diamond("a", MyNot(P)), Diamond("b", Not(P))), "A4", False),
+        (Implies(Box("a", MyImplies(P, Q)), Implies(Box("a", P), MyBox("a", Q))), "K", True),
+    ]
+    for formula, tag, want in cases:
+        profile = S3 if tag == "A4" else S2
+        assert match_axiom(formula, tag, CHAIN_STABLE_A, profile) is want, (formula, tag)
+
+    taut, my_taut = Implies(P, P), MyImplies(P, P)
+    stable = IndexPoset.from_order(("a",), stable=("a",))
+    lines = [
+        (taut, Axiom("A1")),
+        (my_taut, Axiom("A1")),
+        (Implies(taut, taut), Axiom("A1")),
+        (MyImplies(taut, taut), Axiom("A1")),
+        (Implies(my_taut, my_taut), Axiom("A1")),
+        (taut, ModusPonens(1, 3)),  # accepted
+        (taut, ModusPonens(1, 4)),  # the implication is a MyImplies
+        (my_taut, ModusPonens(1, 3)),  # the conclusion is a MyImplies
+        (my_taut, ModusPonens(2, 5)),  # accepted
+        (Box("a", taut), Necessitation("a", 1)),  # accepted
+        (MyBox("a", taut), Necessitation("a", 1)),
+        (Box("a", taut), Necessitation("a", 2)),
+        (Box("a", my_taut), Necessitation("a", 2)),  # accepted
+    ]
+    d = Derivation(
+        tuple(ProofLine(i, f, j) for i, (f, j) in enumerate(lines, start=1)), stable
+    )
+    assert [line.reason for line in check_derivation(d).lines] == [None] * 6 + [
+        REASON_BAD_MODUS_PONENS,
+        REASON_BAD_MODUS_PONENS,
+        None,
+        None,
+        REASON_BAD_NECESSITATION,
+        REASON_BAD_NECESSITATION,
+        None,
+    ]
 
 
 def _schema_like(rng):

@@ -327,6 +327,15 @@ def test_bounds_atoms_must_cover_formula():
     assert isinstance(verdict, ValidUpTo)
 
 
+def test_bounds_atoms_must_be_identifiers():
+    # Otherwise the verdict decided whether the name was rejected: a
+    # valid formula passed, and an invalid one failed only while its
+    # countermodel was decoded.
+    for atoms in (("p", "1x"), ("p", ""), ("p", 1)):
+        with pytest.raises(ValueError, match="atom must match"):
+            SearchBounds(2, 1, atoms=atoms)
+
+
 def test_enumerated_poset_order():
     single, = enumerated_posets(1)
     assert single.indices == ("a",)

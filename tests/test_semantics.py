@@ -11,6 +11,7 @@ from salogic.core import (
     Box,
     CoherenceMode,
     Diamond,
+    Implies,
     IndexPoset,
     Not,
     Or,
@@ -18,7 +19,17 @@ from salogic.core import (
     subformulas,
 )
 from salogic.errors import BoundsTooLarge, FrameViolation, ParseError, UndeclaredIdentifier
-from salogic.proofs import is_tautology, match_axiom, propositional_skeleton
+from salogic.proofs import (
+    Axiom,
+    Derivation,
+    ModusPonens,
+    Necessitation,
+    ProofLine,
+    check_derivation,
+    is_tautology,
+    match_axiom,
+    propositional_skeleton,
+)
 from salogic.search import SearchBounds, decide_sat, decide_valid
 from salogic.semantics import (
     EvalTrace,
@@ -88,6 +99,15 @@ def test_frame_policy_coherence_must_be_a_mode():
             FramePolicy(bad)
     with pytest.raises(TypeError):
         FramePolicy(coherence="none", require_stable_reflexive=False)
+
+
+def test_frame_policy_flags_must_be_bools():
+    # A non-empty string would otherwise be read as True.
+    for flags in (("false",), (False, "false"), (1,), (None, False)):
+        with pytest.raises(TypeError):
+            FramePolicy(CoherenceMode.NONE, *flags)
+
+
 def test_stable_reflexivity_check():
     poset = IndexPoset.from_order(("a",), stable=("a",))
     m = StratifiedModel(poset, ("w0", "w1"), {"a": {("w0", "w0")}}, {})
@@ -214,6 +234,48 @@ def test_deep_formulas_are_total():
     assert len(lines) == 3002
     assert lines[3000] == "  " * 3000 + "w0 [a] [a] p = false  (fails at w0)"
     assert lines[3001] == "  " * 3001 + "w0 [a] p = false"
+    # The schemas, modus ponens and necessitation compare formulas.  Each
+    # copy of the chain is built anew, so that no comparison can stop at
+    # an object shared by both sides.
+    def chain():
+        f = boxed
+        for _ in range(3000):
+            f = Not(f)
+        return f
+
+    stable = IndexPoset.from_order(("a",), stable=("a",))
+    instances = [
+        (
+            "K",
+            Implies(
+                Box("a", Implies(chain(), chain())),
+                Implies(Box("a", chain()), Box("a", chain())),
+            ),
+        ),
+        ("A2", Implies(Box("a", chain()), Box("a", chain()))),
+        ("A3", Implies(Box("a", chain()), chain())),
+        ("A4", Implies(Diamond("a", chain()), Diamond("a", chain()))),
+        ("DDOWN", Implies(Diamond("a", chain()), Diamond("a", chain()))),
+    ]
+    for tag, formula in instances:
+        profile = AxiomProfile.SECTION3 if tag == "A4" else AxiomProfile.SECTION2
+        assert match_axiom(formula, tag, stable, profile) is True
+    mismatch = Implies(Box("a", chain()), Box("a", Not(chain())))
+    assert match_axiom(mismatch, "A2", stable, AxiomProfile.SECTION2) is False
+    lines = [
+        (Implies(chain(), chain()), Axiom("A1")),
+        (Implies(Implies(chain(), chain()), Implies(chain(), chain())), Axiom("A1")),
+        (Implies(chain(), chain()), ModusPonens(1, 2)),
+        (Box("a", Implies(chain(), chain())), Necessitation("a", 3)),
+        (Box("a", Implies(chain(), Not(chain()))), Necessitation("a", 3)),
+        (instances[0][1], Axiom("K")),
+    ]
+    derivation = Derivation(
+        tuple(ProofLine(i, f, j) for i, (f, j) in enumerate(lines, start=1)), stable
+    )
+    assert [line.accepted for line in check_derivation(derivation).lines] == [
+        True, True, True, True, False, True
+    ]
 
 
 def test_node_subclasses_mean_their_base_type():
