@@ -270,15 +270,17 @@ def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
     steps: list[tuple] = []
     keys: dict[tuple, int] = {}  # (exact type, label, *child positions) -> position
     seen: dict[int, int] = {}  # id of a visited node -> position of its step
-    stack = [(formula, False) for formula in reversed(formulas)]  # first on top
+    # (node, kind, kids): kind is None until the node's first visit has
+    # pushed it back with its parts, above its children.
+    stack = [(formula, None, ()) for formula in reversed(formulas)]  # first on top
     while stack:
-        g, ready = stack.pop()
+        g, kind, kids = stack.pop()
         if id(g) in seen:
             continue
-        kind, kids = _parts(g)
-        if not ready:
-            stack.append((g, True))
-            stack.extend([(child, False) for child in reversed(kids)])
+        if kind is None:
+            kind, kids = _parts(g)
+            stack.append((g, kind, kids))
+            stack.extend([(child, None, ()) for child in reversed(kids)])
             continue
         label = g.name if kind is Atom else getattr(g, "index", None)
         key = (type(g), label, *[seen[id(c)] for c in kids])
@@ -302,7 +304,7 @@ class Program:
     of `subformulas`, which `nodes` holds.  `roots` holds the position of
     each formula; one formula's is the last.  Equal nodes share a position.
 
-    A bit set is a Python int or a numpy integer array, and `full` is the
+    A bit set is a Python int or an integer array, and `full` is the
     set of all positions.  The connectives are bitwise operations against
     `full`, and `[i]x` is computed as `~<i>~x`, so a caller supplies only
     `atom(name)` and `diamond(index, x)`, the positions with an

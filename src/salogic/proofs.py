@@ -121,6 +121,10 @@ class ProofLine:
     formula: Formula
     justification: Justification
 
+    def __post_init__(self):
+        if not isinstance(self.formula, Formula):
+            raise TypeError(f"not a formula: {self.formula!r}")
+
 
 @dataclass(frozen=True)
 class Derivation:

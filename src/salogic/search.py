@@ -63,8 +63,11 @@ would be vacuous whenever the policy stops enforcing reflexivity.
 
 Scanning runs the formula's bit-set program (core.Program) with numpy
 over chunks of candidates, world sets being uint8 masks over a (relation
-tuple, valuation) grid.  A hit is rebuilt as a plain StratifiedModel and
-re-checked through semantics.satisfying_worlds and
+tuple, valuation) grid.  numpy is imported inside the two functions that
+scan, _relation_tuples and _scan_chunk, so importing this module (and so
+`import salogic` and every sal command but valid, sat and axioms) does
+not load it; the first scan does.  A hit is rebuilt as a plain
+StratifiedModel and re-checked through semantics.satisfying_worlds and
 semantics.validate_frame before it is reported, so every emitted witness
 has already survived the independent scalar evaluator.
 """
@@ -73,8 +76,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .core import (
     AxiomProfile,
@@ -293,6 +294,8 @@ def _relation_tuples(
     when it is reflexive.  With no kept index the block has one empty
     tuple.
     """
+    import numpy as np
+
     n, rel_bits = block.n, block.rel_bits
     poset, kept = block.poset, block.kept
     full = (1 << rel_bits) - 1
@@ -362,6 +365,8 @@ def _scan_chunk(
     Subformula values broadcast over a (tuple, valuation) grid, so
     propositional subformulas are computed once per valuation.
     """
+    import numpy as np
+
     n, kept = block.n, block.kept
     full = (1 << n) - 1
     vals = np.arange(lo, hi, dtype=np.int64)[None, :]

@@ -377,6 +377,13 @@ def test_derivation_construction_guards():
         Derivation((ProofLine(2, P, Axiom("A1")),), CHAIN)
 
 
+def test_proof_line_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula: 'p'"):
+        ProofLine(1, "p", Axiom("K"))
+    with pytest.raises(TypeError, match="not a formula: None"):
+        ProofLine(1, None, Axiom("A1"))
+
+
 def test_fuzzed_derivations_all_check_out():
     rng = random.Random(227)
     for _ in range(60):
