@@ -304,11 +304,10 @@ class Program:
     of `subformulas`, which `nodes` holds.  `roots` holds the position of
     each formula; one formula's is the last.  Equal nodes share a position.
 
-    A bit set is a Python int or an integer array, and `full` is the
-    set of all positions.  The connectives are bitwise operations against
-    `full`, and `[i]x` is computed as `~<i>~x`, so a caller supplies only
-    `atom(name)` and `diamond(index, x)`, the positions with an
-    `index`-successor in x."""
+    A bit set is a Python int, and `full` is the set of all positions.
+    The connectives are bitwise operations against `full`, and `[i]x` is
+    computed as `~<i>~x`, so a caller supplies only `atom(name)` and
+    `diamond(index, x)`, the positions with an `index`-successor in x."""
 
     def __init__(self, *formulas: Formula):
         nodes, steps, roots = _walk(*formulas)

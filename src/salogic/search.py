@@ -16,21 +16,21 @@ identical output at every worker count:
   per (atom, world) pair, atoms sorted, atom-major), then one n*n-bit
   relation mask per index with the *first* declared index in the most
   significant position.  Relation bit i*n + j stands for the world pair
-  (w_i, w_j).  Candidates are scanned in increasing integer order, so
-  relations vary lexicographically in index declaration order with
-  valuations varying fastest.
+  (w_i, w_j).  Candidates are ordered as integers, so relations vary
+  lexicographically in index declaration order with valuations varying
+  fastest.
 * Candidates whose frame fails validate_frame under the active policy are
   never generated, and the rest keep their raw positions: a block lists
-  its admissible relation tuples directly, in increasing order, and
-  crosses each with every valuation.  The reported countermodel is the
-  enumeration-order minimum of the admissible candidates.
+  its admissible candidates directly, slab by slab in increasing order.
+  The reported countermodel is the enumeration-order minimum of the
+  admissible candidates.
 
 One scan path.  decide_valid (and through it decide_sat) and each
 axiom_matrix row compile the query once to a core.Program, whose atoms
 and indices size and check the blocks.  _blocks lists the blocks and
 raises BoundsTooLarge at the first one past the ceiling, before any is
 scanned; _first_counterexample scans them one after another, each in
-chunks of about _CHUNK admissible candidates in increasing order, in one
+slabs of at most _SLAB admissible candidates in increasing order, in one
 thread.  The `workers` argument is kept for compatibility and does not
 change the scan.  axiom_matrix keeps one dict of verdicts per mode, keyed
 by the instance formula and its poset variants, so an instance that
@@ -61,13 +61,19 @@ levels: its rows range over the stable sets containing the instance
 index, whatever the reflexivity policy says, since otherwise the row
 would be vacuous whenever the policy stops enforcing reflexivity.
 
-Scanning runs the formula's bit-set program (core.Program) with numpy
-over chunks of candidates, world sets being uint8 masks over a (relation
-tuple, valuation) grid.  numpy is imported inside the two functions that
-scan, _relation_tuples and _scan_chunk, so importing this module (and so
-`import salogic` and every sal command but valid, sat and axioms) does
-not load it; the first scan does.  A hit is rebuilt as a plain
-StratifiedModel and re-checked through semantics.satisfying_worlds and
+Scanning is bitsliced over Python ints.  Coherence and stable
+reflexivity constrain each relation bit position (world pair) on its
+own, so a block's admissible candidates are a product: every valuation,
+times one choice per position of the bits its indices show there.  A
+slab fixes the candidate's top bits and holds the rest of that product,
+one candidate per lane.  Each candidate bit is a periodic column over
+the lanes, built once per pattern and repeated bytewise; a subformula's
+value is one int of n segments of lanes, one per world, so the
+formula's bit-set program (core.Program) runs on plain ints and a
+diamond costs n*n ANDs.  The first slab that hits holds the block's
+least hit, which a walk over the candidate bits from the top picks out
+of the slab's hits.  A hit is rebuilt as a plain StratifiedModel and
+re-checked through semantics.satisfying_worlds and
 semantics.validate_frame before it is reported, so every emitted witness
 has already survived the independent scalar evaluator.
 """
@@ -76,6 +82,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from math import prod
 
 from .core import (
     AxiomProfile,
@@ -108,8 +115,9 @@ __all__ = [
 ]
 
 DEFAULT_CEILING = 10**9
-_CHUNK = 1 << 16  # candidates per kernel call
-_MAX_CANDIDATE_BITS = 62  # candidates are scanned as int64 vectors
+_SLAB = 1 << 16  # lanes per slab, at most
+_PATTERNS = 1 << 10  # digits of one cell in a slab, at most
+_MAX_CANDIDATE_BITS = 62  # raw candidate bits, at most
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def enumerated_posets(max_indices: int) -> tuple[IndexPoset, ...]:
 
 @dataclass(frozen=True)
 class _Block:
-    """One (poset, world count) slab of the candidate space.  A projection
+    """One (poset, world count) block of the candidate space.  A projection
     leaves out the relations of the `dropped` indices: its tuples hold
     the masks of the kept indices only.  Sizes count the full block."""
 
@@ -272,41 +280,50 @@ def _decode(block: _Block, candidate: int) -> StratifiedModel:
     return StratifiedModel(block.poset, worlds, relations, valuation)
 
 
-def _relation_tuples(
-    block: _Block, policy: FramePolicy, limit: int
-) -> Iterator[np.ndarray]:
-    """The block's frame-admissible relation tuples in increasing order, in
-    arrays of at most `limit` entries.
+def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
+    """The block's frame-admissible candidates, in slabs of at most _SLAB
+    lanes, in increasing order: every candidate of a slab is below every
+    candidate of the next.
 
-    A tuple packs one n*n-bit mask per kept index, the first declared index
-    in the most significant position, as in a candidate's relation bits.
-    The masks are chosen in declaration order.  Given the earlier masks,
-    index j's mask m ranges over must <= m <= may: `must` joins the earlier
-    masks that policy puts inside m, plus the diagonal when m must be
-    reflexive; `may` meets the earlier masks that policy puts around m.
-    The m of one prefix are listed in increasing order by depositing a
-    counter's bits into the free positions of may & ~must.
+    A slab is a list of digit lists, one per valuation bit and then one
+    per cell: a relation bit position p (pair (w_i, w_j) at p = i*n + j)
+    and a group of kept indices that inclusions link.  Its lanes are the
+    sums of one digit from each list, the first list varying fastest.  A
+    valuation bit's digits are 0 and the bit, or the one value the slab
+    fixes.  A cell's digits are the patterns its indices may show at p:
+    each is the sum of the candidate bits that are set.  Coherence and
+    stable reflexivity constrain each position on its own, and unlinked
+    indices not at all, so the admissible candidates are exactly this
+    product.
+
+    A slab fixes the top bits of the candidate, as many as it takes to
+    bring it down to _SLAB lanes and each cell to _PATTERNS digits
+    (kept[0]'s bits, from the top position down, first).  Slabs are
+    listed depth first, 0 before 1, so in increasing order of the fixed
+    bits; with every relation bit fixed, a slab is one relation tuple
+    crossed with a run of valuations.
 
     The inclusions (closed under transitivity) and the reflexive levels
     come from the whole poset, so a projection lists exactly the
-    restrictions of the full admissible tuples: a dropped index can take
-    the union of the kept masks that must sit inside it, plus the diagonal
-    when it is reflexive.  With no kept index the block has one empty
-    tuple.
+    restrictions of the full admissible candidates: a dropped index can
+    take the union of the kept relations that must sit inside it, plus
+    the diagonal when it is reflexive.  Given the bits of the earlier
+    kept indices at p, index j's bit there is forced to 1 when one of
+    them sits inside it (or p is on the diagonal and j is reflexive) and
+    to 0 when one around it is 0; so every admissible prefix extends.
     """
-    import numpy as np
-
-    n, rel_bits = block.n, block.rel_bits
+    n, rel_bits, val_bits = block.n, block.rel_bits, block.val_bits
     poset, kept = block.poset, block.kept
-    full = (1 << rel_bits) - 1
-    diag = sum(1 << (i * n + i) for i in range(n))
+    k = len(kept)
+    total_bits = k * rel_bits + val_bits
     ipos = {idx: i for i, idx in enumerate(kept)}
-    # A stable level's diagonal spreads along the inclusions, so that every
-    # prefix has an admissible next mask.
+    # A stable level's diagonal spreads along the inclusions.
     stable = poset.stable if policy.require_stable_reflexive else frozenset()
     reflexive = set(stable)
-    inside: list[list[int]] = [[] for _ in kept]  # earlier masks within m
-    around: list[list[int]] = [[] for _ in kept]  # earlier masks around m
+    # inside[j] / around[j]: the earlier kept indices whose relation policy
+    # puts within / around index j's, as bits of a pattern shifted to p = 0.
+    inside, around = [0] * k, [0] * k
+    group = list(range(k))  # a label per kept index, shared by linked ones
     if policy.coherence is not CoherenceMode.NONE:
         for low, high in poset.strict_pairs():
             # The policy puts R_sub within R_sup.
@@ -318,97 +335,211 @@ def _relation_tuples(
                 reflexive.add(sup)
             if sub not in ipos or sup not in ipos:
                 continue
+            i, j = sorted((ipos[sub], ipos[sup]))
+            mask = 1 << ((k - 1 - i) * rel_bits)
             if ipos[sub] < ipos[sup]:
-                inside[ipos[sup]].append(ipos[sub])
+                inside[j] |= mask
             else:
-                around[ipos[sub]].append(ipos[sup])
-    fixed = [diag if idx in reflexive else 0 for idx in kept]
+                around[j] |= mask
+            group = [group[i] if g == group[j] else g for g in group]
+    # Unlinked indices are independent: each group of linked ones has its
+    # own digit list (a cell) at every position.
+    labels = sorted(set(group))
+    cell_of = [labels.index(g) for g in group]
+    members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(labels))]
+    cells = [(p, m) for p in range(rel_bits) for m in members]
+    cell_bits = [
+        sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
+    ]
 
-    def walk(prefixes: np.ndarray, j: int) -> Iterator[np.ndarray]:
-        if j == len(kept):
-            yield prefixes
-            return
-        must = np.full(prefixes.shape, fixed[j], dtype=np.int64)
-        may = np.full(prefixes.shape, full, dtype=np.int64)
-        for i in inside[j]:
-            must |= (prefixes >> (rel_bits * (j - 1 - i))) & full
-        for i in around[j]:
-            may &= (prefixes >> (rel_bits * (j - 1 - i))) & full
-        free = may & ~must
-        counts = np.ones_like(free)
-        for b in range(rel_bits):
-            counts <<= (free >> b) & 1
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        for lo in range(0, total, limit):
-            pos = np.arange(lo, min(lo + limit, total), dtype=np.int64)
-            row = np.searchsorted(ends, pos, side="right")
-            counter = pos - (ends[row] - counts[row])
-            bits = free[row]
-            mask = must[row]
-            for b in range(rel_bits):
-                bit = (bits >> b) & 1
-                mask |= (counter & bit) << b
-                counter >>= bit
-            yield from walk((prefixes[row] << rel_bits) | mask, j + 1)
+    def patterns(c: int, fixed: int, value: int) -> list[int] | None:
+        """Cell c's patterns that agree with `value` on the `fixed` bits
+        (a prefix of its indices), or None when they may be more than
+        _PATTERNS: the unfixed bits alone could take more values."""
+        p, group_members = cells[c]
+        shift = val_bits + p
+        found = [0]
+        for place, j in enumerate(group_members):
+            bit = 1 << (shift + (k - 1 - j) * rel_bits)
+            if found and not fixed & bit and 1 << (len(group_members) - place) > _PATTERNS:
+                return None
+            choices = (value & bit,) if fixed & bit else (0, bit)
+            diagonal = p % (n + 1) == 0 and kept[j] in reflexive
+            grown = []
+            for pattern in found:
+                at_p = pattern >> shift
+                must = diagonal or at_p & inside[j]
+                may = at_p & around[j] == around[j]
+                grown += [
+                    pattern | one for one in choices if (one or not must) and (may or not one)
+                ]
+            found = grown
+        return found
 
-    yield from walk(np.zeros(1, dtype=np.int64), 0)
+    def fixed_since(c: int, free: int) -> int:
+        """Sort key of the cells in a slab: those with no fixed bit first,
+        then the others in the order the search fixed their lowest bits.
+        The lists that change least from slab to slab come first, where
+        their columns stay the same."""
+        fixed = cell_bits[c] & -(1 << free)
+        return -(fixed & -fixed or 1 << total_bits)
+
+    # (number of fixed top bits, their values, each cell's patterns)
+    stack = [(0, 0, [patterns(c, 0, 0) for c in range(len(cells))])]
+    while stack:
+        depth, value, digits = stack.pop()
+        free = total_bits - depth
+        lanes = 1 << min(val_bits, free)
+        for found in digits:
+            if found is None:
+                lanes = _SLAB + 1
+                break
+            lanes *= len(found)
+        if lanes <= _SLAB:
+            valuations = [
+                [0, 1 << b] if b < free else [value & 1 << b] for b in range(val_bits)
+            ]
+            order = sorted(range(len(cells)), key=lambda c: fixed_since(c, free))
+            yield valuations + [digits[c] for c in order]
+            continue
+        bit = 1 << (free - 1)
+        if free <= val_bits:
+            stack += [(depth + 1, value | bit, digits), (depth + 1, value, digits)]
+            continue
+        # Fixing a relation bit, kept[k - 1 - rank]'s at position p,
+        # narrows its cell's patterns; a child with none left holds no
+        # candidate.
+        rank, p = divmod(free - 1 - val_bits, rel_bits)
+        c = p * len(members) + cell_of[k - 1 - rank]
+        for child in (value | bit, value):
+            found = patterns(c, cell_bits[c] & ~(bit - 1), child & cell_bits[c])
+            if found != []:
+                stack.append((depth + 1, child, digits[:c] + [found] + digits[c + 1 :]))
 
 
-def _scan_chunk(
-    block: _Block, program: Program, tuples: np.ndarray, lo: int, hi: int
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of x's set bits, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _periodic(period: int, length: int, size: int) -> int:
+    """`size` bits of the `length`-bit `period` repeated from bit 0."""
+    if length >= size:
+        return period & ((1 << size) - 1)
+    while length % 8:
+        period |= period << length
+        length *= 2
+    data = period.to_bytes(length // 8, "little") * -(-size // length)
+    return int.from_bytes(data, "little") & ((1 << size) - 1)
+
+
+def _columns(
+    digits: list[list[int]], lanes: int, width: int, known: dict
+) -> tuple[dict[int, int], dict]:
+    """The column of each candidate bit in a slab of `lanes` lanes: the
+    lanes where it is set, lane l as bit l of an int.
+
+    A digit list with stride s (the product of the earlier lists'
+    lengths) sets a bit in a column of period s times its length, built
+    once and repeated bytewise to `width` lanes, the widest slab's so
+    far.  `known` holds the previous slab's periodic columns by (stride,
+    digits); those this slab shares with it are reused, and this slab's
+    are returned for the next."""
+    segment = (1 << lanes) - 1
+    columns: dict[int, int] = {}
+    shared: dict = {}
+    stride = 1
+    for options in digits:
+        if len(options) == 1:
+            for b in _set_bits(options[0]):
+                columns[b] = segment
+            continue
+        key = (stride, tuple(options))
+        length, built = known.get(key, (0, {}))
+        if length < lanes:
+            length, built = width, {}
+            union = 0
+            for option in options:
+                union |= option
+            run = (1 << stride) - 1
+            for b in _set_bits(union):
+                period = sum(
+                    run << (d * stride) for d, option in enumerate(options) if option >> b & 1
+                )
+                built[b] = _periodic(period, stride * len(options), width)
+        shared[key] = (length, built)
+        for b, column in built.items():
+            columns[b] = column if length == lanes else column & segment
+        stride *= len(options)
+    return columns, shared
+
+
+def _scan_slab(
+    block: _Block, program: Program, lanes: int, columns: dict[int, int]
 ) -> int | None:
-    """Least candidate of the chunk that falsifies the formula at some
+    """Least candidate of the slab that falsifies the formula at some
     world, or None.
 
-    World sets are n-bit masks held as uint8 (n <= 7 by the bit guard).
-    Subformula values broadcast over a (tuple, valuation) grid, so
-    propositional subformulas are computed once per valuation.
+    A subformula's value holds n segments of the slab's lanes, world w's
+    at bit w*lanes, so core.Program runs on plain ints, and `<i>x` at
+    world w is the OR over u of x's segment u AND column (i, w*n+u).
+    The least hit is found by walking the candidate bits from the top and
+    keeping, at each, the hits that have a 0 there whenever any do.
     """
-    import numpy as np
+    n, rel_bits, val_bits = block.n, block.rel_bits, block.val_bits
+    kept = block.kept
+    segment = (1 << lanes) - 1
+    full = (1 << (n * lanes)) - 1
+    first = {idx: val_bits + (len(kept) - 1 - j) * rel_bits for j, idx in enumerate(kept)}
 
-    n, kept = block.n, block.kept
-    full = (1 << n) - 1
-    vals = np.arange(lo, hi, dtype=np.int64)[None, :]
-    # rows[idx][w]: the successors of world w under idx, one per tuple
-    rows = {
-        idx: [
-            ((tuples >> ((len(kept) - 1 - j) * block.rel_bits + w * n)) & full)
-            .astype(np.uint8)[:, None]
-            for w in range(n)
-        ]
-        for j, idx in enumerate(kept)
-    }
+    def atom(name: str) -> int:
+        base = block.atoms.index(name) * n
+        return sum(columns.get(base + w, 0) << (w * lanes) for w in range(n))
 
-    def atom(name: str) -> np.ndarray:
-        return ((vals >> (block.atoms.index(name) * n)) & full).astype(np.uint8)
+    def diamond(index: str, x: int) -> int:
+        parts = [(x >> (u * lanes)) & segment for u in range(n)]
+        base = first[index]
+        value = 0
+        for w in range(n):
+            row = 0
+            for u, part in enumerate(parts):
+                row |= part & columns.get(base + w * n + u, 0)
+            value |= row << (w * lanes)
+        return value
 
-    def diamond(index: str, x: np.ndarray) -> np.ndarray:
-        return sum(
-            ((row & x) != 0).astype(np.uint8) << w for w, row in enumerate(rows[index])
-        )
-
-    truth = program.run(full, atom, diamond)[-1]
-    falsified = np.broadcast_to(truth != full, (len(tuples), hi - lo))
-    if not falsified.any():
+    falsified = full ^ program.run(full, atom, diamond)[-1]
+    hits = 0
+    for w in range(n):
+        hits |= falsified >> (w * lanes)
+    hits &= segment
+    if not hits:
         return None
-    t, v = divmod(int(falsified.argmax()), hi - lo)
-    return (int(tuples[t]) << block.val_bits) | (lo + v)
+    candidate = 0
+    for b in reversed(range(len(kept) * rel_bits + val_bits)):
+        column = columns.get(b, 0)
+        if hits & ~column:
+            hits &= ~column
+        else:
+            hits &= column
+            candidate |= 1 << b
+    return candidate
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
-    """Least falsifying candidate of the block, or None.
-
-    The admissible candidates are scanned in increasing order, in chunks
-    of about _CHUNK: each crosses some relation tuples with a run of
-    valuations."""
-    valuations = 1 << block.val_bits
-    step = min(valuations, _CHUNK)
-    for tuples in _relation_tuples(block, policy, max(1, _CHUNK // valuations)):
-        for lo in range(0, valuations, step):
-            hit = _scan_chunk(block, program, tuples, lo, lo + step)
-            if hit is not None:
-                return hit
+    """Least falsifying candidate of the block, or None.  Slabs are
+    scanned in increasing order, so the first that hits holds it."""
+    known: dict = {}
+    width = 0
+    for digits in _slabs(block, policy):
+        lanes = prod(map(len, digits))
+        width = max(width, lanes)
+        columns, known = _columns(digits, lanes, width, known)
+        hit = _scan_slab(block, program, lanes, columns)
+        if hit is not None:
+            return hit
     return None
 
 

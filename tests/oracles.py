@@ -106,14 +106,15 @@ def decode_candidate(poset: IndexPoset, n: int, atoms, candidate: int) -> Strati
     return StratifiedModel(poset, worlds, relations, valuation)
 
 
-def first_countermodel(formula, posets, max_worlds, policy, atoms):
-    """Object-level reference scan in the documented candidate order.
+def first_countermodel(formula, posets, max_worlds, policy, atoms, min_worlds=1):
+    """Object-level reference scan in the documented candidate order, over
+    the world counts min_worlds..max_worlds.
 
     Returns (model, world) for the first frame-passing falsifying
     candidate, or None.  Only usable at tiny bounds.
     """
     atoms = tuple(atoms)
-    for n in range(1, max_worlds + 1):
+    for n in range(min_worlds, max_worlds + 1):
         for poset in posets:
             k = len(poset.indices)
             total = 1 << (k * n * n + n * len(atoms))

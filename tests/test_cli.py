@@ -1,6 +1,8 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from salogic import example_model_path
 from salogic.cli import main
@@ -320,10 +322,16 @@ def test_export_unknown_highlight(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child finds the package through PYTHONPATH, whether or not the
+    # caller exported it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "salogic", "eval", SEC33, "<beta> p", "--world", "w1", "--index", "beta"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "true"

@@ -10,8 +10,6 @@ ALLOWED = {
     # At most syntax._MAX_NESTING = 128 levels: the parser counts them.
     "syntax._FormulaParser.implication",
     "syntax._FormulaParser.prefix",
-    # One level per kept index of the scanned poset.
-    "search._relation_tuples.walk",
     # Runs on parsed formulas only, so at most syntax._MAX_NESTING deep.
     "syntax._collect_indices_in_order",
 }

@@ -9,24 +9,40 @@ A change to how the search enumerates candidates must leave every entry
 unchanged.  Regenerate the goldens (only when the contract itself
 changes) with `PYTHONPATH=src python tests/test_scan_contract.py`.
 
-The admissible relation tuples a block lists must be exactly the raw
-relation space filtered by the frame conditions, in increasing order;
+The lanes of a block's slabs must be exactly the raw candidate space
+filtered by the frame conditions, slab after slab in increasing order;
 those of a projection onto some of the indices, the distinct
-restrictions of that filtered space, in increasing order.
+restrictions of that filtered space.  Each block's least hit must be
+the object-level oracle's, and the axiom matrix must keep its recorded
+digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from itertools import combinations, compress
+from math import prod
 from pathlib import Path
 
-import numpy as np
-
 from salogic import search
-from salogic.core import CoherenceMode, IndexPoset, atom_names, modal_indices
+from salogic.core import (
+    And,
+    Atom,
+    CoherenceMode,
+    Implies,
+    IndexPoset,
+    Or,
+    Program,
+    atom_names,
+    modal_indices,
+)
 from salogic.search import (
     Counterexample,
     Satisfiable,
@@ -39,6 +55,7 @@ from salogic.semantics import FramePolicy
 from salogic.syntax import parse_formula, parse_poset, print_formula, print_model
 
 from fuzz import random_formula
+from oracles import decode_candidate, first_countermodel, frame_ok, naive_eval
 
 GOLDEN = Path(__file__).with_name("witness_goldens.json")
 
@@ -156,26 +173,35 @@ def test_first_witnesses_match_goldens():
         assert entry == golden[case], case
 
 
-def raw_frame_filter(poset, n, policy) -> np.ndarray:
+def column(bit: int, size: int) -> int:
+    """The lanes among 0..size-1 whose own number has `bit` set, as an int."""
+    width = 1 << bit
+    return int(("1" * width + "0" * width) * (size // (2 * width)), 2)
+
+
+def raw_frame_filter(poset, n, policy) -> list[int]:
     """Every relation tuple of the block in increasing order, filtered by
-    the frame conditions as validate_frame states them."""
+    the frame conditions as validate_frame states them.  Tuple t is lane
+    t of a bit set, so each condition is one bitwise test per world pair."""
     rel_bits, k = n * n, len(poset.indices)
-    tuples = np.arange(1 << (k * rel_bits), dtype=np.int64)
+    size = 1 << (k * rel_bits)
     rel = {
-        idx: (tuples >> ((k - 1 - j) * rel_bits)) & ((1 << rel_bits) - 1)
+        idx: [column((k - 1 - j) * rel_bits + q, size) for q in range(rel_bits)]
         for j, idx in enumerate(poset.indices)
     }
-    ok = np.ones(tuples.shape, dtype=bool)
+    ok = (1 << size) - 1
     for low, high in poset.strict_pairs():
-        if policy.coherence is CoherenceMode.SHRINK:
-            ok &= (rel[high] & ~rel[low]) == 0
-        elif policy.coherence is CoherenceMode.GROW:
-            ok &= (rel[low] & ~rel[high]) == 0
+        for q in range(rel_bits):
+            if policy.coherence is CoherenceMode.SHRINK:
+                ok &= ~(rel[high][q] & ~rel[low][q])
+            elif policy.coherence is CoherenceMode.GROW:
+                ok &= ~(rel[low][q] & ~rel[high][q])
     if policy.require_stable_reflexive:
-        diag = sum(1 << (i * n + i) for i in range(n))
         for idx in poset.stable:
-            ok &= (rel[idx] & diag) == diag
-    return tuples[ok]
+            for i in range(n):
+                ok &= rel[idx][i * n + i]
+    flags = bin(ok)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return list(compress(range(len(flags)), flags))
 
 
 def contract_blocks() -> list[tuple[IndexPoset, int]]:
@@ -188,48 +214,231 @@ def contract_blocks() -> list[tuple[IndexPoset, int]]:
     return blocks
 
 
-def test_admissible_tuples_equal_the_filtered_raw_space():
+def slab_lanes(block, policy) -> list[list[int]]:
+    """The candidates of each slab the block lists, in lane order."""
+    slabs = []
+    for digits in search._slabs(block, policy):
+        lanes = [0]
+        for options in digits:
+            lanes = [lane + option for option in options for lane in lanes]
+        slabs.append(lanes)
+    return slabs
+
+
+def assert_slabs_list(block, policy, expected, cap):
+    """The slabs hold `expected`, each candidate once, each slab at most
+    `cap` lanes and wholly below the next."""
+    slabs = slab_lanes(block, policy)
+    assert all(0 < len(lanes) <= cap for lanes in slabs)
+    assert all(max(low) < min(high) for low, high in zip(slabs, slabs[1:]))
+    got = [candidate for lanes in slabs for candidate in lanes]
+    assert sorted(got) == expected and len(set(got)) == len(got), (block, policy)
+
+
+def test_slab_lanes_equal_the_filtered_raw_space(monkeypatch):
     for policy in POLICIES:
         for poset, n in contract_blocks():
-            block = search._Block(poset, n, ("p",))
             expected = raw_frame_filter(poset, n, policy)
-            # A small limit cuts every level into several pieces.
-            for limit in (5, 1 << 13) if n < 3 else (1 << 13,):
-                pieces = list(search._relation_tuples(block, policy, limit))
-                assert all(0 < len(piece) <= limit for piece in pieces)
-                got = np.concatenate(pieces)
-                assert np.array_equal(got, expected), (policy, poset, n, limit)
+            # Without atoms a candidate is its relation tuple.
+            assert_slabs_list(search._Block(poset, n, ()), policy, expected, search._SLAB)
+            if n < 3:
+                # A cap of 4 lanes cuts every block into many slabs, some
+                # of them one tuple crossed with a run of valuations; a cap
+                # of 2 digits per cell splits linked indices too.
+                with_valuations = [(t << (2 * n)) | v for t in expected for v in range(4**n)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(search, "_SLAB", 4)
+                    patch.setattr(search, "_PATTERNS", 2)
+                    block = search._Block(poset, n, ("p", "q"))
+                    assert_slabs_list(block, policy, with_valuations, 4)
 
 
-def projected_tuples(poset, n, policy, kept) -> np.ndarray:
-    dropped = frozenset(poset.indices) - set(kept)
-    block = search._Block(poset, n, ("p",), dropped)
-    return np.concatenate(list(search._relation_tuples(block, policy, 1 << 13)))
+def restrictions(tuples, poset, n, kept) -> set[int]:
+    """The distinct restrictions of relation tuples to the `kept` indices."""
+    rel_bits, k = n * n, len(poset.indices)
+    mask = (1 << rel_bits) - 1
+    shifts = [(k - 1 - poset.indices.index(idx)) * rel_bits for idx in kept]
+    if len(kept) < 2:
+        return {(t >> shifts[0]) & mask for t in tuples} if kept else {0}
+    return {
+        sum(((t >> s) & mask) << (rel_bits * (len(kept) - 1 - i)) for i, s in enumerate(shifts))
+        for t in tuples
+    }
 
 
-def test_projected_tuples_equal_the_restricted_filtered_space():
+def test_projected_lanes_equal_the_restricted_filtered_space():
     for policy in POLICIES:
         for poset, n in contract_blocks():
-            rel_bits, k = n * n, len(poset.indices)
+            k = len(poset.indices)
             full = raw_frame_filter(poset, n, policy)
-            for size in range(k + 1):
+            # Keeping every index is the unprojected block, checked above.
+            for size in range(k):
                 for kept in combinations(poset.indices, size):
-                    restricted = np.zeros_like(full)
-                    for idx in kept:
-                        shift = (k - 1 - poset.indices.index(idx)) * rel_bits
-                        mask = (full >> shift) & ((1 << rel_bits) - 1)
-                        restricted = (restricted << rel_bits) | mask
-                    got = projected_tuples(poset, n, policy, kept)
-                    assert np.array_equal(got, np.unique(restricted)), (
-                        policy, poset, n, kept,
-                    )
+                    restricted = restrictions(full, poset, n, kept)
+                    block = search._Block(poset, n, (), frozenset(poset.indices) - set(kept))
+                    assert_slabs_list(block, policy, sorted(restricted), search._SLAB)
     # Among them the case that needs the whole poset: under shrink the
     # dropped stable `b` above `a` puts the diagonal inside R_b within R_a.
     chain_stable_b = SHAPES["chain-stable-b"][1]
     for n in (1, 2, 3):
         diag = sum(1 << (i * n + i) for i in range(n))
-        got = projected_tuples(chain_stable_b, n, FramePolicy(CoherenceMode.SHRINK), ("a",))
-        assert len(got) == 1 << (n * n - n) and ((got & diag) == diag).all()
+        block = search._Block(chain_stable_b, n, (), frozenset({"b"}))
+        lanes = [t for slab in slab_lanes(block, FramePolicy(CoherenceMode.SHRINK)) for t in slab]
+        assert len(lanes) == 1 << (n * n - n) and all(t & diag == diag for t in lanes)
+
+
+def oracle_hits(formula, poset, n, policy, atoms, kept) -> int | None:
+    """Least restriction to `kept` of the block's falsifying candidates,
+    by object-level enumeration."""
+    k, rel_bits, val_bits = len(poset.indices), n * n, n * len(atoms)
+    least = None
+    for candidate in range(1 << (k * rel_bits + val_bits)):
+        model = decode_candidate(poset, n, atoms, candidate)
+        if not frame_ok(model, policy):
+            continue
+        if all(naive_eval(model, w, formula) for w in model.worlds):
+            continue
+        rest, restricted = candidate >> val_bits, 0
+        for idx in kept:
+            shift = (k - 1 - poset.indices.index(idx)) * rel_bits
+            restricted = (restricted << rel_bits) | ((rest >> shift) & ((1 << rel_bits) - 1))
+        restricted = (restricted << val_bits) | (candidate & ((1 << val_bits) - 1))
+        least = restricted if least is None else min(least, restricted)
+    return least
+
+
+def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
+    # One-index shapes at 1-3 worlds; two-index shapes at 1-2 worlds, in
+    # full and projected onto each index the formula leaves out; each at
+    # the default slab size and at 16 lanes, where every block has many.
+    rng = random.Random(5521)
+    shapes = [(IndexPoset.from_order(("a",)), 3), (SHAPES["single-stable"][1], 3)]
+    shapes += [(poset, 2) for poset in enumerated_posets(2)]
+    shapes += [(SHAPES[name][1], 2) for name in ("chain-stable-b", "declared-b-below-a")]
+    hits = misses = projected = 0
+    for policy in POLICIES:
+        for poset, max_worlds in shapes:
+            for n in range(1, max_worlds + 1):
+                names = ("a", "b") if len(poset.indices) == 2 else ("a",)
+                names = rng.choice([(name,) for name in names] + [names])
+                formula = random_formula(rng, 3, atoms=("p",), indices=names)
+                atoms = atom_names(formula)
+                program = Program(formula)
+                block = search._Block(poset, n, atoms)
+                expected = first_countermodel(formula, (poset,), n, policy, atoms, min_worlds=n)
+                dropped = frozenset(poset.indices) - set(modal_indices(formula))
+                if dropped and len(poset.indices) > 1:
+                    kept = tuple(i for i in poset.indices if i not in dropped)
+                    least = oracle_hits(formula, poset, n, policy, atoms, kept)
+                    projected += 1
+                for cap in (1 << 16, 16):
+                    monkeypatch.setattr(search, "_SLAB", cap)
+                    hit = search._first_hit(block, program, policy)
+                    if expected is None:
+                        assert hit is None, (policy, poset, n, formula)
+                    else:
+                        assert hit is not None and search._decode(block, hit) == expected[0]
+                    if dropped and len(poset.indices) > 1:
+                        got = search._first_hit(replace(block, dropped=dropped), program, policy)
+                        assert got == least, (policy, poset, n, formula, cap)
+                hits += expected is not None
+                misses += expected is None
+    assert hits > 30 and misses > 10 and projected > 10
+
+
+def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
+    # At 32 lanes the chain's 2-world slabs differ in width, and this
+    # formula's least hit lies in a slab narrower than one before it,
+    # which reuses the columns built at the wider width.
+    chain = IndexPoset.from_order(("a", "b"), [("a", "b")])
+    formula = parse_formula("~(<a>(p -> p) & p & [a](~p & <a>p))")
+    policy = FramePolicy(CoherenceMode.SHRINK)
+    model, _world = first_countermodel(formula, (chain,), 2, policy, ("p",), min_worlds=2)
+    monkeypatch.setattr(search, "_SLAB", 32)
+    block = search._Block(chain, 2, ("p",))
+    widths = [prod(map(len, digits)) for digits in search._slabs(block, policy)]
+    hit = search._first_hit(block, Program(formula), policy)
+    assert search._decode(block, hit) == model
+    assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
+
+
+def test_wide_valuations_keep_ints_within_the_slab():
+    # 20 atoms at one world: 2^20 valuations, so every slab is a run of
+    # them and no value the program computes exceeds _SLAB bits.
+    names = [f"p{i}" for i in range(20)]
+    conj = Atom(names[0])
+    for name in names[1:]:
+        conj = And(conj, Atom(name))
+    formula = Implies(conj, Or(Atom(names[7]), Atom(names[19])))
+    widest = []
+    run = Program.run
+
+    def spy(self, full, atom, diamond):
+        values = run(self, full, atom, diamond)
+        widest.append(max(value.bit_length() for value in values))
+        return values
+
+    original = Program.run
+    Program.run = spy
+    try:
+        verdict = decide_valid(formula, SearchBounds(1, 1))
+    finally:
+        Program.run = original
+    assert type(verdict).__name__ == "ValidUpTo"
+    assert len(widest) == 16 and max(widest) <= search._SLAB
+
+
+# Run in a fresh interpreter under a fixed hash seed; prints the sha256 of
+# a text dump of each reflexivity setting's matrix.
+_MATRIX_DUMP = textwrap.dedent(
+    """
+    import hashlib, json
+    from salogic.core import AxiomProfile, CoherenceMode
+    from salogic.search import SearchBounds, ValidUpTo, axiom_matrix
+    from salogic.syntax import print_formula, print_model
+
+    digests = {}
+    for refl in (True, False):
+        rows = axiom_matrix(
+            tuple(AxiomProfile), tuple(CoherenceMode), SearchBounds(3, 2),
+            require_stable_reflexive=refl,
+        )
+        lines = []
+        for row in rows:
+            lines.append(" ".join([
+                row.schema, row.mode.value, " ".join(row.poset.indices),
+                " ".join(f"{a}<={b}" for a, b in row.poset.strict_pairs()),
+                "stable:" + " ".join(i for i in row.poset.indices if i in row.poset.stable),
+                row.alpha, row.beta, print_formula(row.formula),
+                str(row.require_stable_reflexive), type(row.verdict).__name__,
+            ]))
+            if not isinstance(row.verdict, ValidUpTo):
+                lines.append(f"{row.verdict.world} {row.verdict.index}")
+                lines.append(print_model(row.verdict.model))
+        digests[str(refl).lower()] = hashlib.sha256("\\n".join(lines).encode()).hexdigest()
+    print(json.dumps(digests))
+    """
+)
+
+# Recorded before the scan moved from numpy to Python ints.
+MATRIX_DIGESTS = {
+    "true": "b444fe568aed60beeec73ea76cc201a58e1f4ec9fa5ca6015b98fc965e377925",
+    "false": "85acb091a4cbdf4e7c6dc0f73a277cf46d2846d8b1e87566ab091e5c1deaf15b",
+}
+
+
+def test_axiom_matrix_dump_matches_digest():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "PYTHONHASHSEED": "0",
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", _MATRIX_DUMP], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(result.stdout) == MATRIX_DIGESTS
 
 
 if __name__ == "__main__":

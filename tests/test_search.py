@@ -197,11 +197,11 @@ def test_determinism_and_worker_equivalence():
         assert again == runs[0]
 
 
-def test_small_chunks_and_worker_counts_keep_witnesses(monkeypatch):
-    # A chunk of 4 candidates holds one relation tuple of a 2-world block
-    # with one atom (and a quarter of one with two), so the blocks split
-    # into many chunks.  Only `a` is named here: one world has no
-    # countermodel, and on two worlds the projection onto `a` hits.
+def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
+    # A slab of 4 lanes holds one relation tuple of a 2-world block with
+    # one atom (and a quarter of one with two), so the blocks split into many
+    # slabs.  Only `a` is named here: one world has no countermodel, and
+    # on two worlds the projection onto `a` hits.
     spread = parse_formula("p -> [a]p")
     # Needs both worlds a-reflexive and a b-pair.
     late = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p) & <b>p)")
@@ -213,48 +213,64 @@ def test_small_chunks_and_worker_counts_keep_witnesses(monkeypatch):
         parse_formula("<a>(p & ~p)"),
         spread,
         late,
+        parse_formula("[b](p -> q) -> ([b]p -> [b]q) & (<a>q -> p)"),
     ]
     bounds = SearchBounds(2, 2)
-    expected = [decide_valid(formula, bounds, SHRINK) for formula in formulas]
+    shapes = enumerated_posets(2)
+    expected = []
+    for formula in formulas:
+        found = first_countermodel(formula, shapes, 2, SHRINK, core.atom_names(formula))
+        expected.append(found)
+        verdict = decide_valid(formula, bounds, SHRINK)
+        assert (found is None) == isinstance(verdict, ValidUpTo)
     matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
     expected_rows = axiom_matrix(*matrix_args)
 
-    monkeypatch.setattr(search, "_CHUNK", 4)
-    scan_chunk = search._scan_chunk
+    monkeypatch.setattr(search, "_SLAB", 4)
+    scan_slab = search._scan_slab
     scanned = []
 
-    def recording_scan_chunk(block, ops, tuples, lo, hi):
-        hit = scan_chunk(block, ops, tuples, lo, hi)
-        scanned.append((block.n, block.dropped, len(tuples), hit))
+    def recording_scan_slab(block, program, lanes, columns):
+        hit = scan_slab(block, program, lanes, columns)
+        scanned.append((block.n, block.dropped, lanes, hit))
         return hit
 
-    monkeypatch.setattr(search, "_scan_chunk", recording_scan_chunk)
-    for formula, verdict in zip(formulas, expected):
+    monkeypatch.setattr(search, "_scan_slab", recording_scan_slab)
+    for formula, found in zip(formulas, expected):
         for workers in (1, 2, 3, 5, 100_000):
-            assert decide_valid(formula, bounds, SHRINK, workers=workers) == verdict
+            verdict = decide_valid(formula, bounds, SHRINK, workers=workers)
+            if found is None:
+                assert isinstance(verdict, ValidUpTo)
+            else:
+                assert (verdict.model, verdict.world) == found
     assert axiom_matrix(*matrix_args, workers=3) == expected_rows
+    assert scanned and all(0 < lanes <= 4 for _n, _d, lanes, _h in scanned)
 
-    def chunks(formula):
+    def slabs(formula):
         scanned.clear()
         decide_valid(formula, bounds, SHRINK)
         return list(scanned)
 
-    # A formula with no modal index scans one empty tuple per block.
+    # A formula with no modal index scans valuations only, in runs of at
+    # most 4.
     assert all(
-        dropped == {"a", "b"} and size == 1 and hit is None
-        for _n, dropped, size, hit in chunks(tautology)
+        dropped == {"a", "b"} and lanes <= 4 and hit is None
+        for _n, dropped, lanes, hit in slabs(tautology)
     )
     # A formula naming every index scans each block once, in full.
-    assert all(dropped == frozenset() for _n, dropped, _s, _h in chunks(late))
+    assert all(dropped == frozenset() for _n, dropped, _l, _h in slabs(late))
     # A projected hit is followed by a full scan of the same block, which
     # ends at the block's least hit.
-    got = chunks(spread)
-    first = next(i for i, (_n, _d, _s, hit) in enumerate(got) if hit is not None)
+    got = slabs(spread)
+    first = next(i for i, (_n, _d, _l, hit) in enumerate(got) if hit is not None)
     assert got[first][:2] == (2, {"b"})
-    assert all(dropped == {"b"} for _n, dropped, _s, _h in got[: first + 1])
+    assert all(dropped == {"b"} for _n, dropped, _l, _h in got[: first + 1])
     rescan = got[first + 1 :]
-    assert rescan and all((n, dropped) == (2, frozenset()) for n, dropped, _s, _h in rescan)
+    assert len(rescan) > 1
+    assert all((n, dropped) == (2, frozenset()) for n, dropped, _l, _h in rescan)
     assert [hit is not None for *_rest, hit in rescan] == [False] * (len(rescan) - 1) + [True]
+    model, world = expected[formulas.index(spread)]
+    assert search._decode(search._Block(model.poset, 2, ("p",)), rescan[-1][3]) == model
 
 
 def test_ceiling_and_bit_guard():
