@@ -76,13 +76,30 @@ of the slab's hits.  A hit is rebuilt as a plain StratifiedModel and
 re-checked through semantics.satisfying_worlds and
 semantics.validate_frame before it is reported, so every emitted witness
 has already survived the independent scalar evaluator.
+
+Scan plans.  A block's slabs and their columns depend only on its
+layout (_Layout): the world count, the valuation bits and, for each kept
+index, the inclusions, cell group and forced diagonal the policy gives
+it; index names, atom names and the formula are not part of it.  A
+block that fits one slab is scanned with its layout's (lanes, columns)
+plan from _PLANS, a process-wide LRU keyed by the layout, _SLAB and
+_PATTERNS that holds at most _PLAN_BYTES (4 MiB) of column data; so the
+columns of a layout are built once per process, however many queries
+and axiom_matrix rows share it.  A plan larger than the budget is
+scanned and not kept, and a block of several slabs builds its columns
+slab by slab as it is scanned.  A plan is a function of its key and is
+only read, so no verdict or witness depends on what the cache holds.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from math import prod
+from threading import Lock
+from typing import NamedTuple
 
 from .core import (
     AxiomProfile,
@@ -118,6 +135,7 @@ DEFAULT_CEILING = 10**9
 _SLAB = 1 << 16  # lanes per slab, at most
 _PATTERNS = 1 << 10  # digits of one cell in a slab, at most
 _MAX_CANDIDATE_BITS = 62  # raw candidate bits, at most
+_PLAN_BYTES = 1 << 22  # bytes of one-slab plans kept, at most
 
 
 @dataclass(frozen=True)
@@ -280,10 +298,82 @@ def _decode(block: _Block, candidate: int) -> StratifiedModel:
     return StratifiedModel(block.poset, worlds, relations, valuation)
 
 
+class _Layout(NamedTuple):
+    """What a block's admissible candidates, and so its slabs and their
+    columns, depend on: the world count, the valuation bits and, for each
+    kept index j, its inside[j] / around[j] masks (the earlier kept
+    indices whose relation the policy puts within / around j's, as bits
+    of a pattern shifted to p = 0), its cell group and whether its
+    diagonal is forced.  Index names, atom names and the formula are not
+    part of it, so blocks that differ only in those share one layout."""
+
+    n: int
+    val_bits: int
+    inside: tuple[int, ...]
+    around: tuple[int, ...]
+    cell: tuple[int, ...]
+    reflexive: tuple[bool, ...]
+
+
+def _layout(block: _Block, policy: FramePolicy) -> _Layout:
+    """The block's layout under the policy.
+
+    The inclusions (closed under transitivity) and the reflexive levels
+    come from the whole poset, so a projection lists exactly the
+    restrictions of the full admissible candidates: a dropped index can
+    take the union of the kept relations that must sit inside it, plus
+    the diagonal when it is reflexive.
+    """
+    poset, kept = block.poset, block.kept
+    k = len(kept)
+    ipos = {idx: i for i, idx in enumerate(kept)}
+    # A stable level's diagonal spreads along the inclusions.
+    stable = poset.stable if policy.require_stable_reflexive else frozenset()
+    reflexive = set(stable)
+    inside, around = [0] * k, [0] * k
+    group = list(range(k))  # a label per kept index, shared by linked ones
+    if policy.coherence is not CoherenceMode.NONE:
+        for low, high in poset.strict_pairs():
+            # The policy puts R_sub within R_sup.
+            if policy.coherence is CoherenceMode.SHRINK:
+                sub, sup = high, low
+            else:
+                sub, sup = low, high
+            if sub in stable:
+                reflexive.add(sup)
+            if sub not in ipos or sup not in ipos:
+                continue
+            i, j = sorted((ipos[sub], ipos[sup]))
+            mask = 1 << ((k - 1 - i) * block.rel_bits)
+            if ipos[sub] < ipos[sup]:
+                inside[j] |= mask
+            else:
+                around[j] |= mask
+            group = [group[i] if g == group[j] else g for g in group]
+    labels = sorted(set(group))
+    return _Layout(
+        block.n,
+        block.val_bits,
+        tuple(inside),
+        tuple(around),
+        tuple(labels.index(g) for g in group),
+        tuple(idx in reflexive for idx in kept),
+    )
+
+
 def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
     """The block's frame-admissible candidates, in slabs of at most _SLAB
-    lanes, in increasing order: every candidate of a slab is below every
-    candidate of the next.
+    lanes, in increasing order: the digit lists of the slabs _split
+    lists for the block's layout."""
+    for _depth, digits in _split(_layout(block, policy)):
+        yield digits
+
+
+def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
+    """The layout's frame-admissible candidates, in slabs of at most
+    _SLAB lanes, in increasing order: every candidate of a slab is below
+    every candidate of the next.  Each slab comes with the number of top
+    bits it fixes, which is 0 only when it is the whole block.
 
     A slab is a list of digit lists, one per valuation bit and then one
     per cell: a relation bit position p (pair (w_i, w_j) at p = i*n + j)
@@ -303,50 +393,19 @@ def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
     bits; with every relation bit fixed, a slab is one relation tuple
     crossed with a run of valuations.
 
-    The inclusions (closed under transitivity) and the reflexive levels
-    come from the whole poset, so a projection lists exactly the
-    restrictions of the full admissible candidates: a dropped index can
-    take the union of the kept relations that must sit inside it, plus
-    the diagonal when it is reflexive.  Given the bits of the earlier
-    kept indices at p, index j's bit there is forced to 1 when one of
-    them sits inside it (or p is on the diagonal and j is reflexive) and
-    to 0 when one around it is 0; so every admissible prefix extends.
+    Given the bits of the earlier kept indices at p, index j's bit there
+    is forced to 1 when one of them sits inside it (or p is on the
+    diagonal and j is reflexive) and to 0 when one around it is 0; so
+    every admissible prefix extends.
     """
-    n, rel_bits, val_bits = block.n, block.rel_bits, block.val_bits
-    poset, kept = block.poset, block.kept
-    k = len(kept)
+    n, val_bits = layout.n, layout.val_bits
+    inside, around, cell_of = layout.inside, layout.around, layout.cell
+    rel_bits = n * n
+    k = len(cell_of)
     total_bits = k * rel_bits + val_bits
-    ipos = {idx: i for i, idx in enumerate(kept)}
-    # A stable level's diagonal spreads along the inclusions.
-    stable = poset.stable if policy.require_stable_reflexive else frozenset()
-    reflexive = set(stable)
-    # inside[j] / around[j]: the earlier kept indices whose relation policy
-    # puts within / around index j's, as bits of a pattern shifted to p = 0.
-    inside, around = [0] * k, [0] * k
-    group = list(range(k))  # a label per kept index, shared by linked ones
-    if policy.coherence is not CoherenceMode.NONE:
-        for low, high in poset.strict_pairs():
-            # The policy puts R_sub within R_sup.
-            if policy.coherence is CoherenceMode.SHRINK:
-                sub, sup = high, low
-            else:
-                sub, sup = low, high
-            if sub in stable:
-                reflexive.add(sup)
-            if sub not in ipos or sup not in ipos:
-                continue
-            i, j = sorted((ipos[sub], ipos[sup]))
-            mask = 1 << ((k - 1 - i) * rel_bits)
-            if ipos[sub] < ipos[sup]:
-                inside[j] |= mask
-            else:
-                around[j] |= mask
-            group = [group[i] if g == group[j] else g for g in group]
     # Unlinked indices are independent: each group of linked ones has its
     # own digit list (a cell) at every position.
-    labels = sorted(set(group))
-    cell_of = [labels.index(g) for g in group]
-    members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(labels))]
+    members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(set(cell_of)))]
     cells = [(p, m) for p in range(rel_bits) for m in members]
     cell_bits = [
         sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
@@ -364,7 +423,7 @@ def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
             if found and not fixed & bit and 1 << (len(group_members) - place) > _PATTERNS:
                 return None
             choices = (value & bit,) if fixed & bit else (0, bit)
-            diagonal = p % (n + 1) == 0 and kept[j] in reflexive
+            diagonal = p % (n + 1) == 0 and layout.reflexive[j]
             grown = []
             for pattern in found:
                 at_p = pattern >> shift
@@ -400,7 +459,7 @@ def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
                 [0, 1 << b] if b < free else [value & 1 << b] for b in range(val_bits)
             ]
             order = sorted(range(len(cells)), key=lambda c: fixed_since(c, free))
-            yield valuations + [digits[c] for c in order]
+            yield depth, valuations + [digits[c] for c in order]
             continue
         bit = 1 << (free - 1)
         if free <= val_bits:
@@ -528,15 +587,72 @@ def _scan_slab(
     return candidate
 
 
-def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
-    """Least falsifying candidate of the block, or None.  Slabs are
-    scanned in increasing order, so the first that hits holds it."""
+class _PlanCache:
+    """The (lanes, columns) plans of layouts that fit one slab, keyed by
+    the layout and the slab caps, holding at most _PLAN_BYTES of column
+    dicts and ints as sys.getsizeof counts them.  The least recently used
+    plan is evicted first; a plan that alone exceeds the budget is not
+    kept.  A plan is a function of its key, so what the cache holds
+    changes no verdict."""
+
+    def __init__(self):
+        self.plans: OrderedDict = OrderedDict()  # key -> (plan, its size)
+        self.held = 0
+        self.lock = Lock()
+
+    def get(self, key) -> tuple[int, dict[int, int]] | None:
+        with self.lock:
+            entry = self.plans.get(key)
+            if entry is None:
+                return None
+            self.plans.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, plan: tuple[int, dict[int, int]]) -> None:
+        columns = plan[1]
+        size = sys.getsizeof(columns) + sum(map(sys.getsizeof, columns.values()))
+        if size > _PLAN_BYTES:
+            return
+        with self.lock:
+            if key in self.plans:
+                return
+            self.plans[key] = (plan, size)
+            self.held += size
+            while self.held > _PLAN_BYTES:
+                _key, (_plan, evicted) = self.plans.popitem(last=False)
+                self.held -= evicted
+
+
+_PLANS = _PlanCache()
+
+
+def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
+    """The (lanes, columns) pair of each of the block's slabs, in
+    increasing order.  A block that fits one slab takes its pair from
+    _PLANS, so the columns of its layout are built once per process; a
+    larger block builds each slab's as it is scanned, reusing those it
+    shares with the slab before."""
+    layout = _layout(block, policy)
+    key = (layout, _SLAB, _PATTERNS)
+    cached = _PLANS.get(key)
+    if cached is not None:
+        yield cached
+        return
     known: dict = {}
     width = 0
-    for digits in _slabs(block, policy):
+    for depth, digits in _split(layout):
         lanes = prod(map(len, digits))
         width = max(width, lanes)
         columns, known = _columns(digits, lanes, width, known)
+        if not depth:
+            _PLANS.put(key, (lanes, columns))
+        yield lanes, columns
+
+
+def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
+    """Least falsifying candidate of the block, or None.  Slabs are
+    scanned in increasing order, so the first that hits holds it."""
+    for lanes, columns in _plan(block, policy):
         hit = _scan_slab(block, program, lanes, columns)
         if hit is not None:
             return hit

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from salogic import example_model_path
 from salogic.cli import main as cli_main
@@ -271,8 +272,12 @@ print(blob, end="")
 def test_criterion_7_reproducibility_and_worker_equivalence():
     with criterion(7, "byte-identical verdicts across runs and worker counts", 240.0):
         outputs = []
+        # The child finds the package through PYTHONPATH, whether or not
+        # the caller exported it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for seed in ("1", "77", "2026"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             result = subprocess.run(
                 [sys.executable, "-c", _REPRO_SCRIPT],
                 capture_output=True,

@@ -26,6 +26,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import combinations, compress
 from math import prod
@@ -35,6 +36,7 @@ from salogic import search
 from salogic.core import (
     And,
     Atom,
+    AxiomProfile,
     CoherenceMode,
     Implies,
     IndexPoset,
@@ -47,10 +49,12 @@ from salogic.search import (
     Counterexample,
     Satisfiable,
     SearchBounds,
+    axiom_matrix,
     decide_sat,
     decide_valid,
     enumerated_posets,
 )
+from salogic.errors import CycleError
 from salogic.semantics import FramePolicy
 from salogic.syntax import parse_formula, parse_poset, print_formula, print_model
 
@@ -360,6 +364,135 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     hit = search._first_hit(block, Program(formula), policy)
     assert search._decode(block, hit) == model
     assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
+
+
+def plan_key(block, policy):
+    return (search._layout(block, policy), search._SLAB, search._PATTERNS)
+
+
+def kept_subsets(poset):
+    for size in range(len(poset.indices) + 1):
+        yield from combinations(poset.indices, size)
+
+
+def three_index_posets() -> list[IndexPoset]:
+    """Every partial order on a, b, c, with every stable set."""
+    names = ("a", "b", "c")
+    pairs = [(x, y) for x in names for y in names if x != y]
+    orders = set()
+    for mask in range(1 << len(pairs)):
+        try:
+            chosen = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+            poset = IndexPoset.from_order(names, chosen)
+        except CycleError:
+            continue
+        orders.add(poset.order)
+    return [
+        IndexPoset(names, order, frozenset(stable))
+        for order in sorted(orders, key=sorted)
+        for size in range(4)
+        for stable in combinations(names, size)
+    ]
+
+
+def test_cached_plans_equal_fresh_plans(monkeypatch):
+    # A plan is a function of its key: blocks with one key list the same
+    # digits, and each block's plan taken from a cache that earlier blocks
+    # filled equals the plan built from the block alone.  The blocks are
+    # every shape at 1-3 worlds and every 3-index poset at one world.
+    warm = search._PlanCache()
+    digits_of = {}
+    served = 0
+    blocks = contract_blocks() + [(poset, 1) for poset in three_index_posets()]
+    for policy in POLICIES:
+        for poset, n in blocks:
+            atoms = ("p",) if n < 3 else ()
+            for kept in kept_subsets(poset):
+                block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
+                key = plan_key(block, policy)
+                digits = list(search._slabs(block, policy))
+                assert digits_of.setdefault(key, digits) == digits, (policy, poset, n, kept)
+                served += key in warm.plans
+                monkeypatch.setattr(search, "_PLANS", warm)
+                cached = list(search._plan(block, policy))
+                monkeypatch.setattr(search, "_PLANS", search._PlanCache())
+                assert cached == list(search._plan(block, policy)), (policy, poset, n, kept)
+    assert served > 7000 and len(digits_of) < 200
+
+    # Index names are not part of the layout: `a` in the chain and `b` in
+    # the antichain, each alone, share one plan.
+    antichain, chain = enumerated_posets(2)
+    a_in_chain = search._Block(chain, 2, ("p",), frozenset({"b"}))
+    b_in_antichain = search._Block(antichain, 2, ("p",), frozenset({"a"}))
+    built = []
+    columns = search._columns
+    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+    for policy in POLICIES:
+        cache = search._PlanCache()
+        monkeypatch.setattr(search, "_PLANS", cache)
+        assert list(search._plan(a_in_chain, policy)) == list(search._plan(b_in_antichain, policy))
+        assert len(cache.plans) == 1
+    assert len(built) == len(POLICIES)
+
+
+def test_a_repeated_query_builds_no_columns(monkeypatch):
+    # Every block at 2 worlds fits one slab, so once the first run has
+    # planned them, the same queries build no columns.
+    policy = FramePolicy(CoherenceMode.SHRINK)
+    bounds = SearchBounds(2, 2)
+    formulas = [parse_formula(text) for text in ("[a]p -> [b]p", "<b>p -> <a>p", "p | ~p")]
+    matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
+    first = [decide_valid(formula, bounds, policy) for formula in formulas]
+    rows = axiom_matrix(*matrix_args)
+    built = []
+    columns = search._columns
+    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+    assert [decide_valid(formula, bounds, policy) for formula in formulas] == first
+    assert axiom_matrix(*matrix_args) == rows
+    assert built == []
+
+
+def test_the_plan_cache_keeps_its_budget(monkeypatch):
+    # Replays a seeded run of scans against a reference LRU: after every
+    # scan the cache holds exactly the reference's plans, least recent
+    # first, within the budget; a plan larger than the budget is scanned
+    # and not kept, and every hit equals the one found at the default
+    # budget.
+    rng = random.Random(2113)
+    items = []
+    for policy in POLICIES:
+        for poset, n in contract_blocks():
+            for kept in kept_subsets(poset):
+                if n < 3 or len(kept) < 2:
+                    block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
+                    formula = random_formula(rng, 3, ("p",), kept) if kept else Atom("p")
+                    items.append((block, policy, Program(formula), plan_key(block, policy)))
+    cache = search._PlanCache()
+    monkeypatch.setattr(search, "_PLANS", cache)
+    hits = [search._first_hit(block, program, policy) for block, policy, program, _k in items]
+    sizes = {key: size for key, (_plan, size) in cache.plans.items()}
+    budget = sorted(sizes.values())[len(sizes) // 2] * 4
+    monkeypatch.setattr(search, "_PLAN_BYTES", budget)
+    cache = search._PlanCache()
+    monkeypatch.setattr(search, "_PLANS", cache)
+    expected: OrderedDict = OrderedDict()
+    evicted = skipped = 0
+    for _step in range(600):
+        i = rng.randrange(len(items))
+        block, policy, program, key = items[i]
+        if key in expected:
+            expected.move_to_end(key)
+        elif sizes.get(key, budget + 1) > budget:
+            skipped += key in sizes
+        else:
+            expected[key] = sizes[key]
+            while sum(expected.values()) > budget:
+                expected.popitem(last=False)
+                evicted += 1
+        assert search._first_hit(block, program, policy) == hits[i]
+        assert list(cache.plans) == list(expected)
+        assert cache.held == sum(expected.values()) <= budget
+    assert evicted > 100 and skipped > 40
 
 
 def test_wide_valuations_keep_ints_within_the_slab():
