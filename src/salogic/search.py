@@ -29,12 +29,28 @@ One scan path.  decide_valid (and through it decide_sat) and each
 axiom_matrix row compile the query once to a core.Program, whose atoms
 and indices size and check the blocks.  _blocks lists the blocks and
 raises BoundsTooLarge at the first one past the ceiling, before any is
-scanned; _first_counterexample scans them one after another, each in
-slabs of at most _SLAB admissible candidates in increasing order, in one
-thread.  The `workers` argument is kept for compatibility and does not
-change the scan.  axiom_matrix keeps one dict of verdicts per mode, keyed
-by the instance formula and its poset variants, so an instance that
-recurs under a mode (A4 and DDOWN at a reflexive pair) is scanned once.
+scanned; _first_counterexample scans them, each in slabs of at most
+_SLAB admissible candidates in increasing order, in one thread.  The
+`workers` argument is kept for compatibility and does not change the
+scan.  axiom_matrix builds each schema instance and its program once per
+call, and keeps one dict of verdicts per mode, keyed by the instance
+formula and its poset variants, so an instance that recurs under a mode
+(A4 and DDOWN at a reflexive pair) is scanned once.
+
+Scan order.  The order blocks are scanned in is not the candidate order.
+A countermodel on n' worlds extends to one on any n > n': add worlds
+that see only themselves under every index, true at no atom.  The old
+worlds see none of them, so every formula keeps its truth value there
+(a disjoint union; Blackburn, de Rijke and Venema, Modal Logic, 2001,
+section 2.1); and coherence and stable reflexivity constrain each world
+pair on its own, which the new pairs meet: every index holds each new
+diagonal pair and no other.  So when no block at max_worlds hits, no
+block does.  _first_counterexample therefore probes the blocks at
+max_worlds first, in poset order, up to the first that hits, and
+returns None when none does: a ValidUpTo verdict scans one block per
+poset.  Otherwise it scans the blocks in candidate order, each at most
+once, taking the probed ones' results from the probe, and the first
+that hits holds the enumeration-order minimum.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
@@ -80,15 +96,18 @@ has already survived the independent scalar evaluator.
 Scan plans.  A block's slabs and their columns depend only on its
 layout (_Layout): the world count, the valuation bits and, for each kept
 index, the inclusions, cell group and forced diagonal the policy gives
-it; index names, atom names and the formula are not part of it.  A
-block that fits one slab is scanned with its layout's (lanes, columns)
-plan from _PLANS, a process-wide LRU keyed by the layout, _SLAB and
-_PATTERNS that holds at most _PLAN_BYTES (4 MiB) of column data; so the
-columns of a layout are built once per process, however many queries
-and axiom_matrix rows share it.  A plan larger than the budget is
-scanned and not kept, and a block of several slabs builds its columns
-slab by slab as it is scanned.  A plan is a function of its key and is
-only read, so no verdict or witness depends on what the cache holds.
+it; index names, atom names and the formula are not part of it.  The
+layout of a block scanned before is memoized, and _PLANS, a
+process-wide LRU keyed by the layout, _SLAB and _PATTERNS, holds the
+(lanes, columns) plan of the first slab of every layout it has seen,
+within _PLAN_BYTES (4 MiB) of column data.  So the first slab's columns
+of a layout are built once per process, however many queries and
+axiom_matrix rows share it: a block that fits one slab, or whose first
+slab hits, builds none once warm.  Later slabs build their columns as
+they are scanned, reusing those they share with the slab before.  A
+plan larger than the budget is scanned and not kept.  A plan is a
+function of its key and is only read, so no verdict or witness depends
+on what the cache holds.
 """
 
 from __future__ import annotations
@@ -97,6 +116,7 @@ import sys
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import prod
 from threading import Lock
 from typing import NamedTuple
@@ -135,7 +155,7 @@ DEFAULT_CEILING = 10**9
 _SLAB = 1 << 16  # lanes per slab, at most
 _PATTERNS = 1 << 10  # digits of one cell in a slab, at most
 _MAX_CANDIDATE_BITS = 62  # raw candidate bits, at most
-_PLAN_BYTES = 1 << 22  # bytes of one-slab plans kept, at most
+_PLAN_BYTES = 1 << 22  # bytes of first-slab plans kept, at most
 
 
 @dataclass(frozen=True)
@@ -315,6 +335,7 @@ class _Layout(NamedTuple):
     reflexive: tuple[bool, ...]
 
 
+@lru_cache(maxsize=1024)
 def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     """The block's layout under the policy.
 
@@ -322,7 +343,8 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     come from the whole poset, so a projection lists exactly the
     restrictions of the full admissible candidates: a dropped index can
     take the union of the kept relations that must sit inside it, plus
-    the diagonal when it is reflexive.
+    the diagonal when it is reflexive.  Memoized, so a block scanned
+    before builds no layout.
     """
     poset, kept = block.poset, block.kept
     k = len(kept)
@@ -588,19 +610,21 @@ def _scan_slab(
 
 
 class _PlanCache:
-    """The (lanes, columns) plans of layouts that fit one slab, keyed by
-    the layout and the slab caps, holding at most _PLAN_BYTES of column
-    dicts and ints as sys.getsizeof counts them.  The least recently used
-    plan is evicted first; a plan that alone exceeds the budget is not
-    kept.  A plan is a function of its key, so what the cache holds
-    changes no verdict."""
+    """The first slab's plan of each layout, keyed by the layout and the
+    slab caps, holding at most _PLAN_BYTES of column dicts and ints as
+    sys.getsizeof counts them.  A plan is (lanes, columns, known): the
+    periodic columns _columns hands on to the next slab, or None when
+    the slab is the whole block.  The least recently used plan is
+    evicted first; a plan that alone exceeds the budget is not kept.  A
+    plan is a function of its key, so what the cache holds changes no
+    verdict."""
 
     def __init__(self):
         self.plans: OrderedDict = OrderedDict()  # key -> (plan, its size)
         self.held = 0
         self.lock = Lock()
 
-    def get(self, key) -> tuple[int, dict[int, int]] | None:
+    def get(self, key) -> tuple[int, dict[int, int], dict | None] | None:
         with self.lock:
             entry = self.plans.get(key)
             if entry is None:
@@ -608,9 +632,12 @@ class _PlanCache:
             self.plans.move_to_end(key)
         return entry[0]
 
-    def put(self, key, plan: tuple[int, dict[int, int]]) -> None:
-        columns = plan[1]
+    def put(self, key, plan: tuple[int, dict[int, int], dict | None]) -> None:
+        _lanes, columns, known = plan
+        # known's columns are the first slab's own, counted once.
         size = sys.getsizeof(columns) + sum(map(sys.getsizeof, columns.values()))
+        if known is not None:
+            size += sys.getsizeof(known) + sum(sys.getsizeof(built) for _l, built in known.values())
         if size > _PLAN_BYTES:
             return
         with self.lock:
@@ -628,24 +655,27 @@ _PLANS = _PlanCache()
 
 def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
     """The (lanes, columns) pair of each of the block's slabs, in
-    increasing order.  A block that fits one slab takes its pair from
-    _PLANS, so the columns of its layout are built once per process; a
-    larger block builds each slab's as it is scanned, reusing those it
-    shares with the slab before."""
-    layout = _layout(block, policy)
-    key = (layout, _SLAB, _PATTERNS)
-    cached = _PLANS.get(key)
-    if cached is not None:
-        yield cached
-        return
-    known: dict = {}
+    increasing order.  The first slab's pair comes from _PLANS, so it is
+    built once per layout and process; each later slab's is built as it
+    is scanned, reusing the columns it shares with the slab before."""
+    key = (_layout(block, policy), _SLAB, _PATTERNS)
+    first = _PLANS.get(key)
+    slabs = _split(key[0])
+    known: dict | None = {}
     width = 0
-    for depth, digits in _split(layout):
+    if first is not None:
+        width, columns, known = first
+        yield width, columns
+        if known is None:
+            return
+        next(slabs)
+    for depth, digits in slabs:
         lanes = prod(map(len, digits))
         width = max(width, lanes)
         columns, known = _columns(digits, lanes, width, known)
-        if not depth:
-            _PLANS.put(key, (lanes, columns))
+        if first is None:
+            first = (lanes, columns, known if depth else None)
+            _PLANS.put(key, first)
         yield lanes, columns
 
 
@@ -682,22 +712,35 @@ def _first_counterexample(
     program: Program, blocks: list[_Block], policy: FramePolicy
 ) -> Counterexample | None:
     """The enumeration-order-first countermodel to the program's formula,
-    re-checked by the scalar evaluator, or None when the blocks hold none."""
+    re-checked by the scalar evaluator, or None when the blocks hold none.
+
+    The blocks at the largest world count are probed first: a
+    countermodel on fewer worlds extends to one on more, so when none of
+    them hits, no block does.  Otherwise the blocks are scanned in
+    candidate order, each at most once, the probed ones by their probe.
+    """
     used = frozenset(program.indices)
-    for block in blocks:
-        # The formula reads only the relations of the indices it names, so
-        # the projection onto them hits exactly when the full block does;
-        # the full block's least hit is then found by scanning it too.
-        projected = replace(block, dropped=frozenset(block.poset.indices) - used)
-        hit = _first_hit(projected, program, policy)
-        if hit is not None:
-            if projected.dropped:
-                hit = _first_hit(block, program, policy)
-                if hit is None:
-                    raise RuntimeError("scan of a block missed the hit of its projection")
-            break
+    # The formula reads only the relations of the indices it names, so
+    # the projection onto them hits exactly when the full block does;
+    # the full block's least hit is then found by scanning it too.
+    projected = [replace(block, dropped=frozenset(block.poset.indices) - used) for block in blocks]
+    probed: dict[int, int | None] = {}
+    for i, block in enumerate(projected):
+        if block.n == blocks[-1].n:
+            probed[i] = _first_hit(block, program, policy)
+            if probed[i] is not None:
+                break
     else:
         return None
+    for i, block in enumerate(projected):
+        hit = probed[i] if i in probed else _first_hit(block, program, policy)
+        if hit is not None:
+            break
+    block = blocks[i]
+    if projected[i].dropped:
+        hit = _first_hit(block, program, policy)
+        if hit is None:
+            raise RuntimeError("scan of a block missed the hit of its projection")
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
@@ -843,32 +886,43 @@ def axiom_matrix(
         posets: tuple[IndexPoset, ...] = (bounds.poset,)
     else:
         posets = enumerated_posets(bounds.max_indices)
+    # Instances and their programs depend on neither the mode nor the
+    # reflexivity setting, so each is built once per call.
+    formulas: dict[tuple[str, str, str], Formula] = {}
+    programs: dict[Formula, Program] = {}
+    instances = []  # (poset, schema, alpha, beta, formula, poset variants)
+    for poset in posets:
+        for schema in schemas:
+            for alpha, beta in _schema_instances(schema, poset):
+                key = (schema, alpha, beta)
+                if key not in formulas:
+                    formulas[key] = schema_instance(*key)
+                formula = formulas[key]
+                if formula not in programs:
+                    programs[formula] = Program(formula)
+                variants = _stable_variants(schema, poset, alpha)
+                instances.append((poset, schema, alpha, beta, formula, variants))
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
         verdicts: dict = {}  # (formula, poset variants) -> verdict
-        for poset in posets:
-            valid = ValidUpTo(SearchBounds(bounds.max_worlds, len(poset.indices)))
-            for schema in schemas:
-                for alpha, beta in _schema_instances(schema, poset):
-                    formula = schema_instance(schema, alpha, beta)
-                    variants = _stable_variants(schema, poset, alpha)
-                    if (formula, variants) not in verdicts:
-                        program = Program(formula)
-                        blocks = _blocks(variants, bounds.max_worlds, program.atoms, ceiling)
-                        found = _first_counterexample(program, blocks, policy)
-                        verdicts[formula, variants] = found or valid
-                    verdict = verdicts[formula, variants]
-                    rows.append(
-                        MatrixRow(
-                            schema,
-                            mode,
-                            poset,
-                            alpha,
-                            beta,
-                            formula,
-                            require_stable_reflexive,
-                            verdict,
-                        )
-                    )
+        for poset, schema, alpha, beta, formula, variants in instances:
+            if (formula, variants) not in verdicts:
+                program = programs[formula]
+                blocks = _blocks(variants, bounds.max_worlds, program.atoms, ceiling)
+                found = _first_counterexample(program, blocks, policy)
+                valid = ValidUpTo(SearchBounds(bounds.max_worlds, len(poset.indices)))
+                verdicts[formula, variants] = found or valid
+            rows.append(
+                MatrixRow(
+                    schema,
+                    mode,
+                    poset,
+                    alpha,
+                    beta,
+                    formula,
+                    require_stable_reflexive,
+                    verdicts[formula, variants],
+                )
+            )
     return tuple(rows)

@@ -13,7 +13,8 @@ The lanes of a block's slabs must be exactly the raw candidate space
 filtered by the frame conditions, slab after slab in increasing order;
 those of a projection onto some of the indices, the distinct
 restrictions of that filtered space.  Each block's least hit must be
-the object-level oracle's, and the axiom matrix must keep its recorded
+the object-level oracle's, also when the blocks at the largest world
+count are probed first, and the axiom matrix must keep its recorded
 digest.
 """
 
@@ -49,6 +50,7 @@ from salogic.search import (
     Counterexample,
     Satisfiable,
     SearchBounds,
+    ValidUpTo,
     axiom_matrix,
     decide_sat,
     decide_valid,
@@ -402,7 +404,7 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     # every shape at 1-3 worlds and every 3-index poset at one world.
     warm = search._PlanCache()
     digits_of = {}
-    served = 0
+    served = several = 0
     blocks = contract_blocks() + [(poset, 1) for poset in three_index_posets()]
     for policy in POLICIES:
         for poset, n in blocks:
@@ -413,11 +415,12 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
                 digits = list(search._slabs(block, policy))
                 assert digits_of.setdefault(key, digits) == digits, (policy, poset, n, kept)
                 served += key in warm.plans
+                several += key in warm.plans and len(digits) > 1
                 monkeypatch.setattr(search, "_PLANS", warm)
                 cached = list(search._plan(block, policy))
                 monkeypatch.setattr(search, "_PLANS", search._PlanCache())
                 assert cached == list(search._plan(block, policy)), (policy, poset, n, kept)
-    assert served > 7000 and len(digits_of) < 200
+    assert served > 7000 and several > 10 and len(digits_of) < 200
 
     # Index names are not part of the layout: `a` in the chain and `b` in
     # the antichain, each alone, share one plan.
@@ -434,10 +437,36 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
         assert len(cache.plans) == 1
     assert len(built) == len(POLICIES)
 
+    # Blocks of several slabs keep their first slab: at 4 lanes and 2
+    # digits per cell nearly every block has several.  Served from a warm
+    # cache, the first slab equals the one _columns builds from _split
+    # alone, and the later slabs equal those of a cold scan.
+    monkeypatch.setattr(search, "_SLAB", 4)
+    monkeypatch.setattr(search, "_PATTERNS", 2)
+    warm = search._PlanCache()
+    served = 0
+    for policy in POLICIES:
+        for poset, n in contract_blocks():
+            for kept in kept_subsets(poset) if n < 3 else ():
+                block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
+                key = plan_key(block, policy)
+                depth, digits = next(search._split(key[0]))
+                lanes = prod(map(len, digits))
+                fresh = (lanes, search._columns(digits, lanes, lanes, {})[0])
+                if key in warm.plans and depth:
+                    served += 1
+                    assert warm.plans[key][0][:2] == fresh, (policy, poset, n, kept)
+                monkeypatch.setattr(search, "_PLANS", warm)
+                cached = list(search._plan(block, policy))
+                monkeypatch.setattr(search, "_PLANS", search._PlanCache())
+                assert cached[0] == fresh
+                assert cached == list(search._plan(block, policy)), (policy, poset, n, kept)
+    assert served > 150
+
 
 def test_a_repeated_query_builds_no_columns(monkeypatch):
     # Every block at 2 worlds fits one slab, so once the first run has
-    # planned them, the same queries build no columns.
+    # planned them, the same queries build no columns and no layouts.
     policy = FramePolicy(CoherenceMode.SHRINK)
     bounds = SearchBounds(2, 2)
     formulas = [parse_formula(text) for text in ("[a]p -> [b]p", "<b>p -> <a>p", "p | ~p")]
@@ -445,11 +474,106 @@ def test_a_repeated_query_builds_no_columns(monkeypatch):
     first = [decide_valid(formula, bounds, policy) for formula in formulas]
     rows = axiom_matrix(*matrix_args)
     built = []
-    columns = search._columns
+    columns, layout = search._columns, search._Layout
     monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+    monkeypatch.setattr(search, "_Layout", lambda *args: built.append(args) or layout(*args))
     assert [decide_valid(formula, bounds, policy) for formula in formulas] == first
     assert axiom_matrix(*matrix_args) == rows
     assert built == []
+
+
+def stable_shapes() -> list[IndexPoset]:
+    """One index, the antichain and the chain, each with every stable set."""
+    posets = [*enumerated_posets(1), *enumerated_posets(2)]
+    return [
+        IndexPoset(poset.indices, poset.order, frozenset(stable))
+        for poset in posets
+        for stable in kept_subsets(poset)
+    ]
+
+
+def test_probing_the_largest_blocks_keeps_the_first_countermodel():
+    # decide_valid probes the blocks at the largest world count first and
+    # then scans in candidate order; its verdict, model and world must be
+    # those of the oracle, which scans from one world up.  The oracle
+    # covers one index up to 3 worlds and two up to 2; a two-index query
+    # at 3 worlds is checked when the oracle finds a countermodel on
+    # fewer, which is then the first at 3 worlds too.  Each shape also
+    # takes a fixed formula that needs several worlds.
+    rng = random.Random(6203)
+    smaller = full = valid = 0
+    for policy in POLICIES:
+        for poset in stable_shapes():
+            fixed = [parse_formula(text) for text in FIXED]
+            fixed = [f for f in fixed if set(modal_indices(f)) <= set(poset.indices)]
+            draws = [random_formula(rng, 3, ("p",), poset.indices) for _ in range(3)]
+            queries = [*zip(draws, (1, 2, 3)), (rng.choice(fixed), 3 - len(poset.indices) // 2)]
+            for formula, max_worlds in queries:
+                atoms = atom_names(formula)
+                reach = max_worlds if len(poset.indices) == 1 else min(max_worlds, 2)
+                expected = first_countermodel(formula, (poset,), reach, policy, atoms)
+                if expected is None and reach < max_worlds:
+                    continue
+                bounds = SearchBounds(max_worlds, len(poset.indices), poset=poset)
+                got = decide_valid(formula, bounds, policy)
+                case = (policy, poset, max_worlds, print_formula(formula))
+                if expected is None:
+                    assert isinstance(got, ValidUpTo), case
+                    valid += 1
+                else:
+                    assert isinstance(got, Counterexample), case
+                    assert (got.model, got.world) == expected, case
+                    smaller += len(got.model.worlds) < max_worlds
+                    full += len(got.model.worlds) == max_worlds > 1
+    assert smaller > 40 and full > 5 and valid > 20
+
+
+def test_the_largest_blocks_are_probed_first(monkeypatch):
+    policy = FramePolicy(CoherenceMode.NONE, False)
+    bounds = SearchBounds(3, 2)
+    antichain, chain = enumerated_posets(2)
+    blocks, slabs, built = [], [], []
+    first_hit, scan_slab, columns = search._first_hit, search._scan_slab, search._columns
+
+    def spy_first_hit(block, program, policy):
+        blocks.append((block.n, block.poset, block.dropped))
+        return first_hit(block, program, policy)
+
+    def spy_scan_slab(block, program, lanes, columns):
+        hit = scan_slab(block, program, lanes, columns)
+        slabs.append((block.n, lanes, hit))
+        return hit
+
+    monkeypatch.setattr(search, "_first_hit", spy_first_hit)
+    monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
+    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+
+    # A valid formula scans the blocks at 3 worlds only, one per poset,
+    # each projected onto the index it names.
+    valid = parse_formula("[a](p -> q) -> ([a]p -> [a]q)")
+    assert isinstance(decide_valid(valid, bounds, policy), ValidUpTo)
+    assert blocks == [(3, antichain, {"b"}), (3, chain, {"b"})]
+
+    # This formula's first countermodel has 1 world.  The largest block is
+    # scanned up to its first slab that hits, then the 1-world antichain,
+    # which names both indices and so needs no rescan.  Once its plans are
+    # warm the query builds no columns.
+    refuted = parse_formula("<a>p -> <b>p")
+    verdict = decide_valid(refuted, bounds, policy)
+    assert len(verdict.model.worlds) == 1
+    blocks.clear()
+    slabs.clear()
+    built.clear()
+    assert decide_valid(refuted, bounds, policy) == verdict
+    assert built == []
+    assert blocks == [(3, antichain, frozenset()), (1, antichain, frozenset())]
+    largest = search._Block(antichain, 3, ("p",))
+    widths = [prod(map(len, digits)) for digits in search._slabs(largest, policy)]
+    probe = [(lanes, hit) for n, lanes, hit in slabs if n == 3]
+    assert len(widths) > 1 and 0 < len(probe) < len(widths)
+    assert [lanes for lanes, _hit in probe] == widths[: len(probe)]
+    assert [hit is not None for _lanes, hit in probe] == [False] * (len(probe) - 1) + [True]
+    assert [(n, hit is not None) for n, _lanes, hit in slabs[len(probe) :]] == [(1, True)]
 
 
 def test_the_plan_cache_keeps_its_budget(monkeypatch):

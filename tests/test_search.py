@@ -252,20 +252,26 @@ def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
         return list(scanned)
 
     # A formula with no modal index scans valuations only, in runs of at
-    # most 4.
+    # most 4; a valid one, only the largest blocks.
     assert all(
-        dropped == {"a", "b"} and lanes <= 4 and hit is None
-        for _n, dropped, lanes, hit in slabs(tautology)
+        n == 2 and dropped == {"a", "b"} and lanes <= 4 and hit is None
+        for n, dropped, lanes, hit in slabs(tautology)
     )
     # A formula naming every index scans each block once, in full.
     assert all(dropped == frozenset() for _n, dropped, _l, _h in slabs(late))
-    # A projected hit is followed by a full scan of the same block, which
-    # ends at the block's least hit.
+    # The projections of the largest blocks are probed first, up to the
+    # first slab that hits: here the antichain's, onto `a`, at 2 worlds.
+    # The two 1-world blocks follow in candidate order, one slab each, and
+    # miss; then the block whose probe hit is scanned in full, which ends
+    # at the block's least hit.
     got = slabs(spread)
     first = next(i for i, (_n, _d, _l, hit) in enumerate(got) if hit is not None)
     assert got[first][:2] == (2, {"b"})
     assert all(dropped == {"b"} for _n, dropped, _l, _h in got[: first + 1])
-    rescan = got[first + 1 :]
+    assert [(n, dropped, hit) for n, dropped, _l, hit in got[first + 1 : first + 3]] == [
+        (1, {"b"}, None)
+    ] * 2
+    rescan = got[first + 3 :]
     assert len(rescan) > 1
     assert all((n, dropped) == (2, frozenset()) for n, dropped, _l, _h in rescan)
     assert [hit is not None for *_rest, hit in rescan] == [False] * (len(rescan) - 1) + [True]
@@ -309,22 +315,23 @@ def test_each_query_compiles_its_formula_once(monkeypatch):
     assert isinstance(decide_valid(invalid, SearchBounds(3, 2), SHRINK), Counterexample)
     assert walked == [invalid, invalid]
 
-    # The matrix compiles each distinct instance once per mode, plus once
-    # more for each countermodel it re-checks.
+    # The matrix compiles each distinct instance formula once per call,
+    # whatever the modes, plus once more for each countermodel it
+    # re-checks.
     walked.clear()
     rows = axiom_matrix((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), SearchBounds(3, 2))
     assert all(isinstance(row.verdict, ValidUpTo) for row in rows)
-    assert len(walked) == len({(row.formula, row.poset) for row in rows})
+    assert len(walked) == len({row.formula for row in rows})
     walked.clear()
     rows = axiom_matrix(tuple(AxiomProfile), tuple(CoherenceMode), SearchBounds(3, 2))
-    instances = {(row.mode, row.formula, row.poset) for row in rows}
+    formulas = {row.formula for row in rows}
     refuted = {
         (row.mode, row.formula, row.poset)
         for row in rows
         if isinstance(row.verdict, Counterexample)
     }
-    assert refuted and len(instances) < len(rows)
-    assert len(walked) == len(instances) + len(refuted)
+    assert refuted and len(formulas) < len({(row.formula, row.poset) for row in rows})
+    assert len(walked) == len(formulas) + len(refuted)
 
 
 def test_rejects_indices_outside_search_space():
