@@ -97,28 +97,29 @@ Scan plans.  A block's slabs and their columns depend only on its
 layout (_Layout): the world count, the valuation bits and, for each kept
 index, the inclusions, cell group and forced diagonal the policy gives
 it; index names, atom names and the formula are not part of it.  The
-layout of a block scanned before is memoized, and _PLANS, a
-process-wide LRU keyed by the layout, _SLAB and _PATTERNS, holds the
-(lanes, columns) plan of the first slab of every layout it has seen,
-within _PLAN_BYTES (4 MiB) of column data.  So the first slab's columns
-of a layout are built once per process, however many queries and
-axiom_matrix rows share it: a block that fits one slab, or whose first
-slab hits, builds none once warm.  Later slabs build their columns as
-they are scanned, reusing those they share with the slab before.  A
-plan larger than the budget is scanned and not kept.  A plan is a
-function of its key and is only read, so no verdict or witness depends
-on what the cache holds.
+layout of a block scanned before is memoized, and _first_slab, an LRU of
+32 entries keyed by the layout, _SLAB and _PATTERNS, holds the (lanes,
+columns) plan of the first slab of the layouts scanned most recently.
+So the first slab's columns of a layout are built once while it is
+held, however many queries and axiom_matrix rows share it: a block that
+fits one slab, or whose first slab hits, builds none once warm.  The
+traffic is small: the sweep and the matrix benchmark workloads each scan
+10 distinct layouts, 17 when both run in one process, 0.90 MB in all.
+Over 1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
+worlds, 0-5 atoms, every coherence mode) the largest first slab takes
+0.28 MB with no stable index and 0.43 MB with every index stable, so
+32 plans of those shapes take at most about 14 MB.  Later slabs build
+their columns as they are scanned, reusing those they share with the
+slab before.  A plan is a function of its key and is only read, so no
+verdict or witness depends on what the cache holds.
 """
 
 from __future__ import annotations
 
-import sys
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod
-from threading import Lock
 from typing import NamedTuple
 
 from .core import (
@@ -155,7 +156,6 @@ DEFAULT_CEILING = 10**9
 _SLAB = 1 << 16  # lanes per slab, at most
 _PATTERNS = 1 << 10  # digits of one cell in a slab, at most
 _MAX_CANDIDATE_BITS = 62  # raw candidate bits, at most
-_PLAN_BYTES = 1 << 22  # bytes of first-slab plans kept, at most
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,14 @@ class SearchBounds:
     atoms: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for name in ("max_worlds", "max_indices"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.max_worlds < 1 or self.max_indices < 1:
             raise ValueError("bounds must allow at least one world and one index")
+        if isinstance(self.atoms, str):
+            raise TypeError(f"atoms must be a collection of names, got {self.atoms!r}")
         if self.atoms is not None:
             for name in self.atoms:
                 _require_identifier(name, "atom")
@@ -381,14 +387,6 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
         tuple(labels.index(g) for g in group),
         tuple(idx in reflexive for idx in kept),
     )
-
-
-def _slabs(block: _Block, policy: FramePolicy) -> Iterator[list[list[int]]]:
-    """The block's frame-admissible candidates, in slabs of at most _SLAB
-    lanes, in increasing order: the digit lists of the slabs _split
-    lists for the block's layout."""
-    for _depth, digits in _split(_layout(block, policy)):
-        yield digits
 
 
 def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
@@ -609,74 +607,39 @@ def _scan_slab(
     return candidate
 
 
-class _PlanCache:
-    """The first slab's plan of each layout, keyed by the layout and the
-    slab caps, holding at most _PLAN_BYTES of column dicts and ints as
-    sys.getsizeof counts them.  A plan is (lanes, columns, known): the
-    periodic columns _columns hands on to the next slab, or None when
-    the slab is the whole block.  The least recently used plan is
-    evicted first; a plan that alone exceeds the budget is not kept.  A
-    plan is a function of its key, so what the cache holds changes no
-    verdict."""
-
-    def __init__(self):
-        self.plans: OrderedDict = OrderedDict()  # key -> (plan, its size)
-        self.held = 0
-        self.lock = Lock()
-
-    def get(self, key) -> tuple[int, dict[int, int], dict | None] | None:
-        with self.lock:
-            entry = self.plans.get(key)
-            if entry is None:
-                return None
-            self.plans.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, plan: tuple[int, dict[int, int], dict | None]) -> None:
-        _lanes, columns, known = plan
-        # known's columns are the first slab's own, counted once.
-        size = sys.getsizeof(columns) + sum(map(sys.getsizeof, columns.values()))
-        if known is not None:
-            size += sys.getsizeof(known) + sum(sys.getsizeof(built) for _l, built in known.values())
-        if size > _PLAN_BYTES:
-            return
-        with self.lock:
-            if key in self.plans:
-                return
-            self.plans[key] = (plan, size)
-            self.held += size
-            while self.held > _PLAN_BYTES:
-                _key, (_plan, evicted) = self.plans.popitem(last=False)
-                self.held -= evicted
-
-
-_PLANS = _PlanCache()
+@lru_cache(maxsize=32)
+def _first_slab(
+    layout: _Layout, slab: int, patterns: int
+) -> tuple[int, dict[int, int], dict | None]:
+    """The (lanes, columns, known) plan of the layout's first slab: known
+    is the periodic columns _columns hands on to the next slab, or None
+    when the slab is the whole block.  `slab` and `patterns` are _SLAB
+    and _PATTERNS, which _split reads; they are passed so that they key
+    the cache.  A plan is a function of its key and is only read, so
+    what the cache holds changes no verdict."""
+    depth, digits = next(_split(layout))
+    lanes = prod(map(len, digits))
+    columns, known = _columns(digits, lanes, lanes, {})
+    return lanes, columns, known if depth else None
 
 
 def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
     """The (lanes, columns) pair of each of the block's slabs, in
-    increasing order.  The first slab's pair comes from _PLANS, so it is
-    built once per layout and process; each later slab's is built as it
-    is scanned, reusing the columns it shares with the slab before."""
-    key = (_layout(block, policy), _SLAB, _PATTERNS)
-    first = _PLANS.get(key)
-    slabs = _split(key[0])
-    known: dict | None = {}
-    width = 0
-    if first is not None:
-        width, columns, known = first
-        yield width, columns
-        if known is None:
-            return
-        next(slabs)
-    for depth, digits in slabs:
-        lanes = prod(map(len, digits))
-        width = max(width, lanes)
-        columns, known = _columns(digits, lanes, width, known)
-        if first is None:
-            first = (lanes, columns, known if depth else None)
-            _PLANS.put(key, first)
-        yield lanes, columns
+    increasing order.  The first slab's pair comes from _first_slab, so
+    it is built once per layout while the cache holds it; each later
+    slab's is built as it is scanned, reusing the columns it shares with
+    the slab before."""
+    layout = _layout(block, policy)
+    width, columns, known = _first_slab(layout, _SLAB, _PATTERNS)
+    yield width, columns
+    if known is not None:
+        slabs = _split(layout)
+        next(slabs)  # the first slab, planned above
+        for _depth, digits in slabs:
+            lanes = prod(map(len, digits))
+            width = max(width, lanes)
+            columns, known = _columns(digits, lanes, width, known)
+            yield lanes, columns
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:

@@ -27,7 +27,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import OrderedDict
 from dataclasses import replace
 from itertools import combinations, compress
 from math import prod
@@ -223,7 +222,7 @@ def contract_blocks() -> list[tuple[IndexPoset, int]]:
 def slab_lanes(block, policy) -> list[list[int]]:
     """The candidates of each slab the block lists, in lane order."""
     slabs = []
-    for digits in search._slabs(block, policy):
+    for _depth, digits in search._split(search._layout(block, policy)):
         lanes = [0]
         for options in digits:
             lanes = [lane + option for option in options for lane in lanes]
@@ -362,7 +361,8 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     model, _world = first_countermodel(formula, (chain,), 2, policy, ("p",), min_worlds=2)
     monkeypatch.setattr(search, "_SLAB", 32)
     block = search._Block(chain, 2, ("p",))
-    widths = [prod(map(len, digits)) for digits in search._slabs(block, policy)]
+    layout = search._layout(block, policy)
+    widths = [prod(map(len, digits)) for _depth, digits in search._split(layout)]
     hit = search._first_hit(block, Program(formula), policy)
     assert search._decode(block, hit) == model
     assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
@@ -370,6 +370,22 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
 
 def plan_key(block, policy):
     return (search._layout(block, policy), search._SLAB, search._PATTERNS)
+
+
+def fresh_plan(block, policy) -> list[tuple[int, dict[int, int]]]:
+    """The block's (lanes, columns) pairs built from _split and _columns
+    alone, with no cache."""
+    plan, known, width = [], {}, 0
+    for _depth, digits in search._split(search._layout(block, policy)):
+        lanes = prod(map(len, digits))
+        width = max(width, lanes)
+        columns, known = search._columns(digits, lanes, width, known)
+        plan.append((lanes, columns))
+    return plan
+
+
+def cache_hits() -> int:
+    return search._first_slab.cache_info().hits
 
 
 def kept_subsets(poset):
@@ -399,10 +415,11 @@ def three_index_posets() -> list[IndexPoset]:
 
 def test_cached_plans_equal_fresh_plans(monkeypatch):
     # A plan is a function of its key: blocks with one key list the same
-    # digits, and each block's plan taken from a cache that earlier blocks
-    # filled equals the plan built from the block alone.  The blocks are
-    # every shape at 1-3 worlds and every 3-index poset at one world.
-    warm = search._PlanCache()
+    # digits, and each block's plan, its first slab taken from the cache
+    # that earlier blocks filled, equals the plan built with no cache.
+    # The blocks are every shape at 1-3 worlds and every 3-index poset at
+    # one world.
+    search._first_slab.cache_clear()
     digits_of = {}
     served = several = 0
     blocks = contract_blocks() + [(poset, 1) for poset in three_index_posets()]
@@ -411,19 +428,17 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
             atoms = ("p",) if n < 3 else ()
             for kept in kept_subsets(poset):
                 block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
-                key = plan_key(block, policy)
-                digits = list(search._slabs(block, policy))
-                assert digits_of.setdefault(key, digits) == digits, (policy, poset, n, kept)
-                served += key in warm.plans
-                several += key in warm.plans and len(digits) > 1
-                monkeypatch.setattr(search, "_PLANS", warm)
-                cached = list(search._plan(block, policy))
-                monkeypatch.setattr(search, "_PLANS", search._PlanCache())
-                assert cached == list(search._plan(block, policy)), (policy, poset, n, kept)
-    assert served > 7000 and several > 10 and len(digits_of) < 200
+                key, case = plan_key(block, policy), (policy, poset, n, kept)
+                digits = [digits for _depth, digits in search._split(key[0])]
+                assert digits_of.setdefault(key, digits) == digits, case
+                before = cache_hits()
+                assert list(search._plan(block, policy)) == fresh_plan(block, policy), case
+                served += cache_hits() > before
+                several += cache_hits() > before and len(digits) > 1
+    assert served > 7000 and several > 5 and len(digits_of) < 200
 
     # Index names are not part of the layout: `a` in the chain and `b` in
-    # the antichain, each alone, share one plan.
+    # the antichain, each alone, share one plan, built once per policy.
     antichain, chain = enumerated_posets(2)
     a_in_chain = search._Block(chain, 2, ("p",), frozenset({"b"}))
     b_in_antichain = search._Block(antichain, 2, ("p",), frozenset({"a"}))
@@ -431,36 +446,29 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     columns = search._columns
     monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
     for policy in POLICIES:
-        cache = search._PlanCache()
-        monkeypatch.setattr(search, "_PLANS", cache)
+        search._first_slab.cache_clear()
         assert list(search._plan(a_in_chain, policy)) == list(search._plan(b_in_antichain, policy))
-        assert len(cache.plans) == 1
+        info = search._first_slab.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert len(built) == len(POLICIES)
+    monkeypatch.setattr(search, "_columns", columns)
 
     # Blocks of several slabs keep their first slab: at 4 lanes and 2
-    # digits per cell nearly every block has several.  Served from a warm
-    # cache, the first slab equals the one _columns builds from _split
-    # alone, and the later slabs equal those of a cold scan.
+    # digits per cell nearly every block has several.  The caps are part
+    # of the key, so no plan built at the default caps is read here.
+    # Served from the cache, the first slab and the later ones equal
+    # those built with no cache.
     monkeypatch.setattr(search, "_SLAB", 4)
     monkeypatch.setattr(search, "_PATTERNS", 2)
-    warm = search._PlanCache()
     served = 0
     for policy in POLICIES:
         for poset, n in contract_blocks():
             for kept in kept_subsets(poset) if n < 3 else ():
                 block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
-                key = plan_key(block, policy)
-                depth, digits = next(search._split(key[0]))
-                lanes = prod(map(len, digits))
-                fresh = (lanes, search._columns(digits, lanes, lanes, {})[0])
-                if key in warm.plans and depth:
-                    served += 1
-                    assert warm.plans[key][0][:2] == fresh, (policy, poset, n, kept)
-                monkeypatch.setattr(search, "_PLANS", warm)
-                cached = list(search._plan(block, policy))
-                monkeypatch.setattr(search, "_PLANS", search._PlanCache())
-                assert cached[0] == fresh
-                assert cached == list(search._plan(block, policy)), (policy, poset, n, kept)
+                fresh = fresh_plan(block, policy)
+                before = cache_hits()
+                assert list(search._plan(block, policy)) == fresh, (policy, poset, n, kept)
+                served += cache_hits() > before and len(fresh) > 1
     assert served > 150
 
 
@@ -568,7 +576,8 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     assert built == []
     assert blocks == [(3, antichain, frozenset()), (1, antichain, frozenset())]
     largest = search._Block(antichain, 3, ("p",))
-    widths = [prod(map(len, digits)) for digits in search._slabs(largest, policy)]
+    layout = search._layout(largest, policy)
+    widths = [prod(map(len, digits)) for _depth, digits in search._split(layout)]
     probe = [(lanes, hit) for n, lanes, hit in slabs if n == 3]
     assert len(widths) > 1 and 0 < len(probe) < len(widths)
     assert [lanes for lanes, _hit in probe] == widths[: len(probe)]
@@ -576,47 +585,46 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     assert [(n, hit is not None) for n, _lanes, hit in slabs[len(probe) :]] == [(1, True)]
 
 
-def test_the_plan_cache_keeps_its_budget(monkeypatch):
-    # Replays a seeded run of scans against a reference LRU: after every
-    # scan the cache holds exactly the reference's plans, least recent
-    # first, within the budget; a plan larger than the budget is scanned
-    # and not kept, and every hit equals the one found at the default
-    # budget.
+def test_the_plan_cache_stays_within_maxsize():
+    # The 3-index posets at one world have several times more layouts
+    # than the cache holds.  Over a seeded run of scans that draws the
+    # layouts evenly, the cache never holds more than its maxsize, and
+    # every hit, including those scanned with a plan rebuilt after its
+    # eviction, equals the cold hit: the one found right after the cache
+    # is cleared.
     rng = random.Random(2113)
-    items = []
+    by_key: dict = {}  # plan key -> up to two (block, policy, program)
     for policy in POLICIES:
-        for poset, n in contract_blocks():
+        for poset in three_index_posets():
             for kept in kept_subsets(poset):
-                if n < 3 or len(kept) < 2:
-                    block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
+                block = search._Block(poset, 1, ("p",), frozenset(poset.indices) - set(kept))
+                items = by_key.setdefault(plan_key(block, policy), [])
+                if len(items) < 2:
                     formula = random_formula(rng, 3, ("p",), kept) if kept else Atom("p")
-                    items.append((block, policy, Program(formula), plan_key(block, policy)))
-    cache = search._PlanCache()
-    monkeypatch.setattr(search, "_PLANS", cache)
-    hits = [search._first_hit(block, program, policy) for block, policy, program, _k in items]
-    sizes = {key: size for key, (_plan, size) in cache.plans.items()}
-    budget = sorted(sizes.values())[len(sizes) // 2] * 4
-    monkeypatch.setattr(search, "_PLAN_BYTES", budget)
-    cache = search._PlanCache()
-    monkeypatch.setattr(search, "_PLANS", cache)
-    expected: OrderedDict = OrderedDict()
-    evicted = skipped = 0
+                    items.append((block, policy, Program(formula)))
+    maxsize = search._first_slab.cache_info().maxsize
+    assert len(by_key) > 2 * maxsize
+    cold = {}
+    for items in by_key.values():
+        for block, policy, program in items:
+            search._first_slab.cache_clear()
+            cold[block, policy] = search._first_hit(block, program, policy)
+    search._first_slab.cache_clear()
+    keys = list(by_key)
+    seen, rebuilt = set(), 0
     for _step in range(600):
-        i = rng.randrange(len(items))
-        block, policy, program, key = items[i]
-        if key in expected:
-            expected.move_to_end(key)
-        elif sizes.get(key, budget + 1) > budget:
-            skipped += key in sizes
-        else:
-            expected[key] = sizes[key]
-            while sum(expected.values()) > budget:
-                expected.popitem(last=False)
-                evicted += 1
-        assert search._first_hit(block, program, policy) == hits[i]
-        assert list(cache.plans) == list(expected)
-        assert cache.held == sum(expected.values()) <= budget
-    assert evicted > 100 and skipped > 40
+        key = rng.choice(keys)
+        block, policy, program = rng.choice(by_key[key])
+        misses = search._first_slab.cache_info().misses
+        hit = search._first_hit(block, program, policy)
+        info = search._first_slab.cache_info()
+        assert info.currsize <= maxsize
+        rebuilt += info.misses > misses and key in seen
+        seen.add(key)
+        assert hit == cold[block, policy], (policy, block)
+    # Every miss adds a plan, so the misses the cache does not hold were
+    # evicted.
+    assert info.misses - info.currsize > 100 and rebuilt > 100
 
 
 def test_wide_valuations_keep_ints_within_the_slab():

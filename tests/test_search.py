@@ -44,6 +44,14 @@ def test_bounds_validation():
         SearchBounds(0, 1)
     with pytest.raises(ValueError):
         SearchBounds(1, 0)
+    # Non-int sizes and a string of atoms are rejected up front, not read
+    # as a misleading ceiling, a late range() error or one atom per letter.
+    for max_worlds, max_indices in ((2, 1.5), (2.5, 1), (True, 1), (1, False), ("2", 1)):
+        with pytest.raises(TypeError):
+            SearchBounds(max_worlds, max_indices)
+    with pytest.raises(TypeError):
+        SearchBounds(2, 1, atoms="pq")
+    assert SearchBounds(2, 1, atoms=["q", "p"]).atoms == ("p", "q")
     with pytest.raises(BoundsTooLarge):
         enumerated_posets(3)
 
