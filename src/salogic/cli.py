@@ -108,14 +108,16 @@ def _print_witness(comment: str, model) -> None:
     sys.stdout.write(print_model(model))
 
 
+def _bounds_text(bounds: SearchBounds) -> str:
+    indices = len(bounds.poset.indices) if bounds.poset else bounds.max_indices
+    return f"{bounds.max_worlds} world(s), {indices} index/indices"
+
+
 def _cmd_valid(args) -> ExitStatus:
     formula = parse_formula(args.formula)
     verdict = decide_valid(formula, _bounds(args), _policy(args), workers=args.workers)
     if isinstance(verdict, ValidUpTo):
-        print(
-            f"valid up to {args.max_worlds} world(s), "
-            f"{args.max_indices} index/indices"
-        )
+        print(f"valid up to {_bounds_text(verdict.bounds)}")
         return ExitStatus.OK
     _print_witness(
         f"counterexample at world {verdict.world} index {verdict.index}", verdict.model
@@ -127,10 +129,7 @@ def _cmd_sat(args) -> ExitStatus:
     formula = parse_formula(args.formula)
     verdict = decide_sat(formula, _bounds(args), _policy(args), workers=args.workers)
     if isinstance(verdict, UnsatUpTo):
-        print(
-            f"unsatisfiable up to {args.max_worlds} world(s), "
-            f"{args.max_indices} index/indices"
-        )
+        print(f"unsatisfiable up to {_bounds_text(verdict.bounds)}")
         return ExitStatus.NEGATIVE
     _print_witness(
         f"satisfiable at world {verdict.world} index {verdict.index}", verdict.model

@@ -45,26 +45,29 @@ worlds see none of them, so every formula keeps its truth value there
 section 2.1); and coherence and stable reflexivity constrain each world
 pair on its own, which the new pairs meet: every index holds each new
 diagonal pair and no other.  So when no block at max_worlds hits, no
-block does.  _first_counterexample therefore probes the blocks at
-max_worlds first, in poset order, up to the first that hits, and
-returns None when none does: a ValidUpTo verdict scans one block per
-poset.  Otherwise it scans the blocks in candidate order, each at most
-once, taking the probed ones' results from the probe, and the first
-that hits holds the enumeration-order minimum.
+block does.  _first_counterexample therefore probes the projections
+(below) of the blocks at max_worlds first, in poset order, up to the
+first that hits, and returns None when none does: a ValidUpTo verdict
+scans one projected block per poset.  Otherwise it scans in full, in
+candidate order, the blocks on fewer worlds and then the block whose
+projection hit.  The first hit is the enumeration-order minimum: each
+block at max_worlds before that one missed its projection, so it
+misses in full too.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
-coherence and stable-reflexivity constraints they put on those.  Each
-block is therefore first scanned over the relations of the named
-indices alone (none at all for a propositional formula), with the
+coherence and stable-reflexivity constraints they put on those.  The
+probe therefore scans a block over the relations of the named indices
+alone (none at all for a propositional formula), with the
 inclusions and the propagated stable diagonal still taken from the
 whole poset.  Every admissible projected tuple extends to an admissible
 full one, so the projection hits exactly when the full block does and a
 ValidUpTo verdict is exact.  A dropped index may sit in the high bits,
-so the projected hit is not the enumeration-order minimum: the block
-that hits is rescanned in full to find it.  The search ceiling and the
-62-bit guard still count raw candidates of the full blocks, admissible
-or not.
+so a projected hit is not the enumeration-order minimum: projections
+serve the probe only, and the minimum is looked for in full blocks.
+The search ceiling counts raw candidates of the full blocks, admissible
+or not, and is the one bound on a block's size: the scan's Python ints
+need no limit on candidate bits.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
@@ -108,10 +111,18 @@ traffic is small: the sweep and the matrix benchmark workloads each scan
 Over 1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
 worlds, 0-5 atoms, every coherence mode) the largest first slab takes
 0.28 MB with no stable index and 0.43 MB with every index stable, so
-32 plans of those shapes take at most about 14 MB.  Later slabs build
-their columns as they are scanned, reusing those they share with the
-slab before.  A plan is a function of its key and is only read, so no
-verdict or witness depends on what the cache holds.
+32 plans of those shapes take at most about 14 MB.
+
+Every slab's columns are merged from _digit_columns, an LRU of 256
+entries keyed by one digit list, its stride and the slab's width, so a
+slab reads the columns that any slab, block or query with the same list
+built.  The sweep and matrix workloads use 167 and 136 keys (1.08 and
+0.98 MB), 263 together; one 4-world chain query uses 581.  An entry
+holds one column of at most _SLAB bits (8 KiB) per bit its list sets,
+one per index of a cell's group, so 256 entries take at most 2 MiB per
+index of the largest group.  Plans and columns are functions of their
+keys and are only read, so no verdict or witness depends on what the
+caches hold.
 """
 
 from __future__ import annotations
@@ -119,6 +130,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from math import prod
 from typing import NamedTuple
 
@@ -155,7 +167,6 @@ __all__ = [
 DEFAULT_CEILING = 10**9
 _SLAB = 1 << 16  # lanes per slab, at most
 _PATTERNS = 1 << 10  # digits of one cell in a slab, at most
-_MAX_CANDIDATE_BITS = 62  # raw candidate bits, at most
 
 
 @dataclass(frozen=True)
@@ -278,8 +289,8 @@ def _blocks(
     posets: tuple[IndexPoset, ...], max_worlds: int, atoms: tuple[str, ...], ceiling: int
 ) -> list[_Block]:
     """The blocks in scan order.  Raises BoundsTooLarge at the first block
-    that takes the raw candidate count past `ceiling` or needs more than
-    _MAX_CANDIDATE_BITS bits, so no more blocks than that are built."""
+    that takes the raw candidate count past `ceiling`, so no more blocks
+    than that are built."""
     blocks: list[_Block] = []
     total = 0
     for n in range(1, max_worlds + 1):
@@ -290,11 +301,6 @@ def _blocks(
                 raise BoundsTooLarge(
                     f"search space up to {n} worlds exceeds the ceiling of {ceiling} "
                     "candidates"
-                )
-            if block.total_bits > _MAX_CANDIDATE_BITS:
-                raise BoundsTooLarge(
-                    f"a block needs {block.total_bits} candidate bits; at most "
-                    f"{_MAX_CANDIDATE_BITS} are supported"
                 )
             blocks.append(block)
     return blocks
@@ -515,45 +521,43 @@ def _periodic(period: int, length: int, size: int) -> int:
     return int.from_bytes(data, "little") & ((1 << size) - 1)
 
 
-def _columns(
-    digits: list[list[int]], lanes: int, width: int, known: dict
-) -> tuple[dict[int, int], dict]:
-    """The column of each candidate bit in a slab of `lanes` lanes: the
-    lanes where it is set, lane l as bit l of an int.
+@lru_cache(maxsize=256)
+def _digit_columns(stride: int, options: tuple[int, ...], lanes: int) -> dict[int, int]:
+    """The column of each bit that a digit list sets, over `lanes` lanes:
+    lane l takes digit l // stride mod len(options), so the column has
+    period stride * len(options) and is built once and repeated bytewise.
+    The dicts are only read.  Why 256 entries: one 4-world chain query
+    (`<b>p -> <a>p` under shrink, 2 vCPUs, Python 3.11.7) takes 7.4 s
+    with 32, 3.9-5.2 s with 128, 3.85 s with 256 and 3.6-3.8 s with 1024
+    entries, at a peak RSS of 16.8, 17.7, 19.0 and 22.2 MB."""
+    union = 0
+    for option in options:
+        union |= option
+    run = (1 << stride) - 1
+    columns = {}
+    for b in _set_bits(union):
+        period = sum(run << (d * stride) for d, option in enumerate(options) if option >> b & 1)
+        columns[b] = _periodic(period, stride * len(options), lanes)
+    return columns
 
-    A digit list with stride s (the product of the earlier lists'
-    lengths) sets a bit in a column of period s times its length, built
-    once and repeated bytewise to `width` lanes, the widest slab's so
-    far.  `known` holds the previous slab's periodic columns by (stride,
-    digits); those this slab shares with it are reused, and this slab's
-    are returned for the next."""
+
+def _columns(digits: list[list[int]], lanes: int) -> dict[int, int]:
+    """The column of each candidate bit in a slab of `lanes` lanes: the
+    lanes where it is set, lane l as bit l of an int.  A digit list with
+    stride s (the product of the earlier lists' lengths) takes its
+    columns from _digit_columns; a list of one digit sets its bits in
+    every lane."""
     segment = (1 << lanes) - 1
     columns: dict[int, int] = {}
-    shared: dict = {}
     stride = 1
     for options in digits:
         if len(options) == 1:
             for b in _set_bits(options[0]):
                 columns[b] = segment
             continue
-        key = (stride, tuple(options))
-        length, built = known.get(key, (0, {}))
-        if length < lanes:
-            length, built = width, {}
-            union = 0
-            for option in options:
-                union |= option
-            run = (1 << stride) - 1
-            for b in _set_bits(union):
-                period = sum(
-                    run << (d * stride) for d, option in enumerate(options) if option >> b & 1
-                )
-                built[b] = _periodic(period, stride * len(options), width)
-        shared[key] = (length, built)
-        for b, column in built.items():
-            columns[b] = column if length == lanes else column & segment
+        columns.update(_digit_columns(stride, tuple(options), lanes))
         stride *= len(options)
-    return columns, shared
+    return columns
 
 
 def _scan_slab(
@@ -608,38 +612,29 @@ def _scan_slab(
 
 
 @lru_cache(maxsize=32)
-def _first_slab(
-    layout: _Layout, slab: int, patterns: int
-) -> tuple[int, dict[int, int], dict | None]:
-    """The (lanes, columns, known) plan of the layout's first slab: known
-    is the periodic columns _columns hands on to the next slab, or None
-    when the slab is the whole block.  `slab` and `patterns` are _SLAB
-    and _PATTERNS, which _split reads; they are passed so that they key
-    the cache.  A plan is a function of its key and is only read, so
-    what the cache holds changes no verdict."""
+def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[int, dict[int, int], bool]:
+    """The (lanes, columns, more) plan of the layout's first slab: more
+    is False when the slab is the whole block.  `slab` and `patterns`
+    are _SLAB and _PATTERNS, which _split reads; they are passed so that
+    they key the cache.  A plan is a function of its key and is only
+    read, so what the cache holds changes no verdict."""
     depth, digits = next(_split(layout))
     lanes = prod(map(len, digits))
-    columns, known = _columns(digits, lanes, lanes, {})
-    return lanes, columns, known if depth else None
+    return lanes, _columns(digits, lanes), depth > 0
 
 
 def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
     """The (lanes, columns) pair of each of the block's slabs, in
     increasing order.  The first slab's pair comes from _first_slab, so
     it is built once per layout while the cache holds it; each later
-    slab's is built as it is scanned, reusing the columns it shares with
-    the slab before."""
+    slab's is merged from _digit_columns as it is scanned."""
     layout = _layout(block, policy)
-    width, columns, known = _first_slab(layout, _SLAB, _PATTERNS)
-    yield width, columns
-    if known is not None:
-        slabs = _split(layout)
-        next(slabs)  # the first slab, planned above
-        for _depth, digits in slabs:
+    lanes, columns, more = _first_slab(layout, _SLAB, _PATTERNS)
+    yield lanes, columns
+    if more:
+        for _depth, digits in islice(_split(layout), 1, None):
             lanes = prod(map(len, digits))
-            width = max(width, lanes)
-            columns, known = _columns(digits, lanes, width, known)
-            yield lanes, columns
+            yield lanes, _columns(digits, lanes)
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
@@ -661,6 +656,14 @@ def _resolve_atoms(program: Program, bounds: SearchBounds) -> tuple[str, ...]:
     return bounds.atoms
 
 
+def _posets(bounds: SearchBounds) -> tuple[IndexPoset, ...]:
+    """The posets the search runs over: bounds.poset, or the enumerated
+    shapes on bounds.max_indices indices."""
+    if bounds.poset is not None:
+        return (bounds.poset,)
+    return enumerated_posets(bounds.max_indices)
+
+
 def _check_indices(program: Program, posets: tuple[IndexPoset, ...]) -> None:
     for name in program.indices:
         for poset in posets:
@@ -677,33 +680,31 @@ def _first_counterexample(
     """The enumeration-order-first countermodel to the program's formula,
     re-checked by the scalar evaluator, or None when the blocks hold none.
 
-    The blocks at the largest world count are probed first: a
+    The projections of the blocks at the largest world count are probed
+    first, in poset order, up to the first that hits (`top`): a
     countermodel on fewer worlds extends to one on more, so when none of
-    them hits, no block does.  Otherwise the blocks are scanned in
-    candidate order, each at most once, the probed ones by their probe.
+    them hits, no block does.  Otherwise the blocks on fewer worlds and
+    then `top` are scanned in full, in candidate order, and the first
+    hit is the enumeration-order minimum: each block at the largest
+    world count before `top` missed its projection, so it misses in full.
     """
     used = frozenset(program.indices)
-    # The formula reads only the relations of the indices it names, so
-    # the projection onto them hits exactly when the full block does;
-    # the full block's least hit is then found by scanning it too.
-    projected = [replace(block, dropped=frozenset(block.poset.indices) - used) for block in blocks]
-    probed: dict[int, int | None] = {}
-    for i, block in enumerate(projected):
-        if block.n == blocks[-1].n:
-            probed[i] = _first_hit(block, program, policy)
-            if probed[i] is not None:
-                break
+    for top in blocks:
+        if top.n < blocks[-1].n:
+            continue
+        # The formula reads only the relations of the indices it names,
+        # so the projection onto them hits exactly when the block does.
+        projection = replace(top, dropped=frozenset(top.poset.indices) - used)
+        if _first_hit(projection, program, policy) is not None:
+            break
     else:
         return None
-    for i, block in enumerate(projected):
-        hit = probed[i] if i in probed else _first_hit(block, program, policy)
+    for block in [b for b in blocks if b.n < top.n] + [top]:
+        hit = _first_hit(block, program, policy)
         if hit is not None:
             break
-    block = blocks[i]
-    if projected[i].dropped:
-        hit = _first_hit(block, program, policy)
-        if hit is None:
-            raise RuntimeError("scan of a block missed the hit of its projection")
+    else:
+        raise RuntimeError("scan of a block missed the hit of its projection")
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
@@ -734,10 +735,7 @@ def decide_valid(
     """
     program = Program(formula)
     atoms = _resolve_atoms(program, bounds)
-    if bounds.poset is not None:
-        posets: tuple[IndexPoset, ...] = (bounds.poset,)
-    else:
-        posets = enumerated_posets(bounds.max_indices)
+    posets = _posets(bounds)
     _check_indices(program, posets)
     blocks = _blocks(posets, bounds.max_worlds, atoms, ceiling)
     return _first_counterexample(program, blocks, policy) or ValidUpTo(bounds)
@@ -845,10 +843,7 @@ def axiom_matrix(
             raise TypeError(f"not a profile: {profile!r}")
     allowed = frozenset().union(*(PROFILE_SCHEMAS[p] for p in profiles))
     schemas = [s for s in SCHEMA_ORDER if s in allowed]
-    if bounds.poset is not None:
-        posets: tuple[IndexPoset, ...] = (bounds.poset,)
-    else:
-        posets = enumerated_posets(bounds.max_indices)
+    posets = _posets(bounds)
     # Instances and their programs depend on neither the mode nor the
     # reflexivity setting, so each is built once per call.
     formulas: dict[tuple[str, str, str], Formula] = {}
@@ -872,7 +867,8 @@ def axiom_matrix(
         for poset, schema, alpha, beta, formula, variants in instances:
             if (formula, variants) not in verdicts:
                 program = programs[formula]
-                blocks = _blocks(variants, bounds.max_worlds, program.atoms, ceiling)
+                atoms = _resolve_atoms(program, bounds)
+                blocks = _blocks(variants, bounds.max_worlds, atoms, ceiling)
                 found = _first_counterexample(program, blocks, policy)
                 valid = ValidUpTo(SearchBounds(bounds.max_worlds, len(poset.indices)))
                 verdicts[formula, variants] = found or valid

@@ -182,6 +182,19 @@ def test_valid_with_custom_poset_names(tmp_path, capsys):
     assert code == 1 and "# counterexample" in out
 
 
+def test_valid_and_sat_report_the_poset_size(tmp_path, capsys):
+    poset = tmp_path / "chain3.poset"
+    poset.write_text("indices: a b c\norder: a<=b b<=c\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "valid", "[a]p -> [c]p", "--max-worlds", "2", "--poset", str(poset)
+    )
+    assert (code, out) == (0, "valid up to 2 world(s), 3 index/indices\n")
+    code, out, _ = run(
+        capsys, "sat", "p & ~p", "--max-worlds", "2", "--poset", str(poset)
+    )
+    assert (code, out) == (1, "unsatisfiable up to 2 world(s), 3 index/indices\n")
+
+
 def test_valid_worker_flag_gives_identical_output(capsys):
     outputs = set()
     for workers in ("1", "4"):

@@ -353,8 +353,9 @@ def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
 
 def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     # At 32 lanes the chain's 2-world slabs differ in width, and this
-    # formula's least hit lies in a slab narrower than one before it,
-    # which reuses the columns built at the wider width.
+    # formula's least hit lies in a slab narrower than one before it.
+    # Columns are cached by digit list and width, so the narrower slab
+    # reads columns of its own width, never the wider slab's.
     chain = IndexPoset.from_order(("a", "b"), [("a", "b")])
     formula = parse_formula("~(<a>(p -> p) & p & [a](~p & <a>p))")
     policy = FramePolicy(CoherenceMode.SHRINK)
@@ -374,13 +375,12 @@ def plan_key(block, policy):
 
 def fresh_plan(block, policy) -> list[tuple[int, dict[int, int]]]:
     """The block's (lanes, columns) pairs built from _split and _columns
-    alone, with no cache."""
-    plan, known, width = [], {}, 0
+    alone, with the column cache cleared first and no plan cache."""
+    search._digit_columns.cache_clear()
+    plan = []
     for _depth, digits in search._split(search._layout(block, policy)):
         lanes = prod(map(len, digits))
-        width = max(width, lanes)
-        columns, known = search._columns(digits, lanes, width, known)
-        plan.append((lanes, columns))
+        plan.append((lanes, search._columns(digits, lanes)))
     return plan
 
 
@@ -473,19 +473,25 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
 
 
 def test_a_repeated_query_builds_no_columns(monkeypatch):
-    # Every block at 2 worlds fits one slab, so once the first run has
-    # planned them, the same queries build no columns and no layouts.
+    # Every block at 2 worlds fits one slab, whose plan _first_slab
+    # holds; the 3-world chain's block takes 4 slabs, whose later columns
+    # _digit_columns holds.  So once the first run has planned them, the
+    # same queries build no columns and no layouts.
     policy = FramePolicy(CoherenceMode.SHRINK)
     bounds = SearchBounds(2, 2)
-    formulas = [parse_formula(text) for text in ("[a]p -> [b]p", "<b>p -> <a>p", "p | ~p")]
+    chain = enumerated_posets(2)[1]
+    queries = [(parse_formula(text), bounds) for text in ("[a]p -> [b]p", "<b>p -> <a>p", "p | ~p")]
+    queries.append((parse_formula("<b>p -> <a>p"), SearchBounds(3, 2, poset=chain)))
+    block = search._Block(chain, 3, ("p",))
+    assert len(list(search._split(search._layout(block, policy)))) == 4
     matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
-    first = [decide_valid(formula, bounds, policy) for formula in formulas]
+    first = [decide_valid(formula, within, policy) for formula, within in queries]
     rows = axiom_matrix(*matrix_args)
     built = []
-    columns, layout = search._columns, search._Layout
-    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
-    monkeypatch.setattr(search, "_Layout", lambda *args: built.append(args) or layout(*args))
-    assert [decide_valid(formula, bounds, policy) for formula in formulas] == first
+    periodic, layout = search._periodic, search._Layout
+    monkeypatch.setattr(search, "_periodic", lambda *args: built.append("column") or periodic(*args))
+    monkeypatch.setattr(search, "_Layout", lambda *args: built.append("layout") or layout(*args))
+    assert [decide_valid(formula, within, policy) for formula, within in queries] == first
     assert axiom_matrix(*matrix_args) == rows
     assert built == []
 
@@ -619,6 +625,8 @@ def test_the_plan_cache_stays_within_maxsize():
         hit = search._first_hit(block, program, policy)
         info = search._first_slab.cache_info()
         assert info.currsize <= maxsize
+        columns = search._digit_columns.cache_info()
+        assert columns.currsize <= columns.maxsize
         rebuilt += info.misses > misses and key in seen
         seen.add(key)
         assert hit == cold[block, policy], (policy, block)

@@ -268,23 +268,24 @@ def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
     # A formula naming every index scans each block once, in full.
     assert all(dropped == frozenset() for _n, dropped, _l, _h in slabs(late))
     # The projections of the largest blocks are probed first, up to the
-    # first slab that hits: here the antichain's, onto `a`, at 2 worlds.
-    # The two 1-world blocks follow in candidate order, one slab each, and
-    # miss; then the block whose probe hit is scanned in full, which ends
-    # at the block's least hit.
+    # first that hits: here the antichain's, onto `a`, at 2 worlds, in its
+    # third slab.  The blocks on fewer worlds follow in candidate order,
+    # in full, and miss: the 1-world antichain in two slabs of 4 and the
+    # 1-world chain in slabs of 2 and 4.  Then the antichain at 2 worlds is
+    # scanned in full, in candidate order, up to the slab that holds its
+    # least hit.
     got = slabs(spread)
-    first = next(i for i, (_n, _d, _l, hit) in enumerate(got) if hit is not None)
-    assert got[first][:2] == (2, {"b"})
-    assert all(dropped == {"b"} for _n, dropped, _l, _h in got[: first + 1])
-    assert [(n, dropped, hit) for n, dropped, _l, hit in got[first + 1 : first + 3]] == [
-        (1, {"b"}, None)
-    ] * 2
-    rescan = got[first + 3 :]
-    assert len(rescan) > 1
-    assert all((n, dropped) == (2, frozenset()) for n, dropped, _l, _h in rescan)
-    assert [hit is not None for *_rest, hit in rescan] == [False] * (len(rescan) - 1) + [True]
+    assert [(n, dropped, lanes, hit is not None) for n, dropped, lanes, hit in got] == [
+        *[(2, {"b"}, 4, False)] * 2,
+        (2, {"b"}, 4, True),
+        *[(1, frozenset(), 4, False)] * 2,
+        (1, frozenset(), 2, False),
+        (1, frozenset(), 4, False),
+        *[(2, frozenset(), 4, False)] * 32,
+        (2, frozenset(), 4, True),
+    ]
     model, world = expected[formulas.index(spread)]
-    assert search._decode(search._Block(model.poset, 2, ("p",)), rescan[-1][3]) == model
+    assert search._decode(search._Block(model.poset, 2, ("p",)), got[-1][3]) == model
 
 
 def test_ceiling_and_bit_guard():
@@ -292,6 +293,18 @@ def test_ceiling_and_bit_guard():
         decide_valid(parse_formula("p"), SearchBounds(4, 2), ceiling=1000)
     with pytest.raises(BoundsTooLarge):
         decide_valid(parse_formula("p"), SearchBounds(8, 2), ceiling=10**30)
+
+
+def test_blocks_past_64_candidate_bits_are_scanned():
+    # The ceiling is the one bound on block size: 16 indices at 2 worlds
+    # with one atom take 66 candidate bits.
+    antichain = IndexPoset.from_order(tuple(f"a{i}" for i in range(16)))
+    bounds = SearchBounds(2, 16, poset=antichain)
+    assert search._Block(antichain, 2, ("p",)).total_bits == 66
+    verdict = decide_valid(parse_formula("[a0]p -> p"), bounds, ceiling=1 << 70)
+    assert verdict.model == StratifiedModel(antichain, ("w0",), {}, {"p": frozenset()})
+    verdict = decide_valid(parse_formula("[a0]p -> [a0]p"), bounds, ceiling=1 << 70)
+    assert isinstance(verdict, ValidUpTo)
 
 
 def test_ceiling_is_checked_while_blocks_are_listed():
@@ -356,6 +369,20 @@ def test_bounds_atoms_must_cover_formula():
         parse_formula("p | ~p"), SearchBounds(2, 1, atoms=("p", "q"))
     )
     assert isinstance(verdict, ValidUpTo)
+    # The axiom matrix takes the same atoms: K names p and q, and A3's
+    # countermodel declares every atom of the bounds.
+    with pytest.raises(ValueError, match="missing formula atoms"):
+        axiom_matrix(
+            (AxiomProfile.SECTION2,), (CoherenceMode.NONE,), SearchBounds(1, 1, atoms=("p",))
+        )
+    rows = axiom_matrix(
+        (AxiomProfile.SECTION2,),
+        (CoherenceMode.NONE,),
+        SearchBounds(1, 1, atoms=("p", "q", "r")),
+        require_stable_reflexive=False,
+    )
+    (a3,) = _cell(rows, "A3", CoherenceMode.NONE, False)
+    assert set(a3.verdict.model.valuation) == {"p", "q", "r"}
 
 
 def test_bounds_atoms_must_be_identifiers():
