@@ -38,12 +38,12 @@ __all__ = [
     "subformulas",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def is_identifier(name: object) -> bool:
     """True when `name` is a legal index/world/atom identifier."""
-    return isinstance(name, str) and bool(_IDENT.match(name))
+    return isinstance(name, str) and bool(_IDENT.fullmatch(name))
 
 
 def _require_identifier(name: object, role: str) -> None:
@@ -117,21 +117,9 @@ class IndexPoset:
             if name in seen:
                 raise ValueError(f"duplicate index {name!r}")
             seen.add(name)
-        for a, b in self.order:
-            if a not in seen or b not in seen:
-                raise UndeclaredIdentifier(
-                    f"order pair ({a!r}, {b!r}) mentions an undeclared index"
-                )
-        for name in self.indices:
-            if (name, name) not in self.order:
-                raise ValueError("order must be stored reflexively closed")
-        for a, b in self.order:
-            if a != b and (b, a) in self.order:
-                raise CycleError(f"{a!r} and {b!r} are ordered in both directions")
-        for a, b in self.order:
-            for c, d in self.order:
-                if b == c and (a, d) not in self.order:
-                    raise ValueError("order must be stored transitively closed")
+        # poset_closure raises UndeclaredIdentifier and CycleError itself.
+        if poset_closure(self.order, self.indices, "index") != self.order:
+            raise ValueError("order must be stored reflexively and transitively closed")
         extra = self.stable - seen
         if extra:
             raise UndeclaredIdentifier(

@@ -25,17 +25,18 @@ identical output at every worker count:
   The reported countermodel is the enumeration-order minimum of the
   admissible candidates.
 
-One scan path.  decide_valid (and through it decide_sat) and each
-axiom_matrix row compile the query once to a core.Program, whose atoms
-and indices size and check the blocks.  _blocks lists the blocks and
-raises BoundsTooLarge at the first one past the ceiling, before any is
-scanned; _first_counterexample scans them, each in slabs of at most
-_SLAB admissible candidates in increasing order, in one thread.  The
-`workers` argument is kept for compatibility and does not change the
-scan.  axiom_matrix builds each schema instance and its program once per
-call, and keeps one dict of verdicts per mode, keyed by the instance
-formula and its poset variants, so an instance that recurs under a mode
-(A4 and DDOWN at a reflexive pair) is scanned once.
+One scan path.  Every verdict comes from _decide: decide_valid (and
+through it decide_sat) calls it once, and so does each axiom_matrix row.
+It takes the query compiled once to a core.Program, whose atoms and
+indices size and check the blocks; _blocks lists the blocks and raises
+BoundsTooLarge at the first one past the ceiling, before any is
+scanned; _decide then scans them, each in slabs of at most _SLAB
+admissible candidates in increasing order, in one thread, and re-checks
+the hit.  The `workers` argument is kept for compatibility and does not
+change the scan.  axiom_matrix builds each schema instance and its
+program once per call, and keeps one dict of verdicts per mode, keyed by
+the instance formula and the poset it scans, so an instance that recurs
+under a mode (A4 and DDOWN at a reflexive pair) is scanned once.
 
 Scan order.  The order blocks are scanned in is not the candidate order.
 A countermodel on n' worlds extends to one on any n > n': add worlds
@@ -45,14 +46,15 @@ worlds see none of them, so every formula keeps its truth value there
 section 2.1); and coherence and stable reflexivity constrain each world
 pair on its own, which the new pairs meet: every index holds each new
 diagonal pair and no other.  So when no block at max_worlds hits, no
-block does.  _first_counterexample therefore probes the projections
-(below) of the blocks at max_worlds first, in poset order, up to the
-first that hits, and returns None when none does: a ValidUpTo verdict
-scans one projected block per poset.  Otherwise it scans in full, in
-candidate order, the blocks on fewer worlds and then the block whose
-projection hit.  The first hit is the enumeration-order minimum: each
-block at max_worlds before that one missed its projection, so it
-misses in full too.
+block does.  _decide therefore probes the projections (below) of the
+blocks at max_worlds first, in poset order, up to the first that hits,
+and returns ValidUpTo when none does: a ValidUpTo verdict scans one
+projected block per poset.  Otherwise it scans in full, in candidate
+order, the blocks on fewer worlds and then the block whose projection
+hit, unless that projection dropped no index: it is then the block
+itself, and its hit is the block's least.  The first hit is the
+enumeration-order minimum: each block at max_worlds before that one
+missed its projection, so it misses in full too.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
@@ -71,14 +73,15 @@ need no limit on candidate bits.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
-scanning the empty-stable block yields the same verdict and the same
-first witness as additionally scanning every stable-set variant.
-decide_valid and decide_sat therefore enumerate machine-generated posets
-with the empty stable set only.  axiom_matrix overrides this for the
-reflection schema A3, whose side condition quantifies over stable
-levels: its rows range over the stable sets containing the instance
-index, whatever the reflexivity policy says, since otherwise the row
-would be vacuous whenever the policy stops enforcing reflexivity.
+scanning a poset with stable set S yields the same verdict and the same
+first witness as scanning it with S and then with every larger stable
+set: at each world count the block for S comes first, and its
+admissible candidates include theirs.  decide_valid and decide_sat
+therefore enumerate machine-generated posets with the empty stable set
+only.  The reflection schema A3 is the law of a stable level, so an
+axiom_matrix row of A3 at alpha scans its poset with {alpha} as the
+stable set, whatever the reflexivity policy says; by the same argument
+that covers every stable set containing alpha.
 
 Scanning is bitsliced over Python ints.  Coherence and stable
 reflexivity constrain each relation bit position (world pair) on its
@@ -674,37 +677,44 @@ def _check_indices(program: Program, posets: tuple[IndexPoset, ...]) -> None:
                 )
 
 
-def _first_counterexample(
-    program: Program, blocks: list[_Block], policy: FramePolicy
-) -> Counterexample | None:
-    """The enumeration-order-first countermodel to the program's formula,
-    re-checked by the scalar evaluator, or None when the blocks hold none.
-
-    The projections of the blocks at the largest world count are probed
-    first, in poset order, up to the first that hits (`top`): a
-    countermodel on fewer worlds extends to one on more, so when none of
-    them hits, no block does.  Otherwise the blocks on fewer worlds and
-    then `top` are scanned in full, in candidate order, and the first
-    hit is the enumeration-order minimum: each block at the largest
-    world count before `top` missed its projection, so it misses in full.
+def _decide(
+    program: Program,
+    posets: tuple[IndexPoset, ...],
+    bounds: SearchBounds,
+    policy: FramePolicy,
+    ceiling: int,
+) -> Counterexample | ValidUpTo:
+    """The enumeration-order-first countermodel to the program's formula
+    over the posets' blocks up to bounds.max_worlds, re-checked by the
+    scalar evaluator, or ValidUpTo(bounds) when they hold none.  Blocks
+    are probed and scanned as "Scan order" in the module docstring says.
     """
+    atoms = _resolve_atoms(program, bounds)
+    _check_indices(program, posets)
+    blocks = _blocks(posets, bounds.max_worlds, atoms, ceiling)
     used = frozenset(program.indices)
     for top in blocks:
-        if top.n < blocks[-1].n:
+        if top.n < bounds.max_worlds:
             continue
         # The formula reads only the relations of the indices it names,
         # so the projection onto them hits exactly when the block does.
         projection = replace(top, dropped=frozenset(top.poset.indices) - used)
-        if _first_hit(projection, program, policy) is not None:
-            break
-    else:
-        return None
-    for block in [b for b in blocks if b.n < top.n] + [top]:
-        hit = _first_hit(block, program, policy)
+        hit = _first_hit(projection, program, policy)
         if hit is not None:
             break
     else:
-        raise RuntimeError("scan of a block missed the hit of its projection")
+        return ValidUpTo(bounds)
+    for block in [b for b in blocks if b.n < top.n]:
+        first = _first_hit(block, program, policy)
+        if first is not None:
+            hit = first
+            break
+    else:
+        block = top
+        if projection.dropped:
+            hit = _first_hit(top, program, policy)
+            if hit is None:
+                raise RuntimeError("scan of a block missed the hit of its projection")
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
@@ -733,12 +743,7 @@ def decide_valid(
     does not change it.  Raises BoundsTooLarge when the raw candidate
     count exceeds `ceiling`.
     """
-    program = Program(formula)
-    atoms = _resolve_atoms(program, bounds)
-    posets = _posets(bounds)
-    _check_indices(program, posets)
-    blocks = _blocks(posets, bounds.max_worlds, atoms, ceiling)
-    return _first_counterexample(program, blocks, policy) or ValidUpTo(bounds)
+    return _decide(Program(formula), _posets(bounds), bounds, policy, ceiling)
 
 
 def decide_sat(
@@ -804,19 +809,6 @@ def _schema_instances(schema: str, poset: IndexPoset) -> tuple[tuple[str, str], 
     return tuple((idx, idx) for idx in poset.indices)
 
 
-def _stable_variants(schema: str, poset: IndexPoset, alpha: str) -> tuple[IndexPoset, ...]:
-    if SCHEMAS[schema][1] != "a stable":
-        return (poset,)
-    # Reflection quantifies over stability: range over every stable set
-    # containing the instance index, in subset-mask order.
-    rest = [idx for idx in poset.indices if idx != alpha]
-    variants = []
-    for mask in range(1 << len(rest)):
-        stable = {alpha} | {idx for i, idx in enumerate(rest) if mask >> i & 1}
-        variants.append(IndexPoset(poset.indices, poset.order, frozenset(stable)))
-    return tuple(variants)
-
-
 def axiom_matrix(
     profiles,
     modes,
@@ -831,9 +823,12 @@ def axiom_matrix(
     searched poset (reflexive pairs included).
 
     Rows come out in a fixed order: mode, then poset, then schema in
-    SCHEMA_ORDER, then instance indices in declaration order.  Every
-    countermodel carried by a row re-verifies through the scalar
-    evaluator before it is returned.
+    SCHEMA_ORDER, then instance indices in declaration order.  Each row's
+    verdict comes from one _decide call over one poset, whose blocks the
+    ceiling counts: the searched poset, or for A3 at alpha that poset
+    with {alpha} as its stable set.  A ValidUpTo verdict carries
+    `bounds`.  Every countermodel carried by a row re-verifies through
+    the scalar evaluator before it is returned.
     """
     profiles = tuple(profiles)
     if not profiles:
@@ -843,13 +838,12 @@ def axiom_matrix(
             raise TypeError(f"not a profile: {profile!r}")
     allowed = frozenset().union(*(PROFILE_SCHEMAS[p] for p in profiles))
     schemas = [s for s in SCHEMA_ORDER if s in allowed]
-    posets = _posets(bounds)
     # Instances and their programs depend on neither the mode nor the
     # reflexivity setting, so each is built once per call.
     formulas: dict[tuple[str, str, str], Formula] = {}
     programs: dict[Formula, Program] = {}
-    instances = []  # (poset, schema, alpha, beta, formula, poset variants)
-    for poset in posets:
+    instances = []  # (poset, schema, alpha, beta, formula, scanned poset)
+    for poset in _posets(bounds):
         for schema in schemas:
             for alpha, beta in _schema_instances(schema, poset):
                 key = (schema, alpha, beta)
@@ -858,20 +852,21 @@ def axiom_matrix(
                 formula = formulas[key]
                 if formula not in programs:
                     programs[formula] = Program(formula)
-                variants = _stable_variants(schema, poset, alpha)
-                instances.append((poset, schema, alpha, beta, formula, variants))
+                scanned = poset
+                if SCHEMAS[schema][1] == "a stable":
+                    # Reflection holds at a stable level: scan alpha stable
+                    # alone, which covers every stable set holding alpha.
+                    scanned = replace(poset, stable=frozenset({alpha}))
+                instances.append((poset, schema, alpha, beta, formula, scanned))
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
-        verdicts: dict = {}  # (formula, poset variants) -> verdict
-        for poset, schema, alpha, beta, formula, variants in instances:
-            if (formula, variants) not in verdicts:
-                program = programs[formula]
-                atoms = _resolve_atoms(program, bounds)
-                blocks = _blocks(variants, bounds.max_worlds, atoms, ceiling)
-                found = _first_counterexample(program, blocks, policy)
-                valid = ValidUpTo(SearchBounds(bounds.max_worlds, len(poset.indices)))
-                verdicts[formula, variants] = found or valid
+        verdicts: dict = {}  # (formula, scanned poset) -> verdict
+        for poset, schema, alpha, beta, formula, scanned in instances:
+            if (formula, scanned) not in verdicts:
+                verdicts[formula, scanned] = _decide(
+                    programs[formula], (scanned,), bounds, policy, ceiling
+                )
             rows.append(
                 MatrixRow(
                     schema,
@@ -881,7 +876,7 @@ def axiom_matrix(
                     beta,
                     formula,
                     require_stable_reflexive,
-                    verdicts[formula, variants],
+                    verdicts[formula, scanned],
                 )
             )
     return tuple(rows)

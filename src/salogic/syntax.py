@@ -59,6 +59,7 @@ from .core import (
     Or,
     Program,
     StratifiedModel,
+    _IDENT,
     children,
     is_identifier,
 )
@@ -74,8 +75,6 @@ __all__ = [
     "print_model",
     "print_proof",
 ]
-
-_IDENT_AT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _byte_span(text: str, start: int, end: int) -> SourceSpan:
@@ -105,7 +104,7 @@ def _tokenize_formula(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        m = _IDENT_AT.match(text, i)
+        m = _IDENT.match(text, i)
         if m:
             tokens.append(_Token("ident", m.group(), i, m.end()))
             i = m.end()
@@ -163,15 +162,16 @@ class _FormulaParser:
         return self.advance()
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
+        parts = [self.disjunction()]
+        while self.peek().kind == "->":
             self.advance()
             self.nest()
-            try:
-                return Implies(left, self.implication())
-            finally:
-                self.depth -= 1
-        return left
+            parts.append(self.disjunction())
+        self.depth -= len(parts) - 1
+        out = parts.pop()
+        for left in reversed(parts):
+            out = Implies(left, out)
+        return out
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
@@ -193,33 +193,23 @@ class _FormulaParser:
             self.fail(f"formula nesting deeper than {_MAX_NESTING}", set())
 
     def prefix(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "~":
+        # A run of prefix operators, innermost last; each nests one level.
+        wraps = []
+        while self.peek().kind in ("~", "[", "<"):
             self.nest()
-            try:
-                self.advance()
-                return Not(self.prefix())
-            finally:
-                self.depth -= 1
-        if kind == "[":
-            self.nest()
-            try:
-                self.advance()
-                idx = self.expect("ident", "identifier")
-                self.expect("]", "']'")
-                return Box(idx.text, self.prefix())
-            finally:
-                self.depth -= 1
-        if kind == "<":
-            self.nest()
-            try:
-                self.advance()
-                idx = self.expect("ident", "identifier")
-                self.expect(">", "'>'")
-                return Diamond(idx.text, self.prefix())
-            finally:
-                self.depth -= 1
-        return self.atom()
+            kind = self.advance().kind
+            if kind == "~":
+                wraps.append((Not,))
+                continue
+            idx = self.expect("ident", "identifier").text
+            node, close = (Box, "]") if kind == "[" else (Diamond, ">")
+            self.expect(close, f"'{close}'")
+            wraps.append((node, idx))
+        out = self.atom()
+        self.depth -= len(wraps)
+        for node, *label in reversed(wraps):
+            out = node(*label, out)
+        return out
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -228,13 +218,11 @@ class _FormulaParser:
             return Atom(tok.text)
         if tok.kind == "(":
             self.nest()
-            try:
-                self.advance()
-                out = self.implication()
-                self.expect(")", "')'")
-                return out
-            finally:
-                self.depth -= 1
+            self.advance()
+            out = self.implication()
+            self.expect(")", "')'")
+            self.depth -= 1
+            return out
         self.fail("expected a formula", _ATOM_STARTERS)
 
 

@@ -78,6 +78,16 @@ def test_poset_validates_stored_order():
         IndexPoset((), frozenset())
 
 
+def test_poset_rejects_duplicates_undeclared_pairs_and_stored_cycles():
+    with pytest.raises(ValueError, match="duplicate index 'a'"):
+        IndexPoset(("a", "a"), frozenset([("a", "a")]))
+    with pytest.raises(UndeclaredIdentifier, match="undeclared index 'z'"):
+        IndexPoset(("a",), frozenset([("a", "a"), ("a", "z")]))
+    cycle = frozenset([("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
+    with pytest.raises(CycleError):
+        IndexPoset(("a", "b"), cycle)
+
+
 def test_poset_helpers():
     poset = IndexPoset.from_order(("b", "a"), [("b", "a")])
     assert poset.leq("b", "a")

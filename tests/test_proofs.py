@@ -1,5 +1,6 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,6 @@ from salogic.core import (
     Or,
 )
 import salogic.proofs as proofs
-import salogic.search as search
 from salogic.errors import (
     BoundsTooLarge,
     ForwardReference,
@@ -36,6 +36,7 @@ from salogic.proofs import (
     REASON_NON_STABLE_NECESSITATION,
     REASON_NOT_A_TAUTOLOGY,
     REASON_SCHEMA_MISMATCH,
+    REASON_UNDECLARED_INDEX,
     check_derivation,
     is_tautology,
     match_axiom,
@@ -127,7 +128,16 @@ def test_every_matrix_instance_matches_its_schema():
         for row in rows:
             assert row.formula == schema_instance(row.schema, row.alpha, row.beta)
             profile = S3 if row.schema == "A4" else S2
-            for poset in search._stable_variants(row.schema, row.poset, row.alpha):
+            posets = [row.poset]
+            if proofs.SCHEMAS[row.schema][1] == "a stable":
+                # Reflection's side condition: every stable set holding alpha.
+                rest = [idx for idx in row.poset.indices if idx != row.alpha]
+                posets = [
+                    replace(row.poset, stable=frozenset({row.alpha, *extra}))
+                    for size in range(len(rest) + 1)
+                    for extra in combinations(rest, size)
+                ]
+            for poset in posets:
                 assert match_axiom(row.formula, row.schema, poset, profile) is True, row
             seen.add(row.schema)
     assert seen == set(proofs.SCHEMAS)
@@ -347,6 +357,42 @@ def test_check_poisons_dependents_of_rejected_lines():
     )
     report = check_derivation(d)
     assert report.lines[1].reason == REASON_CITED_LINE_REJECTED
+
+
+def test_modus_ponens_citing_a_rejected_line_is_rejected():
+    d = Derivation(
+        (
+            ProofLine(1, P, Axiom("A1")),  # rejected: not a tautology
+            ProofLine(2, Implies(P, P), Axiom("A1")),
+            ProofLine(3, P, ModusPonens(1, 2)),  # its premise was rejected
+            ProofLine(4, Implies(Implies(P, P), Q), Axiom("A1")),  # rejected
+            ProofLine(5, Q, ModusPonens(2, 4)),  # its implication was rejected
+        ),
+        CHAIN,
+    )
+    reasons = [line.reason for line in check_derivation(d).lines]
+    assert reasons == [
+        REASON_NOT_A_TAUTOLOGY,
+        None,
+        REASON_CITED_LINE_REJECTED,
+        REASON_NOT_A_TAUTOLOGY,
+        REASON_CITED_LINE_REJECTED,
+    ]
+
+
+def test_lines_of_an_api_built_derivation_may_name_undeclared_indices():
+    # parse_proof rejects such a script; a Derivation built in code
+    # reaches the checker, which rejects the line.
+    d = Derivation(
+        (
+            ProofLine(1, parse_formula("[z]p -> [z]p"), Axiom("A2")),
+            ProofLine(2, Implies(P, P), Axiom("A1")),
+            ProofLine(3, Box("z", Implies(P, P)), Necessitation("z", 2)),
+        ),
+        CHAIN,
+    )
+    reasons = [line.reason for line in check_derivation(d).lines]
+    assert reasons == [REASON_UNDECLARED_INDEX, None, REASON_UNDECLARED_INDEX]
 
 
 def test_check_reports_illegal_tag():

@@ -7,9 +7,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "salogic"
 
 ALLOWED = {
-    # At most syntax._MAX_NESTING = 128 levels: the parser counts them.
-    "syntax._FormulaParser.implication",
-    "syntax._FormulaParser.prefix",
     # Runs on parsed formulas only, so at most syntax._MAX_NESTING deep.
     "syntax._collect_indices_in_order",
 }

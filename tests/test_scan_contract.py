@@ -591,6 +591,68 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     assert [(n, hit is not None) for n, _lanes, hit in slabs[len(probe) :]] == [(1, True)]
 
 
+def test_a_probe_that_drops_no_index_is_not_rescanned(monkeypatch):
+    # The formula names both indices, so the probe of the 2-world
+    # antichain scans the block itself and its hit is the block's least.
+    # After the 1-world blocks miss, that hit is reported with no second
+    # scan of the block, and it is the oracle's first countermodel.
+    policy = FramePolicy(CoherenceMode.SHRINK)
+    formula = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p) & <b>p)")
+    antichain, chain = enumerated_posets(2)
+    blocks = []
+    first_hit = search._first_hit
+
+    def spy_first_hit(block, program, policy):
+        blocks.append((block.n, block.poset, block.dropped))
+        return first_hit(block, program, policy)
+
+    monkeypatch.setattr(search, "_first_hit", spy_first_hit)
+    verdict = decide_valid(formula, SearchBounds(2, 2), policy)
+    whole = frozenset()
+    assert blocks == [(2, antichain, whole), (1, antichain, whole), (1, chain, whole)]
+    expected = first_countermodel(formula, (antichain, chain), 2, policy, ("p",))
+    assert (verdict.model, verdict.world) == expected
+
+
+def test_reflection_rows_match_the_oracle_over_every_stable_set():
+    # An A3 row scans its poset with alpha alone stable.  Its verdict is
+    # the oracle's first countermodel over every stable set that holds
+    # alpha: one index at 1-3 worlds, the two-index shapes at 1-2 worlds
+    # and every 3-index poset at one world, under every policy.
+    bounds = [SearchBounds(3, 1), SearchBounds(2, 2)]
+    bounds += [SearchBounds(1, 3, poset=poset) for poset in three_index_posets() if not poset.stable]
+    found = valid = 0
+    for policy in POLICIES:
+        for bound in bounds:
+            rows = axiom_matrix(
+                tuple(AxiomProfile),
+                (policy.coherence,),
+                bound,
+                require_stable_reflexive=policy.require_stable_reflexive,
+            )
+            for row in rows:
+                if row.schema != "A3":
+                    continue
+                rest = [idx for idx in row.poset.indices if idx != row.alpha]
+                stable_sets = [
+                    replace(row.poset, stable=frozenset({row.alpha, *extra}))
+                    for size in range(len(rest) + 1)
+                    for extra in combinations(rest, size)
+                ]
+                expected = first_countermodel(
+                    row.formula, stable_sets, bound.max_worlds, policy, ("p",)
+                )
+                case = (policy, row.poset, row.alpha)
+                if expected is None:
+                    assert row.verdict == ValidUpTo(bound), case
+                    valid += 1
+                else:
+                    model, world = expected
+                    assert row.verdict == Counterexample(model, world, model.poset.indices[0]), case
+                    found += 1
+    assert found > 50 and valid > 50
+
+
 def test_the_plan_cache_stays_within_maxsize():
     # The 3-index posets at one world have several times more layouts
     # than the cache holds.  Over a seeded run of scans that draws the

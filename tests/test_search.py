@@ -483,6 +483,39 @@ def test_matrix_worker_equivalence():
     assert axiom_matrix(*args, workers=3) == axiom_matrix(*args, workers=1)
 
 
+def test_matrix_rejects_no_profiles_and_non_profiles():
+    with pytest.raises(ValueError, match="at least one profile"):
+        axiom_matrix((), (CoherenceMode.NONE,), SearchBounds(1, 1))
+    with pytest.raises(TypeError, match="not a profile: 'section2'"):
+        axiom_matrix(("section2",), (CoherenceMode.NONE,), SearchBounds(1, 1))
+
+
+def test_a_reflection_row_counts_one_poset_against_the_ceiling():
+    # Each row's blocks count against the ceiling on their own.  An A3
+    # row scans one poset, alpha stable, so a 32-candidate ceiling fits
+    # every row of the 3-index antichain at one world: K, with two atoms,
+    # takes 2**5 candidates, and A3 takes 2**4.
+    antichain = IndexPoset.from_order(("a", "b", "c"))
+    bounds = SearchBounds(1, 3, poset=antichain)
+    args = (tuple(AxiomProfile), (CoherenceMode.NONE,), bounds)
+    assert len(axiom_matrix(*args, ceiling=32)) == 15
+    # Without stable reflexivity each A3 row's countermodel shows its scan.
+    rows = axiom_matrix(*args, require_stable_reflexive=False, ceiling=32)
+    assert [row.verdict.model.poset.stable for row in rows if row.schema == "A3"] == [
+        frozenset({idx}) for idx in antichain.indices
+    ]
+    with pytest.raises(BoundsTooLarge):
+        axiom_matrix(*args, ceiling=31)
+
+
+def test_matrix_valid_rows_keep_the_bounds_they_ran_with():
+    bounds = SearchBounds(1, 1, atoms=("p", "q", "r"))
+    rows = axiom_matrix(tuple(AxiomProfile), tuple(CoherenceMode), bounds)
+    valid = [row.verdict for row in rows if isinstance(row.verdict, ValidUpTo)]
+    assert valid and all(verdict.bounds == bounds for verdict in valid)
+    assert all(verdict.bounds.atoms == ("p", "q", "r") for verdict in valid)
+
+
 def test_user_poset_with_three_indices():
     # shape enumeration stops at two indices, but explicit posets can be bigger
     chain3 = IndexPoset.from_order(("a", "b", "c"), [("a", "b"), ("b", "c")])
