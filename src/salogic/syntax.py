@@ -60,7 +60,6 @@ from .core import (
     Program,
     StratifiedModel,
     _IDENT,
-    children,
     is_identifier,
 )
 from .errors import ParseError, SourceSpan, UndeclaredIdentifier
@@ -96,15 +95,16 @@ class _Token:
     end: int
 
 
-def _tokenize_formula(text: str) -> list[_Token]:
+def _tokenize_formula(text: str, start: int, end: int) -> list[_Token]:
+    """Tokens of text[start:end], with offsets into the whole of `text`."""
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
+    i = start
+    while i < end:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        m = _IDENT.match(text, i)
+        m = _IDENT.match(text, i, end)
         if m:
             tokens.append(_Token("ident", m.group(), i, m.end()))
             i = m.end()
@@ -114,7 +114,7 @@ def _tokenize_formula(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == "-":
-            if text[i : i + 2] == "->":
+            if text.startswith("->", i, end):
                 tokens.append(_Token("->", "->", i, i + 2))
                 i += 2
                 continue
@@ -122,7 +122,7 @@ def _tokenize_formula(text: str) -> list[_Token]:
         raise ParseError(
             f"unexpected character {ch!r}", _byte_span(text, i, i + 1)
         )
-    tokens.append(_Token("eof", "", n, n))
+    tokens.append(_Token("eof", "", end, end))
     return tokens
 
 
@@ -141,6 +141,7 @@ class _FormulaParser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.indices: list[str] = []  # every index read, in text order
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,6 +203,7 @@ class _FormulaParser:
                 wraps.append((Not,))
                 continue
             idx = self.expect("ident", "identifier").text
+            self.indices.append(idx)
             node, close = (Box, "]") if kind == "[" else (Diamond, ">")
             self.expect(close, f"'{close}'")
             wraps.append((node, idx))
@@ -226,17 +228,23 @@ class _FormulaParser:
         self.fail("expected a formula", _ATOM_STARTERS)
 
 
+def _parse_formula(text: str, start: int, end: int) -> tuple[Formula, list[str]]:
+    """The formula in text[start:end] and the indices it reads, in text
+    order; error spans are byte offsets into the whole of `text`."""
+    parser = _FormulaParser(text, _tokenize_formula(text, start, end))
+    out = parser.implication()
+    if parser.peek().kind != "eof":
+        parser.fail("trailing input after formula", {"end of input"})
+    return out, parser.indices
+
+
 def parse_formula(text: str) -> Formula:
     """Parse the formula grammar (see module docstring).
 
     Raises ParseError carrying a byte span and the expected-token set on
     malformed input; never raises anything else on string input.
     """
-    parser = _FormulaParser(text, _tokenize_formula(text))
-    out = parser.implication()
-    if parser.peek().kind != "eof":
-        parser.fail("trailing input after formula", {"end of input"})
-    return out
+    return _parse_formula(text, 0, len(text))[0]
 
 
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_PREFIX, _PREC_ATOM = range(5)
@@ -476,14 +484,6 @@ def print_model(model: StratifiedModel) -> str:
 _PROOF_LINE = re.compile(r"\s*(\d+)\s*\.")
 
 
-def _collect_indices_in_order(formula: Formula, into: list[str]) -> None:
-    if isinstance(formula, (Box, Diamond)):
-        if formula.index not in into:
-            into.append(formula.index)
-    for child in children(formula):
-        _collect_indices_in_order(child, into)
-
-
 def _parse_justification(text, words):
     if not words:
         raise ParseError(
@@ -525,6 +525,7 @@ def parse_proof(
     """
     sections = _Sections()
     lines: list[ProofLine] = []
+    first_use: dict[str, int] = {}  # index -> number of the line naming it first
     for content, offset in _logical_lines(text):
         if not content.strip():
             continue
@@ -539,62 +540,40 @@ def parse_proof(
                 _byte_span(text, offset + head.start(1), offset + head.end(1)),
                 {str(len(lines) + 1)},
             )
-        body = content[head.end() :]
-        formula_text, sep, just_text = body.partition(";")
+        start = offset + head.end()
+        formula_text, sep, just_text = content[head.end() :].partition(";")
         if not sep:
             raise ParseError(
                 "missing ';' before the justification",
-                _byte_span(text, offset + head.end(), offset + len(content)),
+                _byte_span(text, start, offset + len(content)),
                 {"';'"},
             )
-        try:
-            formula = parse_formula(formula_text)
-        except ParseError as err:
-            base = len(text[: offset + head.end()].encode("utf-8"))
-            raise ParseError(
-                str(err).rsplit(" at bytes", 1)[0],
-                SourceSpan(base + err.span.start, base + err.span.end),
-                err.expected,
-            ) from None
-        just_words = _words_with_offsets(just_text, offset + head.end() + len(formula_text) + 1)
+        formula, used = _parse_formula(text, start, start + len(formula_text))
+        just_words = _words_with_offsets(just_text, start + len(formula_text) + 1)
         justification = _parse_justification(text, just_words)
+        if isinstance(justification, Necessitation):
+            used.append(justification.index)
+        for name in used:
+            first_use.setdefault(name, number)
         lines.append(ProofLine(number, formula, justification))
 
-    if sections.order and not sections.indices:
-        raise ParseError(
-            "order: requires an indices: header",
-            _byte_span(text, 0, len(text)),
-            {"indices:"},
-        )
-    if sections.stable and not sections.indices:
-        raise ParseError(
-            "stable: requires an indices: header",
-            _byte_span(text, 0, len(text)),
-            {"indices:"},
-        )
-    if sections.indices:
-        poset = sections.build_poset(text)
-        declared = set(poset.indices)
-        for line in lines:
-            used: list[str] = []
-            _collect_indices_in_order(line.formula, used)
-            if isinstance(line.justification, Necessitation):
-                used.append(line.justification.index)
-            for name in used:
-                if name not in declared:
-                    raise UndeclaredIdentifier(
-                        f"line {line.number} uses undeclared index {name!r}"
-                    )
-    else:
-        # Headerless scripts: indices in order of first appearance form an
-        # antichain with no stable levels.
-        used = []
-        for line in lines:
-            _collect_indices_in_order(line.formula, used)
-            if isinstance(line.justification, Necessitation):
-                if line.justification.index not in used:
-                    used.append(line.justification.index)
-        poset = IndexPoset.from_order(used or ("a",))
+    for section in ("order", "stable"):
+        if getattr(sections, section) and not sections.indices:
+            raise ParseError(
+                f"{section}: requires an indices: header",
+                _byte_span(text, 0, len(text)),
+                {"indices:"},
+            )
+    # Without a header, the indices in order of first use form an antichain
+    # with no stable levels.
+    poset = (
+        sections.build_poset(text)
+        if sections.indices
+        else IndexPoset.from_order(list(first_use) or ["a"])
+    )
+    for name, number in first_use.items():
+        if name not in poset.indices:
+            raise UndeclaredIdentifier(f"line {number} uses undeclared index {name!r}")
     return Derivation(
         lines=tuple(lines),
         poset=poset,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from salogic import example_model_path
 from salogic.cli import main
 
@@ -257,6 +259,34 @@ def test_prove_a1_row_ceiling_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _sal(*argv):
+    """Run `python -m salogic` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "salogic", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_prove_wide_chains_without_a_traceback(tmp_path):
+    # `&` and `|` chains of 3000 operands build trees 3000 levels deep.
+    script = tmp_path / "wide.sal"
+    script.write_text("1. " + " | ".join(["~p"] + ["p"] * 2999) + " ; A1\n", encoding="utf-8")
+    result = _sal("prove", str(script))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["line 1: accepted", "proof ok"]
+    script.write_text(
+        "indices: a\n1. " + " & ".join(["[a]p"] * 3000) + " ; A1\n", encoding="utf-8"
+    )
+    result = _sal("prove", str(script))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout.splitlines() == [
+        "line 1: rejected (not-a-tautology)",
+        "proof rejected",
+    ]
+
+
 def test_prove_profile_switch(tmp_path, capsys):
     script = tmp_path / "proof.sal"
     script.write_text(
@@ -337,17 +367,14 @@ def test_export_unknown_highlight(capsys):
 def test_module_entry_point_runs():
     # The child finds the package through PYTHONPATH, whether or not the
     # caller exported it.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-m", "salogic", "eval", SEC33, "<beta> p", "--world", "w1", "--index", "beta"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = _sal("eval", SEC33, "<beta> p", "--world", "w1", "--index", "beta")
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "true"
+
+
+def test_unknown_example_model_is_a_key_error():
+    with pytest.raises(KeyError, match="no bundled model named 'nope'"):
+        example_model_path("nope")
 
 
 def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys):

@@ -158,6 +158,11 @@ def test_formula_identifier_validation():
         Box("", Atom("p"))
 
 
+def test_program_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        Program(42)
+
+
 def test_formula_equality_is_syntactic():
     assert Not(Not(Atom("p"))) != Atom("p")
     assert Diamond("a", Atom("p")) != Not(Box("a", Not(Atom("p"))))
@@ -206,5 +211,7 @@ def test_model_successors_in_declaration_order():
     )
     assert m.successors("a", "w0") == ("w1", "w2")
     assert m.successors("a", "w1") == ()
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(UndeclaredIdentifier, match="unknown index 'z'"):
         m.successors("z", "w0")
+    with pytest.raises(UndeclaredIdentifier, match="unknown world 'w9'"):
+        m.successors("a", "w9")

@@ -423,6 +423,34 @@ def test_derivation_construction_guards():
         Derivation((ProofLine(2, P, Axiom("A1")),), CHAIN)
 
 
+def test_unknown_axiom_tags_are_refused():
+    with pytest.raises(ValueError, match="unknown axiom tag 'X'"):
+        Axiom("X")
+    with pytest.raises(ValueError, match="unknown axiom tag 'X'"):
+        match_axiom(P, "X", CHAIN, S2)
+
+
+def test_check_refuses_a_non_justification():
+    d = Derivation((ProofLine(1, P, "A1"),), CHAIN)
+    with pytest.raises(TypeError, match="not a justification: 'A1'"):
+        check_derivation(d)
+
+
+def test_report_lists_its_rejected_lines():
+    report = check_derivation(parse_proof("1. p ; A1\n2. p -> p ; A1\n3. q ; A1\n"))
+    assert report.rejected() == (report.lines[0], report.lines[2])
+
+
+def test_wide_chains_parse_and_check():
+    # `&` and `|` chains build left-deep trees 3000 levels deep.
+    tautology = parse_proof("1. " + " | ".join(["~p"] + ["p"] * 2999) + " ; A1\n")
+    assert tautology.poset.indices == ("a",)
+    assert check_derivation(tautology).valid
+    boxes = parse_proof("indices: a\n1. " + " & ".join(["[a]p"] * 3000) + " ; A1\n")
+    assert boxes.poset.indices == ("a",)
+    assert check_derivation(boxes).lines[0].reason == REASON_NOT_A_TAUTOLOGY
+
+
 def test_proof_line_rejects_a_non_formula():
     with pytest.raises(TypeError, match="not a formula: 'p'"):
         ProofLine(1, "p", Axiom("K"))

@@ -10,6 +10,7 @@ from salogic.core import (
     Box,
     Diamond,
     Implies,
+    IndexPoset,
     Not,
     Or,
 )
@@ -18,9 +19,10 @@ from salogic.errors import (
     ForwardReference,
     ParseError,
     SalError,
+    SourceSpan,
     UndeclaredIdentifier,
 )
-from salogic.proofs import Axiom, Necessitation
+from salogic.proofs import Axiom, Derivation, Necessitation, ProofLine
 from salogic.syntax import (
     parse_formula,
     parse_model,
@@ -84,6 +86,8 @@ def test_parse_errors_carry_spans_and_expectations():
         parse_formula("p -")
     with pytest.raises(ParseError):
         parse_formula("")
+    with pytest.raises(ValueError, match=r"malformed span \(3, 1\)"):
+        SourceSpan(3, 1)
 
 
 def test_pathological_nesting_is_a_diagnostic_not_a_crash():
@@ -186,6 +190,8 @@ def test_parse_model_structural_errors():
         parse_model("indices: a a\nworlds: w\n")
     with pytest.raises(ParseError):
         parse_model("indices: a\nworlds: w\nrelation a: w->w\n")
+    with pytest.raises(ParseError, match="bad index name '1x'"):
+        parse_model("indices: a\nworlds: w\nrel 1x: w->w\n")
     with pytest.raises(CycleError):
         parse_model("indices: a b\norder: a<=b b<=a\nworlds: w\n")
 
@@ -257,6 +263,9 @@ def test_parse_proof_stores_tags_uninterpreted():
     d = parse_proof("1. [a]p -> [b]p ; A2\n")
     assert d.lines[0].justification == Axiom("A2")
     assert d.poset.indices == ("a", "b")
+    # An index named only by a NEC joins the antichain after the line's own.
+    d = parse_proof("1. [b]p -> [b]p ; A1\n2. [b]([b]p -> [b]p) ; NEC a 1\n")
+    assert d.poset.indices == ("b", "a")
 
 
 def test_parse_proof_header_and_validation():
@@ -270,16 +279,34 @@ def test_parse_proof_header_and_validation():
     assert d.nec_requires_stable is False
     with pytest.raises(UndeclaredIdentifier):
         parse_proof("indices: a\n1. [b]p -> [b]p ; A1\n")
-    with pytest.raises(ParseError):
+    # The error names the first undeclared use in script order, and a
+    # header after the numbered lines still declares for all of them.
+    with pytest.raises(UndeclaredIdentifier, match="line 2 uses undeclared index 'c'"):
+        parse_proof("indices: a\n1. [a]p -> [a]p ; A1\n2. [a]p ; NEC c 1\n3. [b]p ; A1\n")
+    with pytest.raises(UndeclaredIdentifier, match="line 1 uses undeclared index 'b'"):
+        parse_proof("1. <b>[a]p -> [b]p ; A1\nindices: a\n")
+    with pytest.raises(ParseError, match="order: requires an indices: header"):
         parse_proof("order: a<=b\n1. p -> p ; A1\n")
+    with pytest.raises(ParseError, match="stable: requires an indices: header"):
+        parse_proof("stable: a\n1. p -> p ; A1\n")
     with pytest.raises(ParseError):
         parse_proof("1. p -> p ; A1\n3. p -> p ; A1\n")
     with pytest.raises(ParseError):
         parse_proof("1. p -> p\n")
     with pytest.raises(ParseError):
         parse_proof("1. p -> p ; NOPE\n")
+    with pytest.raises(ParseError, match="missing justification"):
+        parse_proof("1. p ;\n")
+    with pytest.raises(ParseError, match="A1 takes no arguments"):
+        parse_proof("1. p -> p ; A1 x\n")
     with pytest.raises(ParseError):
         parse_proof("1. p @ p ; A1\n")
+
+
+def test_print_proof_rejects_a_non_justification():
+    d = Derivation((ProofLine(1, P, "A1"),), IndexPoset.from_order(("a",)))
+    with pytest.raises(TypeError, match="not a justification: 'A1'"):
+        print_proof(d)
 
 
 def test_parse_proof_citations_must_be_decimal():
