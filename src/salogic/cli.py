@@ -17,7 +17,7 @@ import enum
 import sys
 from pathlib import Path
 
-from .core import AxiomProfile, CoherenceMode
+from .core import AxiomProfile, CoherenceMode, _pair_order
 from .errors import SalError
 from .search import (
     SearchBounds,
@@ -195,16 +195,14 @@ def _cmd_export(args) -> ExitStatus:
             raise SalError(f"atom {args.highlight!r} is not declared in the model")
         highlight = model.valuation[args.highlight]
     lines = ["digraph model {"]
-    wpos = {w: i for i, w in enumerate(model.worlds)}
+    in_order = _pair_order(model.worlds)
     for idx in model.poset.indices:
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="{idx}";')
         for w in model.worlds:
             shape = "doublecircle" if w in highlight else "circle"
             lines.append(f'    "{idx}__{w}" [label="{w}", shape={shape}];')
-        for u, v in sorted(
-            model.relations[idx], key=lambda uv: (wpos[uv[0]], wpos[uv[1]])
-        ):
+        for u, v in in_order(model.relations[idx]):
             lines.append(f'    "{idx}__{u}" -> "{idx}__{v}";')
         lines.append("  }")
     lines.append("}")

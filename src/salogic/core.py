@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Mapping
 
 from .errors import CycleError, UndeclaredIdentifier
 
@@ -51,6 +52,37 @@ def _require_identifier(name: object, role: str) -> None:
         raise ValueError(f"{role} must match [A-Za-z_][A-Za-z0-9_]*, got {name!r}")
 
 
+def _declared_names(names: tuple, owner: str, role: str) -> set[str]:
+    """The set of `names`, which must be a non-empty tuple of distinct
+    identifiers; `owner` ("poset", "model") and `role` ("index",
+    "world") word the errors."""
+    if not names:
+        raise ValueError(f"a {owner} needs at least one {role}")
+    seen: set[str] = set()
+    for name in names:
+        _require_identifier(name, role)
+        if name in seen:
+            raise ValueError(f"duplicate {role} {name!r}")
+        seen.add(name)
+    return seen
+
+
+def _least_undeclared(names: Iterable, known: set) -> object:
+    """The least by repr of the `names` missing from `known`, so an error
+    names the same one whatever the hash seed.  Called only once a
+    membership check has failed."""
+    return min(set(names) - known, key=repr)
+
+
+def _pair_order(names: tuple[str, ...]) -> Callable[[Iterable[tuple]], list[tuple]]:
+    """A function listing pairs of `names` in declaration order: by the
+    first element's position, then the second's.  Callers build one per
+    call and apply it to each of their pair sets."""
+    pos = {name: i for i, name in enumerate(names)}
+    n = len(pos)
+    return lambda pairs: sorted(pairs, key=lambda ab: pos[ab[0]] * n + pos[ab[1]])
+
+
 def poset_closure(
     pairs: Iterable[tuple[str, str]], elements: Iterable[str], kind: str = "element"
 ) -> frozenset[tuple[str, str]]:
@@ -63,17 +95,19 @@ def poset_closure(
     Raises CycleError when two distinct elements end up related in both
     directions, i.e. the generators do not describe a partial order, and
     UndeclaredIdentifier when a generator mentions an unknown element;
-    its message calls the element a `kind` ("index", "world").
+    its message calls the element a `kind` ("index", "world").  Both
+    messages are fixed by the inputs: an undeclared element is the least
+    by repr, and a cycle is named by the first element in `elements` that
+    lies on one, with the first element it is ordered both ways with.
     """
     elems = tuple(elements)
     known = set(elems)
     below = {e: {e} for e in elems}
+    pairs = tuple(pairs)
+    if not known.issuperset(chain.from_iterable(pairs)):
+        name = _least_undeclared(chain.from_iterable(pairs), known)
+        raise UndeclaredIdentifier(f"order generator mentions undeclared {kind} {name!r}")
     for a, b in pairs:
-        for name in (a, b):
-            if name not in known:
-                raise UndeclaredIdentifier(
-                    f"order generator mentions undeclared {kind} {name!r}"
-                )
         below[a].add(b)
     # The element sets are tiny; a quadratic saturation sweep is fine.
     changed = True
@@ -87,9 +121,10 @@ def poset_closure(
                 below[a] |= extra
                 changed = True
     for a in elems:
-        for b in below[a]:
-            if a != b and a in below[b]:
-                raise CycleError(f"{a!r} and {b!r} are ordered in both directions")
+        both = {b for b in below[a] if a in below[b]}
+        if len(both) > 1:
+            b = next(b for b in elems if b != a and b in both)
+            raise CycleError(f"{a!r} and {b!r} are ordered in both directions")
     return frozenset((a, b) for a in elems for b in below[a])
 
 
@@ -109,21 +144,14 @@ class IndexPoset:
     stable: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not self.indices:
-            raise ValueError("a poset needs at least one index")
-        seen: set[str] = set()
-        for name in self.indices:
-            _require_identifier(name, "index")
-            if name in seen:
-                raise ValueError(f"duplicate index {name!r}")
-            seen.add(name)
+        seen = _declared_names(self.indices, "poset", "index")
         # poset_closure raises UndeclaredIdentifier and CycleError itself.
         if poset_closure(self.order, self.indices, "index") != self.order:
             raise ValueError("order must be stored reflexively and transitively closed")
         extra = self.stable - seen
         if extra:
             raise UndeclaredIdentifier(
-                f"stable set mentions undeclared indices: {sorted(extra)}"
+                f"stable set mentions undeclared indices: {sorted(extra, key=repr)}"
             )
 
     @classmethod
@@ -146,16 +174,11 @@ class IndexPoset:
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """Comparable pairs (a, b) with a <= b and a != b, in declaration order."""
-        pos = {name: i for i, name in enumerate(self.indices)}
-        pairs = [(a, b) for (a, b) in self.order if a != b]
-        pairs.sort(key=lambda ab: (pos[ab[0]], pos[ab[1]]))
-        return tuple(pairs)
+        return tuple((a, b) for a, b in self.ordered_pairs() if a != b)
 
     def ordered_pairs(self) -> tuple[tuple[str, str], ...]:
         """All pairs (a, b) with a <= b, reflexive ones included, in declaration order."""
-        pos = {name: i for i, name in enumerate(self.indices)}
-        pairs = sorted(self.order, key=lambda ab: (pos[ab[0]], pos[ab[1]]))
-        return tuple(pairs)
+        return tuple(_pair_order(self.indices)(self.order))
 
 
 class Formula:
@@ -376,6 +399,9 @@ class StratifiedModel:
     are normalized to empty relations, so `relations` always has one
     entry per declared index.  An atom counts as declared exactly when it
     has a valuation entry (possibly empty).  Instances are immutable.
+
+    A relation or valuation that mentions undeclared worlds is reported
+    with the least of them by repr, whatever the hash seed.
     """
 
     poset: IndexPoset
@@ -385,36 +411,26 @@ class StratifiedModel:
     world_order: frozenset[tuple[str, str]] | None = None
 
     def __post_init__(self):
-        if not self.worlds:
-            raise ValueError("a model needs at least one world")
-        world_set: set[str] = set()
-        for w in self.worlds:
-            _require_identifier(w, "world")
-            if w in world_set:
-                raise ValueError(f"duplicate world {w!r}")
-            world_set.add(w)
+        world_set = _declared_names(self.worlds, "model", "world")
         for idx in self.relations:
             if idx not in self.poset.indices:
                 raise UndeclaredIdentifier(f"relation given for undeclared index {idx!r}")
         relations: dict[str, frozenset[tuple[str, str]]] = {}
         for idx in self.poset.indices:
             pairs = frozenset(self.relations.get(idx, ()))
-            for u, v in pairs:
-                for w in (u, v):
-                    if w not in world_set:
-                        raise UndeclaredIdentifier(
-                            f"relation for {idx!r} mentions undeclared world {w!r}"
-                        )
+            if not world_set.issuperset(chain.from_iterable(pairs)):
+                w = _least_undeclared(chain.from_iterable(pairs), world_set)
+                raise UndeclaredIdentifier(f"relation for {idx!r} mentions undeclared world {w!r}")
             relations[idx] = pairs
         valuation: dict[str, frozenset[str]] = {}
         for atom, ws in self.valuation.items():
             _require_identifier(atom, "atom")
             ws = frozenset(ws)
-            for w in ws:
-                if w not in world_set:
-                    raise UndeclaredIdentifier(
-                        f"valuation of {atom!r} mentions undeclared world {w!r}"
-                    )
+            if not world_set.issuperset(ws):
+                w = _least_undeclared(ws, world_set)
+                raise UndeclaredIdentifier(
+                    f"valuation of {atom!r} mentions undeclared world {w!r}"
+                )
             valuation[atom] = ws
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "valuation", valuation)

@@ -149,7 +149,7 @@ from .core import (
 )
 from .errors import BoundsTooLarge, UndeclaredIdentifier
 from .proofs import PROFILE_SCHEMAS, SCHEMAS
-from .semantics import FramePolicy, satisfying_worlds, validate_frame
+from .semantics import FramePolicy, _inclusion, satisfying_worlds, validate_frame
 
 __all__ = [
     "Counterexample",
@@ -371,11 +371,7 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     group = list(range(k))  # a label per kept index, shared by linked ones
     if policy.coherence is not CoherenceMode.NONE:
         for low, high in poset.strict_pairs():
-            # The policy puts R_sub within R_sup.
-            if policy.coherence is CoherenceMode.SHRINK:
-                sub, sup = high, low
-            else:
-                sub, sup = low, high
+            sub, sup = _inclusion(policy, low, high)  # R_sub lies within R_sup
             if sub in stable:
                 reflexive.add(sup)
             if sub not in ipos or sup not in ipos:

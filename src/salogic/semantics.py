@@ -35,6 +35,7 @@ from .core import (
     Formula,
     Program,
     StratifiedModel,
+    _pair_order,
 )
 from .errors import BoundsTooLarge, FrameViolation, UndeclaredIdentifier
 from .syntax import _step_texts, print_formula
@@ -94,26 +95,29 @@ class Violation:
         return f"{self.kind} {low}<={high} {u}->{v}"
 
 
+def _inclusion(policy: FramePolicy, low: str, high: str) -> tuple[str, str]:
+    """The index pair (sub, sup) whose relations the policy nests for
+    low <= high: R_sub must lie within R_sup."""
+    return (high, low) if policy.coherence is CoherenceMode.SHRINK else (low, high)
+
+
 def validate_frame(model: StratifiedModel, policy: FramePolicy) -> list[Violation]:
     """All frame violations of `model` under `policy`.
 
     Coherence violations list every relation pair missing from the
-    inclusion the mode demands, one Violation per pair: under SHRINK a
-    pair sits in the higher relation but not the lower one, under GROW
-    the other way around.  Stable-reflexivity violations list every
-    missing reflexive pair at a stable index.  The list order is
-    deterministic (index declaration order, then world declaration
+    inclusion the mode demands (see _inclusion), one Violation per pair:
+    under SHRINK a pair sits in the higher relation but not the lower
+    one, under GROW the other way around.  Stable-reflexivity violations
+    list every missing reflexive pair at a stable index.  The list order
+    is deterministic (index declaration order, then world declaration
     order).  An empty list means the frame meets every active constraint.
     """
     out: list[Violation] = []
-    wpos = {w: i for i, w in enumerate(model.worlds)}
     if policy.coherence is not CoherenceMode.NONE:
+        in_order = _pair_order(model.worlds)
         for low, high in model.poset.strict_pairs():
-            if policy.coherence is CoherenceMode.SHRINK:
-                missing = model.relations[high] - model.relations[low]
-            else:
-                missing = model.relations[low] - model.relations[high]
-            for pair in sorted(missing, key=lambda uv: (wpos[uv[0]], wpos[uv[1]])):
+            sub, sup = _inclusion(policy, low, high)
+            for pair in in_order(model.relations[sub] - model.relations[sup]):
                 out.append(Violation(VIOLATION_COHERENCE, (low, high), pair))
     if policy.require_stable_reflexive:
         for idx in model.poset.indices:

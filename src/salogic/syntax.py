@@ -60,6 +60,7 @@ from .core import (
     Program,
     StratifiedModel,
     _IDENT,
+    _pair_order,
     is_identifier,
 )
 from .errors import ParseError, SourceSpan, UndeclaredIdentifier
@@ -460,16 +461,13 @@ def print_model(model: StratifiedModel) -> str:
     """
     lines = _poset_lines(model.poset)
     lines.append("worlds: " + " ".join(model.worlds))
-    wpos = {w: i for i, w in enumerate(model.worlds)}
+    in_order = _pair_order(model.worlds)
     if model.world_order is not None:
-        strict = sorted(
-            ((u, v) for u, v in model.world_order if u != v),
-            key=lambda uv: (wpos[uv[0]], wpos[uv[1]]),
-        )
+        strict = in_order((u, v) for u, v in model.world_order if u != v)
         text = " ".join(f"{u}<={v}" for u, v in strict)
         lines.append("worldorder:" + (" " + text if text else ""))
     for idx in model.poset.indices:
-        pairs = sorted(model.relations[idx], key=lambda uv: (wpos[uv[0]], wpos[uv[1]]))
+        pairs = in_order(model.relations[idx])
         if pairs:
             lines.append(f"rel {idx}: " + " ".join(f"{u}->{v}" for u, v in pairs))
     for atom in sorted(model.valuation):
@@ -484,11 +482,14 @@ def print_model(model: StratifiedModel) -> str:
 _PROOF_LINE = re.compile(r"\s*(\d+)\s*\.")
 
 
-def _parse_justification(text, words):
+def _parse_justification(text, words, content, offset):
+    """The justification in `words`, read from the proof line `content`
+    at `offset`; a missing one is reported at the line's stripped span."""
     if not words:
+        lead = len(content) - len(content.lstrip())
         raise ParseError(
             "missing justification",
-            _byte_span(text, 0, len(text)),
+            _byte_span(text, offset + lead, offset + len(content.rstrip())),
             set(SCHEMA_TAGS) | {"MP", "NEC"},
         )
     word, start, end = words[0]
@@ -550,7 +551,7 @@ def parse_proof(
             )
         formula, used = _parse_formula(text, start, start + len(formula_text))
         just_words = _words_with_offsets(just_text, start + len(formula_text) + 1)
-        justification = _parse_justification(text, just_words)
+        justification = _parse_justification(text, just_words, content, offset)
         if isinstance(justification, Necessitation):
             used.append(justification.index)
         for name in used:

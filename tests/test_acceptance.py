@@ -220,8 +220,9 @@ _REPRO_SCRIPT = r"""
 import hashlib
 from salogic.core import CoherenceMode, IndexPoset
 from salogic.search import Counterexample, SearchBounds, ValidUpTo, decide_valid
+from salogic.errors import SalError
 from salogic.semantics import FramePolicy
-from salogic.syntax import parse_formula, print_model
+from salogic.syntax import parse_formula, parse_model, parse_proof, print_model
 
 SUITE = [
     ("p | ~p", 2, 2),
@@ -263,6 +264,19 @@ for workers in (1, 4):
                 f"{workers} {text} :: counterexample {verdict.world} {verdict.index}\n"
                 + print_model(verdict.model)
             )
+# Each input has several offenders that an error could name; it must
+# name the same one under every hash seed.
+BROKEN = [
+    lambda: parse_model("indices: a\nworlds: w0\nrel a: w0->x1 w0->y2 w0->z3\n"),
+    lambda: parse_model("indices: a\nworlds: w0\nval p: q1 q2 q3\n"),
+    lambda: parse_proof("indices: b c_1 a\norder: b<=c_1 c_1<=a a<=b\n1. p -> p ; A1\n"),
+    lambda: IndexPoset(("a",), frozenset({("a", "a"), ("a", "x"), ("a", "y"), ("a", "z")})),
+]
+for build in BROKEN:
+    try:
+        build()
+    except SalError as err:
+        chunks.append(f"error {type(err).__name__}: {err}\n")
 blob = "".join(chunks)
 print(hashlib.sha256(blob.encode()).hexdigest())
 print(blob, end="")
@@ -292,3 +306,4 @@ def test_criterion_7_reproducibility_and_worker_equivalence():
         one = [l.split(" ", 1)[1] for l in lines if l.startswith("1 ")]
         four = [l.split(" ", 1)[1] for l in lines if l.startswith("4 ")]
         assert one == four and len(one) == 20
+        assert sum(line.startswith("error ") for line in text.splitlines()) == 4

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -285,6 +286,52 @@ def test_prove_wide_chains_without_a_traceback(tmp_path):
         "line 1: rejected (not-a-tautology)",
         "proof rejected",
     ]
+
+
+# Runs each command given as argv lists in one interpreter and prints its
+# exit status and stderr.
+_ERRORS_PROBE = """
+import contextlib, io, json, sys
+from salogic.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(int(code), err.getvalue(), end="")
+"""
+
+
+def test_offender_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    files = {
+        "rel.salm": "indices: a\nworlds: w0\nrel a: w0->x1 w0->y2 w0->z3\n",
+        "val.salm": "indices: a\nworlds: w0\nval p: q1 q2 q3\n",
+        "cycle.sal": "indices: b c_1 a\norder: b<=c_1 c_1<=a a<=b\n1. p -> p ; A1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    commands = [
+        ["check-model", str(tmp_path / "rel.salm")],
+        ["check-model", str(tmp_path / "val.salm")],
+        ["prove", str(tmp_path / "cycle.sal")],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run(
+            [sys.executable, "-c", _ERRORS_PROBE, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert outputs == {
+        "2 error: relation for 'a' mentions undeclared world 'x1'\n"
+        "2 error: valuation of 'p' mentions undeclared world 'q1'\n"
+        "2 error: 'b' and 'c_1' are ordered in both directions\n"
+    }
 
 
 def test_prove_profile_switch(tmp_path, capsys):

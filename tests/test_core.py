@@ -48,6 +48,31 @@ def test_closure_rejects_unknown_elements():
         poset_closure([("a", "x")], ["a"])
 
 
+def test_closure_names_a_fixed_offender():
+    # The least undeclared name by repr, whatever order the generators
+    # come in; non-string junk is reported the same way.
+    cases = [
+        ([("a", "z"), ("a", "y")], "'y'"),
+        (frozenset({("a", "z"), ("y", "a"), ("a", "x")}), "'x'"),
+    ]
+    for pairs, name in cases:
+        with pytest.raises(UndeclaredIdentifier) as err:
+            poset_closure(pairs, ["a"], "index")
+        assert str(err.value) == f"order generator mentions undeclared index {name}"
+    with pytest.raises(UndeclaredIdentifier, match="undeclared element 'x'"):
+        poset_closure([("a", 3), ("a", "x")], ["a"])  # repr "'x'" < "3"
+    with pytest.raises(UndeclaredIdentifier, match="undeclared element 3"):
+        poset_closure([(3, "a")], ["a"])
+    # A cycle names the first element on one, with the first element it
+    # is ordered both ways with.
+    with pytest.raises(CycleError) as err:
+        poset_closure([("b", "c_1"), ("c_1", "a"), ("a", "b")], ["b", "c_1", "a"], "index")
+    assert str(err.value) == "'b' and 'c_1' are ordered in both directions"
+    with pytest.raises(CycleError) as err:
+        poset_closure([("c", "d"), ("d", "c"), ("b", "a"), ("a", "b")], ["d", "a", "b", "c"])
+    assert str(err.value) == "'d' and 'c' are ordered in both directions"
+
+
 def test_closure_idempotent():
     rng = random.Random(7)
     elements = ["a", "b", "c", "d"]
@@ -74,6 +99,8 @@ def test_poset_validates_stored_order():
         )
     with pytest.raises(UndeclaredIdentifier):
         IndexPoset.from_order(("a",), stable=("b",))
+    with pytest.raises(UndeclaredIdentifier, match=r"undeclared indices: \['x', 1\]"):
+        IndexPoset.from_order(("a",), stable=(1, "x"))
     with pytest.raises(ValueError):
         IndexPoset((), frozenset())
 
@@ -83,9 +110,31 @@ def test_poset_rejects_duplicates_undeclared_pairs_and_stored_cycles():
         IndexPoset(("a", "a"), frozenset([("a", "a")]))
     with pytest.raises(UndeclaredIdentifier, match="undeclared index 'z'"):
         IndexPoset(("a",), frozenset([("a", "a"), ("a", "z")]))
+    # Of several undeclared indices, the least is named.
+    with pytest.raises(UndeclaredIdentifier) as err:
+        IndexPoset(("a",), frozenset({("a", "a"), ("a", "x"), ("a", "y"), ("a", "z")}))
+    assert str(err.value) == "order generator mentions undeclared index 'x'"
     cycle = frozenset([("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
     with pytest.raises(CycleError):
         IndexPoset(("a", "b"), cycle)
+
+
+def test_poset_and_model_keep_their_name_messages():
+    poset = IndexPoset.from_order(("a",))
+    cases = [
+        (lambda: IndexPoset((), frozenset()), "a poset needs at least one index"),
+        (lambda: IndexPoset(("a", "a"), frozenset([("a", "a")])), "duplicate index 'a'"),
+        (lambda: StratifiedModel(poset, (), {}, {}), "a model needs at least one world"),
+        (lambda: StratifiedModel(poset, ("w0", "w0"), {}, {}), "duplicate world 'w0'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match=r"index must match .*, got 'a b'"):
+        IndexPoset(("a b",), frozenset())
+    with pytest.raises(ValueError, match=r"world must match .*, got 3"):
+        StratifiedModel(poset, (3,), {}, {})
 
 
 def test_poset_helpers():
@@ -188,6 +237,20 @@ def test_model_validates_members():
         StratifiedModel(poset, (), {}, {})
     with pytest.raises(ValueError):
         StratifiedModel(poset, ("w0", "w0"), {}, {})
+
+
+def test_model_names_the_least_undeclared_world():
+    poset = IndexPoset.from_order(("a",))
+    rel = {"a": {("w0", "x1"), ("w0", "y2"), ("w0", "z3")}}
+    with pytest.raises(UndeclaredIdentifier) as err:
+        StratifiedModel(poset, ("w0",), rel, {})
+    assert str(err.value) == "relation for 'a' mentions undeclared world 'x1'"
+    with pytest.raises(UndeclaredIdentifier) as err:
+        StratifiedModel(poset, ("w0",), {}, {"p": {"q1", "q2", "q3"}})
+    assert str(err.value) == "valuation of 'p' mentions undeclared world 'q1'"
+    with pytest.raises(UndeclaredIdentifier) as err:
+        StratifiedModel(poset, ("w0",), {}, {"p": {"q1", 7}})
+    assert str(err.value) == "valuation of 'p' mentions undeclared world 'q1'"
 
 
 def test_model_world_order_closed_and_checked():

@@ -2,7 +2,7 @@
 
 Each script is parsed and its outcome recorded: the printed proof and
 the poset's index order on success, or the error's type, message, byte
-span and expected set (the type alone for a cyclic order).  The corpus
+span and expected set.  The corpus
 has three groups, each reduced to one sha256 over its outcomes:
 headerless scripts (indices named by formulas or only by a NEC, empty
 scripts), headered scripts (indices in shuffled order, header lines
@@ -23,7 +23,7 @@ import json
 import random
 from pathlib import Path
 
-from salogic.errors import CycleError, SalError
+from salogic.errors import SalError
 from salogic.proofs import SCHEMA_TAGS
 from salogic.syntax import parse_proof, print_formula, print_proof
 
@@ -40,10 +40,6 @@ COMMENTS = ("# µ-step", "#ünïcode — ok", "  # plain", "# ∀x ∃y")
 def outcome(text: str) -> str:
     try:
         derivation = parse_proof(text)
-    except CycleError:
-        # Which pair of a cycle the message names depends on set iteration
-        # order, so only the type is pinned.
-        return "!CycleError"
     except SalError as err:
         span = getattr(err, "span", None)
         where = f"{span.start}\t{span.end}" if span else "-"

@@ -179,6 +179,23 @@ def test_parse_model_undeclared_identifiers():
         parse_poset("indices: a\norder: a<=z\n")
 
 
+def test_parse_model_names_a_fixed_offender():
+    # Whatever the hash seed: the least undeclared world, and a cycle's
+    # first index in declaration order with its first partner.
+    cases = [
+        ("indices: a\nworlds: w0\nrel a: w0->x1 w0->y2 w0->z3\n",
+         "relation for 'a' mentions undeclared world 'x1'"),
+        ("indices: a\nworlds: w0\nval p: q1 q2 q3\n",
+         "valuation of 'p' mentions undeclared world 'q1'"),
+        ("indices: b c_1 a\norder: b<=c_1 c_1<=a a<=b\nworlds: w0\n",
+         "'b' and 'c_1' are ordered in both directions"),
+    ]
+    for text, message in cases:
+        with pytest.raises((UndeclaredIdentifier, CycleError)) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
+
 def test_parse_model_structural_errors():
     with pytest.raises(ParseError):
         parse_model("")
@@ -297,10 +314,23 @@ def test_parse_proof_header_and_validation():
         parse_proof("1. p -> p ; NOPE\n")
     with pytest.raises(ParseError, match="missing justification"):
         parse_proof("1. p ;\n")
+    with pytest.raises(CycleError) as err:
+        parse_proof("indices: b c_1 a\norder: b<=c_1 c_1<=a a<=b\n1. p -> p ; A1\n")
+    assert str(err.value) == "'b' and 'c_1' are ordered in both directions"
     with pytest.raises(ParseError, match="A1 takes no arguments"):
         parse_proof("1. p -> p ; A1 x\n")
     with pytest.raises(ParseError):
         parse_proof("1. p @ p ; A1\n")
+
+
+def test_missing_justification_points_at_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_proof("1. p -> p ; A1\n2. p ;\n")
+    assert str(err.value).startswith("missing justification at bytes 15..21 ")
+    # The span skips surrounding blanks and the comment; bytes, not chars.
+    with pytest.raises(ParseError) as err:
+        parse_proof("# µ\n1. p -> p ; A1\n  2. p ;  # note\n")
+    assert err.value.span == SourceSpan(22, 28)
 
 
 def test_print_proof_rejects_a_non_justification():
