@@ -315,10 +315,11 @@ class Program:
     of `subformulas`, which `nodes` holds.  `roots` holds the position of
     each formula; one formula's is the last.  Equal nodes share a position.
 
-    A bit set is a Python int, and `full` is the set of all positions.
-    The connectives are bitwise operations against `full`, and `[i]x` is
-    computed as `~<i>~x`, so a caller supplies only `atom(name)` and
-    `diamond(index, x)`, the positions with an `index`-successor in x."""
+    A bit set is any value with `^`, `&` and `|`, such as a Python int,
+    and `full` is the set of all positions.  The connectives are bitwise
+    operations against `full`, and `[i]x` is computed as `~<i>~x`, so a
+    caller supplies only `atom(name)` and `diamond(index, x)`, the
+    positions with an `index`-successor in x."""
 
     def __init__(self, *formulas: Formula):
         nodes, steps, roots = _walk(*formulas)
@@ -335,7 +336,9 @@ class Program:
         return tuple(sorted({step[1] for step in self.steps if step[0] in (Box, Diamond)}))
 
     def run(self, full, atom, diamond) -> list:
-        """The bit set of every step, by position."""
+        """The bit set of every step, by position.  Only `^`, `&` and `|`
+        are applied to the values, always with `full` or another value
+        of the run, so any type with those operators will do."""
         values: list = []
         for kind, label, *args in self.steps:
             if kind is Atom:

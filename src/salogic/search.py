@@ -89,10 +89,11 @@ own, so a block's admissible candidates are a product: every valuation,
 times one choice per position of the bits its indices show there.  A
 slab fixes the candidate's top bits and holds the rest of that product,
 one candidate per lane.  Each candidate bit is a periodic column over
-the lanes, built once per pattern and repeated bytewise; a subformula's
-value is one int of n segments of lanes, one per world, so the
-formula's bit-set program (core.Program) runs on plain ints and a
-diamond costs n*n ANDs.  The first slab that hits holds the block's
+the lanes, built once per pattern and repeated bytewise.  A
+subformula's value is a tuple of n ints of lanes, one per world, whose
+`&`, `|` and `^` act world by world, so the formula's bit-set program
+(core.Program) runs on it unchanged; a diamond costs one AND per
+column present, at most n*n.  The first slab that hits holds the block's
 least hit, which a walk over the candidate bits from the top picks out
 of the slab's hits.  A hit is rebuilt as a plain StratifiedModel and
 re-checked through semantics.satisfying_worlds and
@@ -135,6 +136,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 from math import prod
+from operator import and_, or_, xor
 from typing import NamedTuple
 
 from .core import (
@@ -546,17 +548,34 @@ def _columns(digits: list[list[int]], lanes: int) -> dict[int, int]:
     stride s (the product of the earlier lists' lengths) takes its
     columns from _digit_columns; a list of one digit sets its bits in
     every lane."""
-    segment = (1 << lanes) - 1
+    every_lane = (1 << lanes) - 1
     columns: dict[int, int] = {}
     stride = 1
     for options in digits:
         if len(options) == 1:
             for b in _set_bits(options[0]):
-                columns[b] = segment
+                columns[b] = every_lane
             continue
         columns.update(_digit_columns(stride, tuple(options), lanes))
         stride *= len(options)
     return columns
+
+
+class _Worlds(tuple):
+    """A subformula's value in a slab: one int of the slab's lanes per
+    world.  `&`, `|` and `^` act world by world, so core.Program runs on
+    it unchanged."""
+
+    __slots__ = ()
+
+    def __and__(self, other: _Worlds) -> _Worlds:
+        return _Worlds(map(and_, self, other))
+
+    def __or__(self, other: _Worlds) -> _Worlds:
+        return _Worlds(map(or_, self, other))
+
+    def __xor__(self, other: _Worlds) -> _Worlds:
+        return _Worlds(map(xor, self, other))
 
 
 def _scan_slab(
@@ -565,38 +584,36 @@ def _scan_slab(
     """Least candidate of the slab that falsifies the formula at some
     world, or None.
 
-    A subformula's value holds n segments of the slab's lanes, world w's
-    at bit w*lanes, so core.Program runs on plain ints, and `<i>x` at
-    world w is the OR over u of x's segment u AND column (i, w*n+u).
-    The least hit is found by walking the candidate bits from the top and
-    keeping, at each, the hits that have a 0 there whenever any do.
+    A subformula's value is a _Worlds, world w's int holding bit l when
+    the subformula is true at w in lane l, and `<i>x` at world w is the
+    OR over u of x's int for u AND column (i, w*n+u); a column that is
+    absent is 0 and is skipped.  The least hit is found by walking the
+    candidate bits from the top and keeping, at each, the hits that have
+    a 0 there whenever any do.
     """
     n, rel_bits, val_bits = block.n, block.rel_bits, block.val_bits
     kept = block.kept
-    segment = (1 << lanes) - 1
-    full = (1 << (n * lanes)) - 1
+    full = _Worlds([(1 << lanes) - 1] * n)
     first = {idx: val_bits + (len(kept) - 1 - j) * rel_bits for j, idx in enumerate(kept)}
 
-    def atom(name: str) -> int:
+    def atom(name: str) -> _Worlds:
         base = block.atoms.index(name) * n
-        return sum(columns.get(base + w, 0) << (w * lanes) for w in range(n))
+        return _Worlds([columns.get(base + w, 0) for w in range(n)])
 
-    def diamond(index: str, x: int) -> int:
-        parts = [(x >> (u * lanes)) & segment for u in range(n)]
-        base = first[index]
-        value = 0
-        for w in range(n):
-            row = 0
-            for u, part in enumerate(parts):
-                row |= part & columns.get(base + w * n + u, 0)
-            value |= row << (w * lanes)
-        return value
+    def diamond(index: str, x: _Worlds) -> _Worlds:
+        value = []
+        for row in range(first[index], first[index] + rel_bits, n):
+            seen = 0
+            for u, part in enumerate(x):
+                column = columns.get(row + u)
+                if column is not None:
+                    seen |= part & column
+            value.append(seen)
+        return _Worlds(value)
 
-    falsified = full ^ program.run(full, atom, diamond)[-1]
     hits = 0
-    for w in range(n):
-        hits |= falsified >> (w * lanes)
-    hits &= segment
+    for part in full ^ program.run(full, atom, diamond)[-1]:
+        hits |= part
     if not hits:
         return None
     candidate = 0

@@ -5,9 +5,11 @@ decide_valid or decide_sat on a seeded fuzz formula or a fixed one and
 records the verdict kind, the witness world and index, the witness's raw
 enumeration position (the offset of its block plus its candidate integer
 in the documented layout) and the sha256 of print_model of the witness.
-A change to how the search enumerates candidates must leave every entry
-unchanged.  Regenerate the goldens (only when the contract itself
-changes) with `PYTHONPATH=src python tests/test_scan_contract.py`.
+witness_goldens.json holds cases at 1-3 worlds, four_world_goldens.json
+one-index cases at 4 worlds.  A change to how the search enumerates
+candidates must leave every entry unchanged.  Regenerate the goldens
+(only when the contract itself changes) with
+`PYTHONPATH=src python tests/test_scan_contract.py`.
 
 The lanes of a block's slabs must be exactly the raw candidate space
 filtered by the frame conditions, slab after slab in increasing order;
@@ -32,14 +34,18 @@ from itertools import combinations, compress
 from math import prod
 from pathlib import Path
 
+import pytest
+
 from salogic import search
 from salogic.core import (
     And,
     Atom,
     AxiomProfile,
     CoherenceMode,
+    Diamond,
     Implies,
     IndexPoset,
+    Not,
     Or,
     Program,
     atom_names,
@@ -63,6 +69,7 @@ from fuzz import random_formula
 from oracles import decode_candidate, first_countermodel, frame_ok, naive_eval
 
 GOLDEN = Path(__file__).with_name("witness_goldens.json")
+FOUR_WORLD_GOLDEN = Path(__file__).with_name("four_world_goldens.json")
 
 POLICIES = tuple(
     FramePolicy(mode, refl) for mode in CoherenceMode for refl in (True, False)
@@ -170,12 +177,63 @@ def run_cases() -> dict:
     }
 
 
+def golden_text(entries: dict) -> str:
+    lines = [f"{json.dumps(case)}: {json.dumps(entry)}" for case, entry in entries.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def test_first_witnesses_match_goldens():
     golden = json.loads(GOLDEN.read_text())
     got = run_cases()
     assert got.keys() == golden.keys()
     for case, entry in got.items():
         assert entry == golden[case], case
+
+
+# One literal over p and q per world a four-world query asks for.
+LITERALS = tuple(parse_formula(text) for text in ("p & q", "p & ~q", "~p & q", "~p & ~q"))
+
+
+def four_world_cases():
+    """(case id, formula, bounds, policy) of the 4-world goldens.
+
+    First two valid queries that scan a whole 4-world block, then 22
+    seeded ones.  Each negates the description of a world: a literal
+    and one to three `<a>`-successors, each with another literal, every
+    literal conjoined with a fuzzed disjunction.  Their first
+    countermodels mostly have 3 or 4 worlds.  Each policy takes every
+    sixth query, and every other query runs over `a` stable."""
+    stable = IndexPoset.from_order(("a",), stable=("a",))
+    shrink = FramePolicy(CoherenceMode.SHRINK)
+    out = [
+        (f"valid/{i}", parse_formula(text), SearchBounds(4, 1), shrink)
+        for i, text in enumerate(("[a](p -> q) -> ([a]p -> [a]q)", "[a]p -> [a]p | q"))
+    ]
+    rng = random.Random(1)
+
+    def fuzzed(literal):
+        draws = [random_formula(rng, 2, ("p", "q"), ("a",)) for _ in range(2)]
+        return And(literal, Or(*draws))
+
+    for i in range(22):
+        literals = rng.sample(LITERALS, 4)
+        world = fuzzed(literals[0])
+        for literal in literals[1 : 1 + rng.choice((1, 2, 3, 3))]:
+            world = And(world, Diamond("a", fuzzed(literal)))
+        bounds = SearchBounds(4, 1, poset=stable if i % 2 else None)
+        out.append((f"fuzz/{i}", Not(world), bounds, POLICIES[i % 6]))
+    return out
+
+
+def run_four_world_cases() -> dict:
+    return {
+        case: fingerprint(decide_valid(formula, bounds, policy), formula, bounds)
+        for case, formula, bounds, policy in four_world_cases()
+    }
+
+
+def test_four_world_first_witnesses_match_goldens():
+    assert golden_text(run_four_world_cases()) == FOUR_WORLD_GOLDEN.read_text()
 
 
 def column(bit: int, size: int) -> int:
@@ -349,6 +407,70 @@ def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
                 hits += expected is not None
                 misses += expected is None
     assert hits > 30 and misses > 10 and projected > 10
+
+
+class _Enough(Exception):
+    """Ends a block's scan once its first slab is checked."""
+
+
+def test_kernel_lanes_match_the_oracle_at_one_to_four_worlds(monkeypatch):
+    # Every value the kernel computes, for every world, is checked in a
+    # sample of each slab's lanes: a lane's candidate is rebuilt from the
+    # columns, and bit l of world w's int at each step must be the
+    # oracle's truth value of that step's subformula at w.  The slab's
+    # hit is the least falsifying candidate when every lane is sampled,
+    # and at most the least sampled one otherwise.  One- and two-index
+    # blocks at 1-4 worlds, every policy, the first slab of each.
+    rng = random.Random(7349)
+    antichain, chain = enumerated_posets(2)
+    posets = [enumerated_posets(1)[0], SHAPES["single-stable"][1], antichain, chain]
+    posets += [SHAPES["chain-stable-b"][1], SHAPES["declared-b-below-a"][1]]
+    runs, scanned, falsified = [], [], []
+    run, scan_slab = Program.run, search._scan_slab
+
+    def spy_run(self, full, atom, diamond):
+        values = run(self, full, atom, diamond)
+        runs.append((self, values))
+        return values
+
+    def spy_scan_slab(block, program, lanes, columns):
+        hit = scan_slab(block, program, lanes, columns)
+        [(ran, values)] = runs
+        runs.clear()
+        assert ran is program and len(values) == len(program.nodes)
+        # Bit l of an int x is bit l % 8 of byte l // 8 of x's bytes.
+        size = -(-lanes // 8)
+        columns = {b: column.to_bytes(size, "little") for b, column in columns.items()}
+        values = [[part.to_bytes(size, "little") for part in value] for value in values]
+        bad = []  # the sampled lanes' falsifying candidates
+        for lane in rng.sample(range(lanes), min(lanes, 200)):
+            byte, bit = divmod(lane, 8)
+            candidate = sum(1 << b for b, column in columns.items() if column[byte] >> bit & 1)
+            model = search._decode(block, candidate)
+            for node, value in zip(program.nodes, values):
+                truths = [naive_eval(model, world, node) for world in model.worlds]
+                assert [part[byte] >> bit & 1 for part in value] == truths, (block, lane, node)
+            if not all(truths):
+                bad.append(candidate)
+        if lanes <= 200:
+            assert hit == min(bad, default=None), block
+        elif bad:
+            assert hit is not None and hit <= min(bad), block
+        falsified.extend([block.n] * len(bad))
+        scanned.append(block.n)
+        raise _Enough
+
+    monkeypatch.setattr(Program, "run", spy_run)
+    monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
+    for policy in POLICIES:
+        for n in (1, 2, 3, 4):
+            for poset in posets:
+                formula = random_formula(rng, 3, ("p", "q"), poset.indices)
+                block = search._Block(poset, n, atom_names(formula))
+                with pytest.raises(_Enough):
+                    search._first_hit(block, Program(formula), policy)
+    for n in (1, 2, 3, 4):
+        assert scanned.count(n) == 36 and falsified.count(n) > 100, n
 
 
 def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
@@ -699,7 +821,8 @@ def test_the_plan_cache_stays_within_maxsize():
 
 def test_wide_valuations_keep_ints_within_the_slab():
     # 20 atoms at one world: 2^20 valuations, so every slab is a run of
-    # them and no value the program computes exceeds _SLAB bits.
+    # them and no world's int of any value the program computes exceeds
+    # _SLAB bits.
     names = [f"p{i}" for i in range(20)]
     conj = Atom(names[0])
     for name in names[1:]:
@@ -710,7 +833,7 @@ def test_wide_valuations_keep_ints_within_the_slab():
 
     def spy(self, full, atom, diamond):
         values = run(self, full, atom, diamond)
-        widest.append(max(value.bit_length() for value in values))
+        widest.append(max(part.bit_length() for value in values for part in value))
         return values
 
     original = Program.run
@@ -777,5 +900,5 @@ def test_axiom_matrix_dump_matches_digest():
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(case)}: {json.dumps(entry)}" for case, entry in run_cases().items()]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    GOLDEN.write_text(golden_text(run_cases()))
+    FOUR_WORLD_GOLDEN.write_text(golden_text(run_four_world_cases()))
