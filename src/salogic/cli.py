@@ -16,26 +16,16 @@ import argparse
 import enum
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import AxiomProfile, CoherenceMode, _pair_order
 from .errors import SalError
-from .search import (
-    SearchBounds,
-    UnsatUpTo,
-    ValidUpTo,
-    axiom_matrix,
-    decide_sat,
-    decide_valid,
-)
-from .semantics import (
-    FramePolicy,
-    evaluate,
-    evaluate_with_trace,
-    render_trace,
-    validate_frame,
-)
-from .syntax import parse_formula, parse_model, parse_poset, parse_proof, print_model
-from .proofs import check_derivation
+
+# The handlers import the layers they call, so a command loads only the
+# modules it runs.
+if TYPE_CHECKING:
+    from .search import SearchBounds
+    from .semantics import FramePolicy
 
 __all__ = ["ExitStatus", "build_parser", "console_main", "main"]
 
@@ -70,15 +60,23 @@ def _read(path: str) -> str:
 
 
 def _policy(args) -> FramePolicy:
+    from .semantics import FramePolicy
+
     return FramePolicy(coherence=args.coherence)
 
 
 def _bounds(args) -> SearchBounds:
+    from .search import SearchBounds
+    from .syntax import parse_poset
+
     poset = parse_poset(_read(args.poset)) if args.poset else None
     return SearchBounds(args.max_worlds, args.max_indices, poset=poset)
 
 
 def _cmd_check_model(args) -> ExitStatus:
+    from .semantics import validate_frame
+    from .syntax import parse_model
+
     model = parse_model(_read(args.file))
     violations = validate_frame(model, _policy(args))
     for violation in violations:
@@ -90,6 +88,9 @@ def _cmd_check_model(args) -> ExitStatus:
 
 
 def _cmd_eval(args) -> ExitStatus:
+    from .semantics import evaluate, evaluate_with_trace, render_trace
+    from .syntax import parse_formula, parse_model
+
     model = parse_model(_read(args.file))
     formula = parse_formula(args.formula)
     if args.trace:
@@ -104,6 +105,8 @@ def _cmd_eval(args) -> ExitStatus:
 
 
 def _print_witness(comment: str, model) -> None:
+    from .syntax import print_model
+
     print(f"# {comment}")
     sys.stdout.write(print_model(model))
 
@@ -114,6 +117,9 @@ def _bounds_text(bounds: SearchBounds) -> str:
 
 
 def _cmd_valid(args) -> ExitStatus:
+    from .search import ValidUpTo, decide_valid
+    from .syntax import parse_formula
+
     formula = parse_formula(args.formula)
     verdict = decide_valid(formula, _bounds(args), _policy(args), workers=args.workers)
     if isinstance(verdict, ValidUpTo):
@@ -126,6 +132,9 @@ def _cmd_valid(args) -> ExitStatus:
 
 
 def _cmd_sat(args) -> ExitStatus:
+    from .search import UnsatUpTo, decide_sat
+    from .syntax import parse_formula
+
     formula = parse_formula(args.formula)
     verdict = decide_sat(formula, _bounds(args), _policy(args), workers=args.workers)
     if isinstance(verdict, UnsatUpTo):
@@ -138,6 +147,9 @@ def _cmd_sat(args) -> ExitStatus:
 
 
 def _cmd_prove(args) -> ExitStatus:
+    from .proofs import check_derivation
+    from .syntax import parse_proof
+
     derivation = parse_proof(
         _read(args.file),
         profile=AxiomProfile(args.profile),
@@ -160,6 +172,8 @@ def _poset_label(poset) -> str:
 
 
 def _cmd_axioms(args) -> ExitStatus:
+    from .search import ValidUpTo, axiom_matrix
+
     profiles = (
         tuple(AxiomProfile)
         if args.profile == "both"
@@ -188,6 +202,8 @@ def _cmd_axioms(args) -> ExitStatus:
 
 
 def _cmd_export(args) -> ExitStatus:
+    from .syntax import parse_model
+
     model = parse_model(_read(args.file))
     highlight: frozenset[str] = frozenset()
     if args.highlight is not None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     And,
@@ -64,7 +64,11 @@ from .core import (
     is_identifier,
 )
 from .errors import ParseError, SourceSpan, UndeclaredIdentifier
-from .proofs import Axiom, Derivation, ModusPonens, Necessitation, ProofLine, SCHEMA_TAGS
+
+# The proof-script functions import the proof records when called, so
+# parsing formulas and models does not load the proof checker.
+if TYPE_CHECKING:
+    from .proofs import Derivation
 
 __all__ = [
     "parse_formula",
@@ -485,6 +489,8 @@ _PROOF_LINE = re.compile(r"\s*(\d+)\s*\.")
 def _parse_justification(text, words, content, offset):
     """The justification in `words`, read from the proof line `content`
     at `offset`; a missing one is reported at the line's stripped span."""
+    from .proofs import SCHEMA_TAGS, Axiom, ModusPonens, Necessitation
+
     if not words:
         lead = len(content) - len(content.lstrip())
         raise ParseError(
@@ -524,6 +530,8 @@ def parse_proof(
     Lines must be numbered 1..n in order.  Citing the current or a later
     line raises ForwardReference.
     """
+    from .proofs import Derivation, Necessitation, ProofLine
+
     sections = _Sections()
     lines: list[ProofLine] = []
     first_use: dict[str, int] = {}  # index -> number of the line naming it first
@@ -584,6 +592,8 @@ def parse_proof(
 
 
 def _print_justification(justification) -> str:
+    from .proofs import Axiom, ModusPonens, Necessitation
+
     if isinstance(justification, Axiom):
         return justification.tag
     if isinstance(justification, ModusPonens):

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, or lists it in
-its __all__ as a re-export; nothing in the package loads numpy."""
+its __all__ as a re-export; the package namespace is lazy, each command
+loads only the modules it runs, and nothing in the package loads numpy."""
 
 import ast
 import json
@@ -39,43 +40,65 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Run in a fresh interpreter, since the test process may already hold numpy.
-# Prints, as JSON: each command's exit status and whether numpy was loaded
-# after the imports, after the commands and after the library's scans.
-_NUMPY_PROBE = textwrap.dedent(
+# Run in a fresh interpreter, since the test process may already hold numpy
+# and every salogic module.  Runs the commands in order of need and prints,
+# as JSON: each command's exit status, and after each step the salogic
+# modules loaded and whether numpy was loaded; the last step is the
+# library's own scans.
+_LOAD_PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
 
-    import salogic, salogic.cli
-    from salogic import example_model_path
-    from salogic.core import AxiomProfile, CoherenceMode
-    from salogic.search import SearchBounds, axiom_matrix, decide_valid
-    from salogic.syntax import parse_formula
+    codes, steps = [], []
 
-    loaded = ["numpy" in sys.modules]
-    sec33 = str(example_model_path("sec33"))
-    commands = [
+    def record():
+        modules = sorted(name for name in sys.modules if name.split(".")[0] == "salogic")
+        steps.append({"modules": modules, "numpy": "numpy" in sys.modules})
+
+    def run(*commands):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in commands:
+                codes.append(salogic.cli.main(argv))
+        record()
+
+    import salogic
+    record()
+    sec33 = str(salogic.example_model_path("sec33"))
+    import salogic.cli
+    run(["eval", sec33])
+    run(
         ["eval", sec33, "<beta> p", "--world", "w1", "--index", "beta"],
         ["eval", sec33, "[gamma] p", "--world", "w2", "--index", "gamma", "--trace"],
         ["check-model", sec33],
         ["export", sec33],
-        ["prove", sys.argv[1]],
-        ["eval", sec33],
-        ["valid", "[a]p -> p", "--max-worlds", "2"],
-        ["sat", "p & <a>p", "--max-worlds", "2"],
-        ["axioms", "--max-worlds", "2"],
-    ]
-    codes = []
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for argv in commands:
-            codes.append(salogic.cli.main(argv))
-    loaded.append("numpy" in sys.modules)
+    )
+    run(["prove", sys.argv[1]])
+    run(["valid", "[a]p -> p", "--max-worlds", "2"])
+    run(["sat", "p & <a>p", "--max-worlds", "2"], ["axioms", "--max-worlds", "2"])
+
+    from salogic.core import AxiomProfile, CoherenceMode
+    from salogic.search import SearchBounds, axiom_matrix, decide_valid
+    from salogic.syntax import parse_formula
+
     decide_valid(parse_formula("[a]p -> [b]p"), SearchBounds(max_worlds=3, max_indices=2))
     axiom_matrix(tuple(AxiomProfile), tuple(CoherenceMode), SearchBounds(2, 2))
-    loaded.append("numpy" in sys.modules)
-    print(json.dumps({"codes": codes, "loaded": loaded}))
+    record()
+    print(json.dumps({"codes": codes, "steps": steps}))
     """
 )
+
+
+def _run_fresh(source, *args):
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", source, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(result.stdout)
 
 
 def test_no_command_loads_numpy(tmp_path):
@@ -84,15 +107,63 @@ def test_no_command_loads_numpy(tmp_path):
         "indices: a\nstable: a\n1. p -> p ; A1\n2. [a](p -> p) ; NEC a 1\n",
         encoding="utf-8",
     )
-    path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, str(proof)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    report = _run_fresh(_LOAD_PROBE, str(proof))
+    assert report["codes"] == [2, 0, 1, 0, 0, 0, 1, 0, 0]
+    added, seen = [], set()
+    for step in report["steps"]:
+        added.append(sorted(set(step["modules"]) - seen))
+        seen.update(step["modules"])
+    assert added == [
+        ["salogic"],  # import salogic
+        ["salogic.cli", "salogic.core", "salogic.errors"],  # a usage error
+        ["salogic.semantics", "salogic.syntax"],  # eval, eval --trace, check-model, export
+        ["salogic.proofs"],  # prove
+        ["salogic.search"],  # valid
+        [],  # sat, axioms
+        [],  # the library's scans
+    ]
+    assert [step["numpy"] for step in report["steps"]] == [False] * 7
+
+
+# Run in a fresh interpreter, where no submodule is loaded yet.  Prints, as
+# JSON, what the package namespace holds before any access and exposes
+# after, and the names some submodule binds to another object.
+_NAMESPACE_PROBE = textwrap.dedent(
+    """
+    import importlib, json, sys
+
+    import salogic
+
+    report = {"own": sorted(set(vars(salogic)) & set(salogic.__all__))}
+    report["search_before"] = "salogic.search" in sys.modules
+    report["decide_valid"] = (
+        salogic.search.decide_valid is sys.modules["salogic.search"].decide_valid
     )
-    report = json.loads(result.stdout)
-    assert report["codes"] == [0, 1, 0, 0, 0, 2, 1, 0, 0]
-    assert report["loaded"] == [False, False, False]
+    star = {}
+    exec("from salogic import *", star)
+    del star["__builtins__"]
+    report["star"] = sorted(star)
+    report["all"] = salogic.__all__
+    report["dir"] = dir(salogic)
+    modules = [importlib.import_module(f"salogic.{stem}") for stem in sys.argv[1:]]
+    report["mismatched"] = sorted(
+        name
+        for name in set(salogic.__all__) - set(report["own"])
+        for holders in [[m for m in modules if name in vars(m)]]
+        if not holders or any(vars(m)[name] is not getattr(salogic, name) for m in holders)
+    )
+    print(json.dumps(report))
+    """
+)
+
+
+def test_package_namespace():
+    submodules = [path.stem for path in MODULES if path.stem != "__main__"]
+    report = _run_fresh(_NAMESPACE_PROBE, *submodules)
+    assert report["own"] == ["EXAMPLE_MODELS", "example_model_path", "load_example_model"]
+    assert report["search_before"] is False
+    assert report["decide_valid"] is True
+    assert len(report["all"]) == len(set(report["all"]))
+    assert report["star"] == sorted(report["all"])
+    assert report["mismatched"] == []
+    assert set(report["all"]) | set(submodules) <= set(report["dir"])
