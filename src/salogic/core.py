@@ -273,28 +273,52 @@ def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
     label, *child positions), where the label is an atom's name, a modal
     operator's index, or None; and the position of each formula.
 
-    Iterative, so arbitrarily deep formulas work.  Nodes are deduplicated
-    by exact type, label and child positions, since hashing a deep node
-    recurses through it, so two nodes share a position exactly when they
-    are equal.  A subclass of a node type gets that type's step."""
+    Iterative, so arbitrarily deep formulas work: the node on top of the
+    stack gets its step once its children have theirs, and until then
+    pushes the children that have none, leftmost on top.  Nodes are
+    deduplicated by exact type, label and child positions, since hashing
+    a deep node recurses through it, so two nodes share a position
+    exactly when they are equal.  The fields of each node type are read
+    directly; a subclass of a node type goes through _parts and gets that
+    type's step, and anything else raises TypeError there."""
     found: list[Formula] = []
     steps: list[tuple] = []
     keys: dict[tuple, int] = {}  # (exact type, label, *child positions) -> position
     seen: dict[int, int] = {}  # id of a visited node -> position of its step
-    # (node, kind, kids): kind is None until the node's first visit has
-    # pushed it back with its parts, above its children.
-    stack = [(formula, None, ()) for formula in reversed(formulas)]  # first on top
+    stack = list(reversed(formulas))  # first on top
     while stack:
-        g, kind, kids = stack.pop()
+        g = stack[-1]
         if id(g) in seen:
+            stack.pop()
             continue
-        if kind is None:
+        kind = type(g)
+        if kind is Atom:
+            key = (Atom, g.name)
+        elif kind is And or kind is Or or kind is Implies:
+            left, right = g.left, g.right
+            a, b = seen.get(id(left)), seen.get(id(right))
+            if a is None or b is None:
+                if b is None:
+                    stack.append(right)
+                if a is None:
+                    stack.append(left)
+                continue
+            key = (kind, None, a, b)
+        elif kind is Not or kind is Box or kind is Diamond:
+            a = seen.get(id(g.operand))
+            if a is None:
+                stack.append(g.operand)
+                continue
+            key = (kind, None if kind is Not else g.index, a)
+        else:
             kind, kids = _parts(g)
-            stack.append((g, kind, kids))
-            stack.extend([(child, None, ()) for child in reversed(kids)])
-            continue
-        label = g.name if kind is Atom else getattr(g, "index", None)
-        key = (type(g), label, *[seen[id(c)] for c in kids])
+            args = [seen.get(id(c)) for c in kids]
+            if None in args:
+                stack.extend([c for c, a in zip(reversed(kids), reversed(args)) if a is None])
+                continue
+            label = g.name if kind is Atom else getattr(g, "index", None)
+            key = (type(g), label, *args)
+        stack.pop()
         pos = keys.setdefault(key, len(found))
         if pos == len(found):
             found.append(g)

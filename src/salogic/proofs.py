@@ -8,8 +8,9 @@ Rules: modus ponens, and index-local necessitation from an earlier line,
 optionally restricted to stable indices (the default).  Derivations are
 hypothesis-free: every accepted line is a theorem, so necessitation may
 cite any earlier accepted line.  check_derivation compiles all lines into
-one core.Program and compares formulas by step position, never with ==,
-so lines of any depth are checked without recursion.
+one core.Program, runs each A1 truth table on it and compares formulas by
+step position, never with ==, so lines of any depth are checked without
+recursion and no line is compiled twice.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .core import (
+    And,
     Atom,
     AxiomProfile,
     Box,
@@ -25,6 +27,8 @@ from .core import (
     Formula,
     Implies,
     IndexPoset,
+    Not,
+    Or,
     Program,
 )
 from .errors import (
@@ -81,8 +85,8 @@ REASON_NON_STABLE_NECESSITATION = "non-stable-necessitation"
 REASON_UNDECLARED_INDEX = "undeclared-index"
 REASON_CITED_LINE_REJECTED = "cited-line-rejected"
 
-_TABLE_WIDTH = 12  # atoms whose truth-table columns is_tautology holds at once
-_MAX_TABLE_ATOMS = 24  # atoms past which is_tautology refuses the truth table
+_TABLE_WIDTH = 12  # variables whose truth-table columns one pass holds at once
+_MAX_TABLE_ATOMS = 24  # variables past which the truth table is refused
 
 
 @dataclass(frozen=True)
@@ -164,14 +168,10 @@ def propositional_skeleton(formula: Formula) -> Formula:
     numbered m0_, m1_, ... in the order the modal subformulas are first
     met, left to right."""
     program = Program(formula)
-    return _skeleton(program, len(program.steps) - 1)
-
-
-def _skeleton(program: Program, root: int) -> Formula:
-    """The skeleton of the formula at step `root`, avoiding all of `program`'s atoms."""
     taken = set(program.atoms)
     fresh = (Atom(name) for name in (f"m{i}_" for i in count()) if name not in taken)
     built: dict[int, Formula] = {}  # step position -> its skeleton
+    root = len(program.steps) - 1
     stack = [(root, False)]
     while stack:
         step, ready = stack.pop()
@@ -188,25 +188,45 @@ def _skeleton(program: Program, root: int) -> Formula:
     return built[root]
 
 
-def is_tautology(formula: Formula) -> bool:
-    """Truth-table check; `formula` must be purely propositional, and a
-    modal operator raises TypeError.
-
-    The formula's bit-set program runs over truth-table columns, one int
-    per atom and one bit per row, built by doubling the table for each of
-    the first _TABLE_WIDTH atoms.  Each assignment of any further atoms
-    is one more run with those atoms constant, so a column never exceeds
-    2^_TABLE_WIDTH bits.
-
-    Raises BoundsTooLarge, before any run, when the formula has more
-    than _MAX_TABLE_ATOMS atoms: each atom doubles the table."""
-    program = Program(formula)
-    names = program.atoms
-    if len(names) > _MAX_TABLE_ATOMS:
+def _refuse_wide_table(width: int) -> None:
+    if width > _MAX_TABLE_ATOMS:
         raise BoundsTooLarge(
-            f"a truth table over {len(names)} atoms exceeds the ceiling of "
+            f"a truth table over {width} atoms exceeds the ceiling of "
             f"{_MAX_TABLE_ATOMS} atoms"
         )
+
+
+def _true_in_every_row(program: Program, root: int) -> bool:
+    """Whether the formula at step `root` of `program` is true in every row
+    of the truth table of its propositional skeleton: one variable per
+    atom name and one per maximal modal subformula, by position, so
+    distinct positions get distinct variables, as distinct placeholders
+    do in propositional_skeleton.  Only the connectives under `root` are
+    evaluated, so a line of a derivation costs its own steps.
+
+    Each variable's column is one int with one bit per row, built by
+    doubling the table for each of the first _TABLE_WIDTH variables.
+    Each assignment of any further variables is one more pass with them
+    constant, so a column never exceeds 2^_TABLE_WIDTH bits.
+
+    Raises BoundsTooLarge, before any row, past _MAX_TABLE_ATOMS
+    variables: each one doubles the table."""
+    steps = program.steps
+    variable: dict[int, object] = {}  # leaf position -> atom name or modal position
+    inner: set[int] = set()  # connective positions under root, outside modal operators
+    stack = [root]
+    while stack:
+        at = stack.pop()
+        kind, label, *args = steps[at]
+        if kind is Atom:
+            variable[at] = label
+        elif kind is Box or kind is Diamond:
+            variable[at] = at
+        elif at not in inner:
+            inner.add(at)
+            stack.extend(args)
+    names = list(dict.fromkeys(variable.values()))
+    _refuse_wide_table(len(names))
     rows, columns = 1, {}
     for name in names[:_TABLE_WIDTH]:
         for other in columns:
@@ -214,16 +234,40 @@ def is_tautology(formula: Formula) -> bool:
         columns[name] = ((1 << rows) - 1) << rows
         rows <<= 1
     full = (1 << rows) - 1
-
-    def modal(index: str, x: int) -> int:
-        raise TypeError(f"modal operator on index {index!r} in a propositional context")
-
+    order = [(at, *steps[at]) for at in sorted(inner)]  # children before parents
     high = names[_TABLE_WIDTH:]
     for bits in range(1 << len(high)):
         columns.update((name, full * (bits >> i & 1)) for i, name in enumerate(high))
-        if program.run(full, columns.__getitem__, modal)[-1] != full:
+        values = {at: columns[name] for at, name in variable.items()}
+        for at, kind, _label, *args in order:
+            if kind is Not:
+                value = full ^ values[args[0]]
+            elif kind is And:
+                value = values[args[0]] & values[args[1]]
+            elif kind is Or:
+                value = values[args[0]] | values[args[1]]
+            else:  # Implies
+                value = (full ^ values[args[0]]) | values[args[1]]
+            values[at] = value
+        if values[root] != full:
             return False
     return True
+
+
+def is_tautology(formula: Formula) -> bool:
+    """Truth-table check; `formula` must be purely propositional, and a
+    modal operator raises TypeError.  The table is the one the A1 check
+    reads, over the formula's atoms (_true_in_every_row).
+
+    Raises BoundsTooLarge, before any row, when the formula has more
+    than _MAX_TABLE_ATOMS atoms, under a modal operator or not: each
+    atom doubles the table."""
+    program = Program(formula)
+    for kind, label, *_args in program.steps:
+        if kind is Box or kind is Diamond:
+            _refuse_wide_table(len(program.atoms))
+            raise TypeError(f"modal operator on index {label!r} in a propositional context")
+    return _true_in_every_row(program, len(program.steps) - 1)
 
 
 def match_axiom(
@@ -242,16 +286,17 @@ def match_axiom(
 def _match_line(
     program: Program, root: int, tag: str, poset: IndexPoset, profile: AxiomProfile
 ) -> bool:
-    """match_axiom for the formula at step `root` of `program`.  A modal
-    schema's shape is walked against the program: a formula variable binds
-    to a position and an index variable to a label, each the same wherever
-    it occurs."""
+    """match_axiom for the formula at step `root` of `program`.  A1 runs
+    the truth table of the formula's skeleton on the program itself, with
+    no skeleton built.  A modal schema's shape is walked against the
+    program: a formula variable binds to a position and an index variable
+    to a label, each the same wherever it occurs."""
     if tag not in SCHEMA_TAGS:
         raise ValueError(f"unknown axiom tag {tag!r}")
     if tag not in PROFILE_SCHEMAS[profile]:
         raise IllegalTagForProfile(f"{tag} is not part of profile {profile.value}")
     if tag == "A1":
-        return is_tautology(_skeleton(program, root))
+        return _true_in_every_row(program, root)
 
     shape, condition = SCHEMAS[tag]
     bound: dict[str | None, object] = {}  # variable -> position or label

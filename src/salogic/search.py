@@ -28,15 +28,17 @@ identical output at every worker count:
 One scan path.  Every verdict comes from _decide: decide_valid (and
 through it decide_sat) calls it once, and so does each axiom_matrix row.
 It takes the query compiled once to a core.Program, whose atoms and
-indices size and check the blocks; _blocks lists the blocks and raises
-BoundsTooLarge at the first one past the ceiling, before any is
-scanned; _decide then scans them, each in slabs of at most _SLAB
-admissible candidates in increasing order, in one thread, and re-checks
-the hit.  The `workers` argument is kept for compatibility and does not
-change the scan.  axiom_matrix builds each schema instance and its
-program once per call, and keeps one dict of verdicts per mode, keyed by
-the instance formula and the poset it scans, so an instance that recurs
-under a mode (A4 and DDOWN at a reflexive pair) is scanned once.
+indices size and check the blocks.  It adds up the blocks' raw sizes in
+candidate order and raises BoundsTooLarge at the first block past the
+ceiling, before any block is built or scanned.  It then builds only the
+blocks that the scan order below reaches, scans each in slabs of at most
+_SLAB admissible candidates in increasing order, in one thread, and
+re-checks the hit.  The `workers` argument is kept for compatibility and
+does not change the scan.  axiom_matrix builds each schema instance and
+its program once per call, and keeps one dict of verdicts per mode,
+keyed by the instance formula and the poset it scans, so an instance
+that recurs under a mode (A4 and DDOWN at a reflexive pair) is scanned
+once.
 
 Scan order.  The order blocks are scanned in is not the candidate order.
 A countermodel on n' worlds extends to one on any n > n': add worlds
@@ -284,31 +286,6 @@ class _Block:
     @property
     def total_bits(self) -> int:
         return self.rel_bits * len(self.poset.indices) + self.val_bits
-
-    @property
-    def size(self) -> int:
-        return 1 << self.total_bits
-
-
-def _blocks(
-    posets: tuple[IndexPoset, ...], max_worlds: int, atoms: tuple[str, ...], ceiling: int
-) -> list[_Block]:
-    """The blocks in scan order.  Raises BoundsTooLarge at the first block
-    that takes the raw candidate count past `ceiling`, so no more blocks
-    than that are built."""
-    blocks: list[_Block] = []
-    total = 0
-    for n in range(1, max_worlds + 1):
-        for poset in posets:
-            block = _Block(poset, n, atoms)
-            total += block.size
-            if total > ceiling:
-                raise BoundsTooLarge(
-                    f"search space up to {n} worlds exceeds the ceiling of {ceiling} "
-                    "candidates"
-                )
-            blocks.append(block)
-    return blocks
 
 
 def _decode(block: _Block, candidate: int) -> StratifiedModel:
@@ -704,28 +681,38 @@ def _decide(
     """
     atoms = _resolve_atoms(program, bounds)
     _check_indices(program, posets)
-    blocks = _blocks(posets, bounds.max_worlds, atoms, ceiling)
+    # The ceiling counts the raw candidates of every block in candidate
+    # order, so a query past it raises before any block is built.
+    total = 0
+    for n in range(1, bounds.max_worlds + 1):
+        for poset in posets:
+            total += 1 << (n * n * len(poset.indices) + n * len(atoms))
+            if total > ceiling:
+                raise BoundsTooLarge(
+                    f"search space up to {n} worlds exceeds the ceiling of {ceiling} "
+                    "candidates"
+                )
     used = frozenset(program.indices)
-    for top in blocks:
-        if top.n < bounds.max_worlds:
-            continue
+    top = bounds.max_worlds
+    for poset in posets:
         # The formula reads only the relations of the indices it names,
         # so the projection onto them hits exactly when the block does.
-        projection = replace(top, dropped=frozenset(top.poset.indices) - used)
+        projection = _Block(poset, top, atoms, frozenset(poset.indices) - used)
         hit = _first_hit(projection, program, policy)
         if hit is not None:
             break
     else:
         return ValidUpTo(bounds)
-    for block in [b for b in blocks if b.n < top.n]:
+    for block in (_Block(p, n, atoms) for n in range(1, top) for p in posets):
         first = _first_hit(block, program, policy)
         if first is not None:
             hit = first
             break
     else:
-        block = top
+        block = projection
         if projection.dropped:
-            hit = _first_hit(top, program, policy)
+            block = _Block(poset, top, atoms)
+            hit = _first_hit(block, program, policy)
             if hit is None:
                 raise RuntimeError("scan of a block missed the hit of its projection")
     model = _decode(block, hit)

@@ -1,6 +1,9 @@
 import random
+from dataclasses import dataclass
 
 import pytest
+
+from salogic import core
 
 from salogic.core import (
     And,
@@ -10,6 +13,7 @@ from salogic.core import (
     Implies,
     IndexPoset,
     Not,
+    Or,
     Program,
     StratifiedModel,
     atom_names,
@@ -190,6 +194,99 @@ def test_subformulas_properties():
             assert all(c in seen for c in children(g))
             seen.add(g)
             assert set(subformulas(g)) <= set(subs)
+
+
+def _two_visit_walk(*formulas):
+    """The reference for core._walk: each node is popped twice, first to
+    push itself back with its parts above its children, then to take its
+    step once they have theirs."""
+    found, steps, keys, seen = [], [], {}, {}
+    stack = [(formula, None, ()) for formula in reversed(formulas)]
+    while stack:
+        g, kind, kids = stack.pop()
+        if id(g) in seen:
+            continue
+        if kind is None:
+            kind, kids = core._parts(g)
+            stack.append((g, kind, kids))
+            stack.extend([(child, None, ()) for child in reversed(kids)])
+            continue
+        label = g.name if kind is Atom else getattr(g, "index", None)
+        key = (type(g), label, *[seen[id(c)] for c in kids])
+        pos = keys.setdefault(key, len(found))
+        if pos == len(found):
+            found.append(g)
+            steps.append(key if key[0] is kind else (kind, *key[1:]))
+        seen[id(g)] = pos
+    return found, steps, [seen[id(formula)] for formula in formulas]
+
+
+@dataclass(frozen=True)
+class _MyAtom(Atom):
+    pass
+
+
+@dataclass(frozen=True)
+class _MyNot(Not):
+    pass
+
+
+@dataclass(frozen=True)
+class _MyOr(Or):
+    pass
+
+
+@dataclass(frozen=True)
+class _MyDiamond(Diamond):
+    pass
+
+
+def _random_dag(rng, size):
+    """A formula over a pool of nodes that later nodes reuse by identity,
+    with equal copies and node subclasses mixed in."""
+    pool = [Atom("p"), Atom("q"), _MyAtom("p")]
+    for _ in range(size):
+        pick = rng.randrange(9)
+        x, y = rng.choice(pool), rng.choice(pool)
+        if pick == 0:
+            pool.append(random_formula(rng, 2))
+        elif pick == 1:
+            pool.append(rng.choice([Not, _MyNot])(x))
+        elif pick < 5:
+            pool.append(rng.choice([And, Or, Implies, _MyOr])(x, y))
+        else:
+            pool.append(rng.choice([Box, Diamond, _MyDiamond])(rng.choice("ab"), x))
+    return pool[-1]
+
+
+def _assert_walks_agree(*formulas):
+    got, want = core._walk(*formulas), _two_visit_walk(*formulas)
+    assert len(got[0]) == len(want[0])
+    assert all(a is b for a, b in zip(got[0], want[0]))
+    assert got[1:] == want[1:]
+
+
+def test_walk_matches_the_two_visit_reference():
+    rng = random.Random(29)
+    for _ in range(300):
+        _assert_walks_agree(random_formula(rng, rng.randint(0, 6)))
+    for _ in range(200):
+        roots = [_random_dag(rng, rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
+        roots.append(rng.choice(roots))  # a root given twice
+        roots.append(random_formula(random.Random(rng.randrange(99)), 3))
+        _assert_walks_agree(*roots)
+    # A subclass node gets its base type's step and a position of its own.
+    f = And(_MyNot(Atom("p")), Not(Atom("p")))
+    assert core._walk(f)[1] == [(Atom, "p"), (Not, None, 0), (Not, None, 0), (And, None, 1, 2)]
+    chain = Atom("p")
+    for i in range(5000):
+        chain = Box("a", chain) if i % 3 else Not(chain)
+    _assert_walks_agree(chain, Not(chain), chain.operand)
+    # The first non-formula met, left to right, is the one reported.
+    bad = And(Not(Atom("p")), Or(Atom("q"), 7))
+    for walk in (core._walk, _two_visit_walk):
+        with pytest.raises(TypeError, match="not a formula: 7"):
+            walk(Atom("p"), And(bad, Not("x")))
 
 
 def test_atom_and_index_collectors():

@@ -290,6 +290,85 @@ def test_a1_row_ceiling():
         match_axiom(wide, "A1", CHAIN, S2)
 
 
+def _a1_line(rng, leaves):
+    """A propositional combination of `leaves`, made a tautology by a
+    template about half the time."""
+
+    def part(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        pick = rng.randrange(4)
+        if pick == 0:
+            return Not(part(depth - 1))
+        return (And, Or, Implies)[pick - 1](part(depth - 1), part(depth - 1))
+
+    f, g = part(2), part(2)
+    if rng.random() < 0.5:
+        return rng.choice([f, Implies(f, g), Or(f, Not(g))])
+    return rng.choice([Implies(f, f), Implies(f, Or(f, g)), Or(Not(f), f), Implies(And(f, g), g)])
+
+
+def test_a1_lines_of_a_derivation_agree_with_their_skeletons():
+    # Lines share modal subformulas, by identity and as equal copies, so
+    # an A1 line's root is rarely the program's last step and its table
+    # must see only its own part of the shared program.  A subclass atom
+    # is its name's variable; a subclass modal node is a variable of its
+    # own, as it gets a placeholder of its own.
+    @dataclass(frozen=True)
+    class MyAtom(Atom):
+        pass
+
+    @dataclass(frozen=True)
+    class MyBox(Box):
+        pass
+
+    rng = random.Random(233)
+    stable = IndexPoset.from_order(("a", "b"), [("a", "b")], stable=("a",))
+    tautologies = 0
+    for _ in range(80):
+        modal = [Box("a", P), Diamond("b", Or(P, Q)), Box("b", Box("a", P))]
+        modal += [random_formula(rng, 2) for _ in range(2)]
+        modal.append(Box("a", Atom("p")))  # an equal copy of the first
+        leaves = [P, Q, Atom("r"), MyAtom("q"), MyBox("a", P), *modal]
+        entries = []
+        for _ in range(rng.randint(2, 7)):
+            if entries and rng.random() < 0.2:
+                cited = rng.randrange(len(entries))
+                entries.append((Box("a", entries[cited][0]), Necessitation("a", cited + 1)))
+            else:
+                entries.append((_a1_line(rng, leaves), Axiom("A1")))
+        d = Derivation(
+            tuple(ProofLine(i, f, j) for i, (f, j) in enumerate(entries, start=1)), stable
+        )
+        for line in check_derivation(d).lines:
+            if line.justification == Axiom("A1"):
+                want = is_tautology(propositional_skeleton(line.formula))
+                assert want == propositional_tautology(line.formula)
+                assert line.accepted is want, line.formula
+                tautologies += want
+    assert 50 < tautologies < 200
+
+    # A line past the table's ceiling raises in the middle of a
+    # derivation, as its skeleton does, before any row.
+    conjunction = Atom("x0")
+    for i in range(1, 23):
+        conjunction = And(conjunction, Atom(f"x{i}"))
+    wide = Implies(And(conjunction, And(Box("a", P), Diamond("a", P))), Atom("x0"))
+    lines = [Implies(Box("a", P), Box("a", P)), wide, Or(Diamond("a", P), Not(P))]
+
+    def a1_derivation(formulas):
+        return Derivation(
+            tuple(ProofLine(i, f, Axiom("A1")) for i, f in enumerate(formulas, start=1)), stable
+        )
+
+    with pytest.raises(BoundsTooLarge, match="25 atoms"):
+        is_tautology(propositional_skeleton(wide))
+    with pytest.raises(BoundsTooLarge, match="25 atoms"):
+        check_derivation(a1_derivation(lines))
+    report = check_derivation(a1_derivation([lines[0], lines[2]]))
+    assert [line.accepted for line in report.lines] == [True, False]
+
+
 def test_skeleton_shares_placeholders():
     f = Implies(Box("a", P), Box("a", P))
     skel = propositional_skeleton(f)

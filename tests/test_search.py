@@ -28,8 +28,9 @@ from salogic.search import (
     enumerated_posets,
     schema_instance,
 )
+from salogic.proofs import check_derivation
 from salogic.semantics import FramePolicy, evaluate, validate_frame
-from salogic.syntax import parse_formula, print_model
+from salogic.syntax import parse_formula, parse_proof, print_model
 
 from fuzz import random_formula
 from oracles import first_countermodel, naive_eval
@@ -316,6 +317,54 @@ def test_ceiling_is_checked_while_blocks_are_listed():
         assert len(str(info.value)) < 100
         with pytest.raises(BoundsTooLarge, match="exceeds the ceiling"):
             axiom_matrix((AxiomProfile.SECTION2,), (CoherenceMode.NONE,), SearchBounds(worlds, 2))
+
+
+def test_a_query_builds_only_the_blocks_it_scans(monkeypatch):
+    block = search._Block
+    built = []
+    monkeypatch.setattr(search, "_Block", lambda *args: built.append(args) or block(*args))
+    # Past the ceiling: the sizes are added up and no block is built.
+    with pytest.raises(BoundsTooLarge, match="exceeds the ceiling"):
+        decide_valid(parse_formula("p"), SearchBounds(100_000, 2))
+    with pytest.raises(BoundsTooLarge, match="up to 2 worlds"):
+        decide_valid(parse_formula("[a]p"), SearchBounds(4, 2), ceiling=1000)
+    assert built == []
+
+    # ValidUpTo: one projected block per poset, at max_worlds.
+    antichain, chain = enumerated_posets(2)
+    valid = parse_formula("[a](p -> q) -> ([a]p -> [a]q)")
+    assert isinstance(decide_valid(valid, SearchBounds(3, 2), SHRINK), ValidUpTo)
+    atoms, b = ("p", "q"), frozenset({"b"})
+    assert built == [(antichain, 3, atoms, b), (chain, 3, atoms, b)]
+
+    # A countermodel: the probe, then the smaller blocks in candidate
+    # order up to the first that hits ...
+    built.clear()
+    assert len(decide_valid(parse_formula("[a]p -> p"), SearchBounds(3, 2)).model.worlds) == 1
+    assert built == [(antichain, 3, ("p",), b), (antichain, 1, ("p",))]
+    # ... and, when none does, the full block whose projection hit.
+    built.clear()
+    assert len(decide_valid(parse_formula("<a>p -> [a]p"), SearchBounds(2, 2)).model.worlds) == 2
+    assert built == [
+        (antichain, 2, ("p",), b),
+        (antichain, 1, ("p",)),
+        (chain, 1, ("p",)),
+        (antichain, 2, ("p",)),
+    ]
+
+
+def test_each_derivation_compiles_its_lines_once(monkeypatch):
+    text = (
+        "indices: a\nstable: a\n1. p -> p ; A1\n2. [a](p -> p) ; NEC a 1\n"
+        "3. [a](p -> p) -> ((p -> p) | q) ; A1\n4. [a](p -> p) -> (p -> p) ; A3\n"
+        "5. p -> p ; MP 2 4\n6. <a>q | ~<a>q ; A1\n"
+    )
+    derivation = parse_proof(text)
+    walk = core._walk
+    walked = []
+    monkeypatch.setattr(core, "_walk", lambda *formulas: walked.append(formulas) or walk(*formulas))
+    assert check_derivation(derivation).valid
+    assert walked == [tuple(line.formula for line in derivation.lines)]
 
 
 def test_each_query_compiles_its_formula_once(monkeypatch):
