@@ -103,17 +103,24 @@ semantics.validate_frame before it is reported, so every emitted witness
 has already survived the independent scalar evaluator.
 
 Scan plans.  A block's slabs and their columns depend only on its
-layout (_Layout): the world count, the valuation bits and, for each kept
-index, the inclusions, cell group and forced diagonal the policy gives
-it; index names, atom names and the formula are not part of it.  The
-layout of a block scanned before is memoized, and _first_slab, an LRU of
-32 entries keyed by the layout, _SLAB and _PATTERNS, holds the (lanes,
-columns) plan of the first slab of the layouts scanned most recently.
-So the first slab's columns of a layout are built once while it is
-held, however many queries and axiom_matrix rows share it: a block that
-fits one slab, or whose first slab hits, builds none once warm.  The
-traffic is small: the sweep and the matrix benchmark workloads each scan
-10 distinct layouts, 17 when both run in one process, 0.90 MB in all.
+layout (_Layout) and on two caps, at most _SLAB lanes per slab and
+_PATTERNS digits per cell.  The layout is the world count, the valuation
+bits and, for each kept index, the inclusions, cell group and forced
+diagonal the policy gives it; index names, atom names and the formula
+are not part of it.  _plan is the one reader of the caps: it passes them
+to _first_slab and _split, which take them as arguments.  Every slab
+lists its digit lists in one fixed order, its valuation bits lowest
+first and then its cells by position and group, as _split builds them;
+the order decides neither which candidates a slab holds nor its least
+hit.  The layout of a block scanned before is memoized, and _first_slab,
+an LRU of 32 entries keyed by the layout and the two caps, holds the
+(lanes, columns) plan of the first slab of the layouts scanned most
+recently.  So the first slab's columns of a layout are built once while
+it is held, however many queries and axiom_matrix rows share it: a
+block that fits one slab, or whose first slab hits, builds none once
+warm.  The traffic is small: the sweep and the matrix benchmark
+workloads each scan 10 distinct layouts, 17 when both run in one
+process, 0.90 MB in all.
 Over 1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
 worlds, 0-5 atoms, every coherence mode) the largest first slab takes
 0.28 MB with no stable index and 0.43 MB with every index stable, so
@@ -123,7 +130,7 @@ Every slab's columns are merged from _digit_columns, an LRU of 256
 entries keyed by one digit list, its stride and the slab's width, so a
 slab reads the columns that any slab, block or query with the same list
 built.  The sweep and matrix workloads use 167 and 136 keys (1.08 and
-0.98 MB), 263 together; one 4-world chain query uses 581.  An entry
+0.98 MB), 262 together; one 4-world chain query uses 581.  An entry
 holds one column of at most _SLAB bits (8 KiB) per bit its list sets,
 one per index of a cell's group, so 256 entries take at most 2 MiB per
 index of the largest group.  Plans and columns are functions of their
@@ -283,10 +290,6 @@ class _Block:
     def val_bits(self) -> int:
         return self.n * len(self.atoms)
 
-    @property
-    def total_bits(self) -> int:
-        return self.rel_bits * len(self.poset.indices) + self.val_bits
-
 
 def _decode(block: _Block, candidate: int) -> StratifiedModel:
     """Rebuild the StratifiedModel a candidate integer stands for."""
@@ -373,25 +376,27 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     )
 
 
-def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
+def _split(layout: _Layout, slab: int, patterns: int) -> Iterator[tuple[int, list[list[int]]]]:
     """The layout's frame-admissible candidates, in slabs of at most
-    _SLAB lanes, in increasing order: every candidate of a slab is below
+    `slab` lanes, in increasing order: every candidate of a slab is below
     every candidate of the next.  Each slab comes with the number of top
     bits it fixes, which is 0 only when it is the whole block.
 
-    A slab is a list of digit lists, one per valuation bit and then one
-    per cell: a relation bit position p (pair (w_i, w_j) at p = i*n + j)
-    and a group of kept indices that inclusions link.  Its lanes are the
-    sums of one digit from each list, the first list varying fastest.  A
-    valuation bit's digits are 0 and the bit, or the one value the slab
-    fixes.  A cell's digits are the patterns its indices may show at p:
-    each is the sum of the candidate bits that are set.  Coherence and
-    stable reflexivity constrain each position on its own, and unlinked
-    indices not at all, so the admissible candidates are exactly this
-    product.
+    A slab is a list of digit lists, one per valuation bit, lowest first,
+    and then one per cell: a relation bit position p (pair (w_i, w_j) at
+    p = i*n + j) and a group of kept indices that inclusions link.  Every
+    slab lists its cells in one fixed order, by position and then by
+    group.  Its lanes are the sums of one digit from each list, the first
+    list varying fastest; which candidates a slab holds, and so its least
+    hit, does not depend on the order of the lists.  A valuation bit's
+    digits are 0 and the bit, or the one value the slab fixes.  A cell's
+    digits are the patterns its indices may show at p: each is the sum
+    of the candidate bits that are set.  Coherence and stable
+    reflexivity constrain each position on its own, and unlinked indices
+    not at all, so the admissible candidates are exactly this product.
 
     A slab fixes the top bits of the candidate, as many as it takes to
-    bring it down to _SLAB lanes and each cell to _PATTERNS digits
+    bring it down to `slab` lanes and each cell to `patterns` digits
     (kept[0]'s bits, from the top position down, first).  Slabs are
     listed depth first, 0 before 1, so in increasing order of the fixed
     bits; with every relation bit fixed, a slab is one relation tuple
@@ -415,16 +420,16 @@ def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
         sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
     ]
 
-    def patterns(c: int, fixed: int, value: int) -> list[int] | None:
+    def cell_patterns(c: int, fixed: int, value: int) -> list[int] | None:
         """Cell c's patterns that agree with `value` on the `fixed` bits
         (a prefix of its indices), or None when they may be more than
-        _PATTERNS: the unfixed bits alone could take more values."""
+        `patterns`: the unfixed bits alone could take more values."""
         p, group_members = cells[c]
         shift = val_bits + p
         found = [0]
         for place, j in enumerate(group_members):
             bit = 1 << (shift + (k - 1 - j) * rel_bits)
-            if found and not fixed & bit and 1 << (len(group_members) - place) > _PATTERNS:
+            if found and not fixed & bit and 1 << (len(group_members) - place) > patterns:
                 return None
             choices = (value & bit,) if fixed & bit else (0, bit)
             diagonal = p % (n + 1) == 0 and layout.reflexive[j]
@@ -439,31 +444,22 @@ def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
             found = grown
         return found
 
-    def fixed_since(c: int, free: int) -> int:
-        """Sort key of the cells in a slab: those with no fixed bit first,
-        then the others in the order the search fixed their lowest bits.
-        The lists that change least from slab to slab come first, where
-        their columns stay the same."""
-        fixed = cell_bits[c] & -(1 << free)
-        return -(fixed & -fixed or 1 << total_bits)
-
     # (number of fixed top bits, their values, each cell's patterns)
-    stack = [(0, 0, [patterns(c, 0, 0) for c in range(len(cells))])]
+    stack = [(0, 0, [cell_patterns(c, 0, 0) for c in range(len(cells))])]
     while stack:
         depth, value, digits = stack.pop()
         free = total_bits - depth
         lanes = 1 << min(val_bits, free)
         for found in digits:
             if found is None:
-                lanes = _SLAB + 1
+                lanes = slab + 1
                 break
             lanes *= len(found)
-        if lanes <= _SLAB:
+        if lanes <= slab:
             valuations = [
                 [0, 1 << b] if b < free else [value & 1 << b] for b in range(val_bits)
             ]
-            order = sorted(range(len(cells)), key=lambda c: fixed_since(c, free))
-            yield depth, valuations + [digits[c] for c in order]
+            yield depth, valuations + digits
             continue
         bit = 1 << (free - 1)
         if free <= val_bits:
@@ -475,7 +471,7 @@ def _split(layout: _Layout) -> Iterator[tuple[int, list[list[int]]]]:
         rank, p = divmod(free - 1 - val_bits, rel_bits)
         c = p * len(members) + cell_of[k - 1 - rank]
         for child in (value | bit, value):
-            found = patterns(c, cell_bits[c] & ~(bit - 1), child & cell_bits[c])
+            found = cell_patterns(c, cell_bits[c] & ~(bit - 1), child & cell_bits[c])
             if found != []:
                 stack.append((depth + 1, child, digits[:c] + [found] + digits[c + 1 :]))
 
@@ -606,26 +602,28 @@ def _scan_slab(
 
 @lru_cache(maxsize=32)
 def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[int, dict[int, int], bool]:
-    """The (lanes, columns, more) plan of the layout's first slab: more
-    is False when the slab is the whole block.  `slab` and `patterns`
-    are _SLAB and _PATTERNS, which _split reads; they are passed so that
-    they key the cache.  A plan is a function of its key and is only
-    read, so what the cache holds changes no verdict."""
-    depth, digits = next(_split(layout))
+    """The (lanes, columns, more) plan of the layout's first slab under
+    the caps `slab` and `patterns`, which it passes on to _split: more is
+    False when the slab is the whole block.  The caps are arguments, so
+    they key the cache with the layout.  A plan is a function of its key
+    and is only read, so what the cache holds changes no verdict."""
+    depth, digits = next(_split(layout, slab, patterns))
     lanes = prod(map(len, digits))
     return lanes, _columns(digits, lanes), depth > 0
 
 
 def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
     """The (lanes, columns) pair of each of the block's slabs, in
-    increasing order.  The first slab's pair comes from _first_slab, so
-    it is built once per layout while the cache holds it; each later
-    slab's is merged from _digit_columns as it is scanned."""
+    increasing order, under the caps _SLAB and _PATTERNS: this is the one
+    reader of the two, and hands them to _first_slab and _split.  The
+    first slab's pair comes from _first_slab, so it is built once per
+    layout while the cache holds it; each later slab's is merged from
+    _digit_columns as it is scanned."""
     layout = _layout(block, policy)
     lanes, columns, more = _first_slab(layout, _SLAB, _PATTERNS)
     yield lanes, columns
     if more:
-        for _depth, digits in islice(_split(layout), 1, None):
+        for _depth, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
             lanes = prod(map(len, digits))
             yield lanes, _columns(digits, lanes)
 

@@ -100,33 +100,23 @@ class _Token:
     end: int
 
 
+# One token after any whitespace (`\s` is exactly str.isspace): an
+# identifier, an operator, or the one character that starts neither.
+_FORMULA_TOKEN = re.compile(
+    rf"\s*(?:(?P<ident>{_IDENT.pattern})|(?P<op>->|[~&|()\[\]<>])|(?P<stray>-)|(?P<bad>\S))"
+)
+
+
 def _tokenize_formula(text: str, start: int, end: int) -> list[_Token]:
     """Tokens of text[start:end], with offsets into the whole of `text`."""
     tokens: list[_Token] = []
-    i = start
-    while i < end:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _IDENT.match(text, i, end)
-        if m:
-            tokens.append(_Token("ident", m.group(), i, m.end()))
-            i = m.end()
-            continue
-        if ch in "~&|()[]<>":
-            tokens.append(_Token(ch, ch, i, i + 1))
-            i += 1
-            continue
-        if ch == "-":
-            if text.startswith("->", i, end):
-                tokens.append(_Token("->", "->", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '-'", _byte_span(text, i, i + 1), {"->"})
-        raise ParseError(
-            f"unexpected character {ch!r}", _byte_span(text, i, i + 1)
-        )
+    for m in _FORMULA_TOKEN.finditer(text, start, end):
+        kind, i, j = m.lastgroup, m.start(m.lastgroup), m.end()
+        if kind == "stray":
+            raise ParseError("stray '-'", _byte_span(text, i, j), {"->"})
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", _byte_span(text, i, j))
+        tokens.append(_Token("ident" if kind == "ident" else m[kind], m[kind], i, j))
     tokens.append(_Token("eof", "", end, end))
     return tokens
 

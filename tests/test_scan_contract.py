@@ -277,10 +277,12 @@ def contract_blocks() -> list[tuple[IndexPoset, int]]:
     return blocks
 
 
-def slab_lanes(block, policy) -> list[list[int]]:
-    """The candidates of each slab the block lists, in lane order."""
+def slab_lanes(block, policy, slab, patterns) -> list[list[int]]:
+    """The candidates of each slab the block lists under the caps, in
+    lane order; no cell of a slab has more than `patterns` digits."""
     slabs = []
-    for _depth, digits in search._split(search._layout(block, policy)):
+    for _depth, digits in search._split(search._layout(block, policy), slab, patterns):
+        assert all(len(options) <= patterns for options in digits[block.val_bits :])
         lanes = [0]
         for options in digits:
             lanes = [lane + option for option in options for lane in lanes]
@@ -288,32 +290,30 @@ def slab_lanes(block, policy) -> list[list[int]]:
     return slabs
 
 
-def assert_slabs_list(block, policy, expected, cap):
-    """The slabs hold `expected`, each candidate once, each slab at most
-    `cap` lanes and wholly below the next."""
-    slabs = slab_lanes(block, policy)
-    assert all(0 < len(lanes) <= cap for lanes in slabs)
+def assert_slabs_list(block, policy, expected, slab, patterns):
+    """The slabs under the caps hold `expected`, each candidate once,
+    each slab at most `slab` lanes and wholly below the next."""
+    slabs = slab_lanes(block, policy, slab, patterns)
+    assert all(0 < len(lanes) <= slab for lanes in slabs)
     assert all(max(low) < min(high) for low, high in zip(slabs, slabs[1:]))
     got = [candidate for lanes in slabs for candidate in lanes]
     assert sorted(got) == expected and len(set(got)) == len(got), (block, policy)
 
 
-def test_slab_lanes_equal_the_filtered_raw_space(monkeypatch):
+def test_slab_lanes_equal_the_filtered_raw_space():
+    caps = (search._SLAB, search._PATTERNS)
     for policy in POLICIES:
         for poset, n in contract_blocks():
             expected = raw_frame_filter(poset, n, policy)
             # Without atoms a candidate is its relation tuple.
-            assert_slabs_list(search._Block(poset, n, ()), policy, expected, search._SLAB)
+            assert_slabs_list(search._Block(poset, n, ()), policy, expected, *caps)
             if n < 3:
                 # A cap of 4 lanes cuts every block into many slabs, some
                 # of them one tuple crossed with a run of valuations; a cap
                 # of 2 digits per cell splits linked indices too.
                 with_valuations = [(t << (2 * n)) | v for t in expected for v in range(4**n)]
-                with monkeypatch.context() as patch:
-                    patch.setattr(search, "_SLAB", 4)
-                    patch.setattr(search, "_PATTERNS", 2)
-                    block = search._Block(poset, n, ("p", "q"))
-                    assert_slabs_list(block, policy, with_valuations, 4)
+                block = search._Block(poset, n, ("p", "q"))
+                assert_slabs_list(block, policy, with_valuations, 4, 2)
 
 
 def restrictions(tuples, poset, n, kept) -> set[int]:
@@ -330,6 +330,7 @@ def restrictions(tuples, poset, n, kept) -> set[int]:
 
 
 def test_projected_lanes_equal_the_restricted_filtered_space():
+    caps = (search._SLAB, search._PATTERNS)
     for policy in POLICIES:
         for poset, n in contract_blocks():
             k = len(poset.indices)
@@ -339,14 +340,15 @@ def test_projected_lanes_equal_the_restricted_filtered_space():
                 for kept in combinations(poset.indices, size):
                     restricted = restrictions(full, poset, n, kept)
                     block = search._Block(poset, n, (), frozenset(poset.indices) - set(kept))
-                    assert_slabs_list(block, policy, sorted(restricted), search._SLAB)
+                    assert_slabs_list(block, policy, sorted(restricted), *caps)
     # Among them the case that needs the whole poset: under shrink the
     # dropped stable `b` above `a` puts the diagonal inside R_b within R_a.
     chain_stable_b = SHAPES["chain-stable-b"][1]
     for n in (1, 2, 3):
         diag = sum(1 << (i * n + i) for i in range(n))
         block = search._Block(chain_stable_b, n, (), frozenset({"b"}))
-        lanes = [t for slab in slab_lanes(block, FramePolicy(CoherenceMode.SHRINK)) for t in slab]
+        slabs = slab_lanes(block, FramePolicy(CoherenceMode.SHRINK), *caps)
+        lanes = [t for slab in slabs for t in slab]
         assert len(lanes) == 1 << (n * n - n) and all(t & diag == diag for t in lanes)
 
 
@@ -407,6 +409,57 @@ def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
                 hits += expected is not None
                 misses += expected is None
     assert hits > 30 and misses > 10 and projected > 10
+
+
+def test_lane_order_does_not_change_the_least_hit(monkeypatch):
+    # _split lists each slab's valuation bits and then its cells in one
+    # fixed order.  With each slab's digit lists in a seeded random order
+    # instead, every block's least hit stays the same: the slab holds the
+    # same candidates, and _scan_slab finds its least hit by walking the
+    # candidate bits.  One-index shapes at 1-3 worlds and two-index
+    # shapes at 1-2 worlds, in full and projected onto the indices the
+    # formula names, at the default caps and at (16, 2).
+    rng, order = random.Random(3307), random.Random(3313)
+    split = search._split
+    moved = 0
+
+    def shuffled_split(layout, slab, patterns):
+        nonlocal moved
+        for depth, digits in split(layout, slab, patterns):
+            shuffled = order.sample(digits, len(digits))
+            moved += shuffled != digits
+            yield depth, shuffled
+
+    def first_hit(block, program, policy, lists):
+        monkeypatch.setattr(search, "_split", lists)
+        search._first_slab.cache_clear()
+        return search._first_hit(block, program, policy)
+
+    shapes = [(IndexPoset.from_order(("a",)), 3), (SHAPES["single-stable"][1], 3)]
+    shapes += [(poset, 2) for poset in enumerated_posets(2)]
+    shapes += [(SHAPES[name][1], 2) for name in ("chain-stable-b", "declared-b-below-a")]
+    hits = misses = projected = 0
+    for policy in POLICIES:
+        for poset, max_worlds in shapes:
+            for n in range(1, max_worlds + 1):
+                names = rng.choice([(name,) for name in poset.indices] + [poset.indices])
+                formula = random_formula(rng, 3, atoms=("p",), indices=names)
+                program = Program(formula)
+                block = search._Block(poset, n, atom_names(formula))
+                dropped = frozenset(poset.indices) - set(modal_indices(formula))
+                blocks = [block, replace(block, dropped=dropped)] if dropped else [block]
+                for slab, patterns in ((search._SLAB, search._PATTERNS), (16, 2)):
+                    monkeypatch.setattr(search, "_SLAB", slab)
+                    monkeypatch.setattr(search, "_PATTERNS", patterns)
+                    for scanned in blocks:
+                        expected = first_hit(scanned, program, policy, split)
+                        got = first_hit(scanned, program, policy, shuffled_split)
+                        assert got == expected, (policy, scanned, print_formula(formula), slab)
+                        hits += expected is not None
+                        misses += expected is None
+                        projected += bool(scanned.dropped)
+    search._first_slab.cache_clear()
+    assert hits > 150 and misses > 20 and projected > 80 and moved > 1000
 
 
 class _Enough(Exception):
@@ -485,7 +538,8 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     monkeypatch.setattr(search, "_SLAB", 32)
     block = search._Block(chain, 2, ("p",))
     layout = search._layout(block, policy)
-    widths = [prod(map(len, digits)) for _depth, digits in search._split(layout)]
+    split = search._split(layout, 32, search._PATTERNS)
+    widths = [prod(map(len, digits)) for _depth, digits in split]
     hit = search._first_hit(block, Program(formula), policy)
     assert search._decode(block, hit) == model
     assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
@@ -495,12 +549,13 @@ def plan_key(block, policy):
     return (search._layout(block, policy), search._SLAB, search._PATTERNS)
 
 
-def fresh_plan(block, policy) -> list[tuple[int, dict[int, int]]]:
-    """The block's (lanes, columns) pairs built from _split and _columns
-    alone, with the column cache cleared first and no plan cache."""
+def fresh_plan(block, policy, slab, patterns) -> list[tuple[int, dict[int, int]]]:
+    """The block's (lanes, columns) pairs under the caps, built from
+    _split and _columns alone, with the column cache cleared first and
+    no plan cache."""
     search._digit_columns.cache_clear()
     plan = []
-    for _depth, digits in search._split(search._layout(block, policy)):
+    for _depth, digits in search._split(search._layout(block, policy), slab, patterns):
         lanes = prod(map(len, digits))
         plan.append((lanes, search._columns(digits, lanes)))
     return plan
@@ -551,10 +606,11 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
             for kept in kept_subsets(poset):
                 block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
                 key, case = plan_key(block, policy), (policy, poset, n, kept)
-                digits = [digits for _depth, digits in search._split(key[0])]
+                digits = [digits for _depth, digits in search._split(*key)]
                 assert digits_of.setdefault(key, digits) == digits, case
                 before = cache_hits()
-                assert list(search._plan(block, policy)) == fresh_plan(block, policy), case
+                fresh = fresh_plan(block, policy, *key[1:])
+                assert list(search._plan(block, policy)) == fresh, case
                 served += cache_hits() > before
                 several += cache_hits() > before and len(digits) > 1
     assert served > 7000 and several > 5 and len(digits_of) < 200
@@ -576,10 +632,10 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     monkeypatch.setattr(search, "_columns", columns)
 
     # Blocks of several slabs keep their first slab: at 4 lanes and 2
-    # digits per cell nearly every block has several.  The caps are part
-    # of the key, so no plan built at the default caps is read here.
-    # Served from the cache, the first slab and the later ones equal
-    # those built with no cache.
+    # digits per cell nearly every block has several.  _plan reads the
+    # caps, which are part of the key, so no plan built at the default
+    # caps is read here.  Served from the cache, the first slab and the
+    # later ones equal those built with no cache at the same caps.
     monkeypatch.setattr(search, "_SLAB", 4)
     monkeypatch.setattr(search, "_PATTERNS", 2)
     served = 0
@@ -587,7 +643,7 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
         for poset, n in contract_blocks():
             for kept in kept_subsets(poset) if n < 3 else ():
                 block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
-                fresh = fresh_plan(block, policy)
+                fresh = fresh_plan(block, policy, 4, 2)
                 before = cache_hits()
                 assert list(search._plan(block, policy)) == fresh, (policy, poset, n, kept)
                 served += cache_hits() > before and len(fresh) > 1
@@ -605,7 +661,8 @@ def test_a_repeated_query_builds_no_columns(monkeypatch):
     queries = [(parse_formula(text), bounds) for text in ("[a]p -> [b]p", "<b>p -> <a>p", "p | ~p")]
     queries.append((parse_formula("<b>p -> <a>p"), SearchBounds(3, 2, poset=chain)))
     block = search._Block(chain, 3, ("p",))
-    assert len(list(search._split(search._layout(block, policy)))) == 4
+    layout = search._layout(block, policy)
+    assert len(list(search._split(layout, search._SLAB, search._PATTERNS))) == 4
     matrix_args = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), bounds)
     first = [decide_valid(formula, within, policy) for formula, within in queries]
     rows = axiom_matrix(*matrix_args)
@@ -705,7 +762,8 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     assert blocks == [(3, antichain, frozenset()), (1, antichain, frozenset())]
     largest = search._Block(antichain, 3, ("p",))
     layout = search._layout(largest, policy)
-    widths = [prod(map(len, digits)) for _depth, digits in search._split(layout)]
+    split = search._split(layout, search._SLAB, search._PATTERNS)
+    widths = [prod(map(len, digits)) for _depth, digits in split]
     probe = [(lanes, hit) for n, lanes, hit in slabs if n == 3]
     assert len(widths) > 1 and 0 < len(probe) < len(widths)
     assert [lanes for lanes, _hit in probe] == widths[: len(probe)]

@@ -298,10 +298,11 @@ def test_ceiling_and_bit_guard():
 
 def test_blocks_past_64_candidate_bits_are_scanned():
     # The ceiling is the one bound on block size: 16 indices at 2 worlds
-    # with one atom take 66 candidate bits.
+    # with one atom take 16 * 2**2 + 2 * 1 = 66 candidate bits.
     antichain = IndexPoset.from_order(tuple(f"a{i}" for i in range(16)))
     bounds = SearchBounds(2, 16, poset=antichain)
-    assert search._Block(antichain, 2, ("p",)).total_bits == 66
+    n, atoms = bounds.max_worlds, ("p",)
+    assert len(antichain.indices) * n * n + n * len(atoms) == 66
     verdict = decide_valid(parse_formula("[a0]p -> p"), bounds, ceiling=1 << 70)
     assert verdict.model == StratifiedModel(antichain, ("w0",), {}, {"p": frozenset()})
     verdict = decide_valid(parse_formula("[a0]p -> [a0]p"), bounds, ceiling=1 << 70)

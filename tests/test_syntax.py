@@ -111,6 +111,79 @@ def test_parse_rejects_non_ascii_gracefully():
     assert 0 <= err.value.span.start <= err.value.span.end <= len(text.encode())
 
 
+FORMULA_EXPECTED = {"'('", "'<'", "'['", "'~'", "identifier"}
+
+# (parser, printer, text, outcome): the printed result, or the error's
+# message, byte span and expected set.  Every character str.isspace
+# accepts separates tokens, a '-' that does not start '->' is a stray,
+# and spans count bytes, so `é` takes two.
+TOKENIZER_EDGES = [
+    (parse_formula, print_formula, "p\u00a0&\u00a0q", "p & q"),  # no-break space
+    (parse_formula, print_formula, "[a]\u2003p", "[a] p"),  # em space
+    (parse_formula, print_formula, "p\u001c|\u001cq", "p | q"),  # file separator
+    (
+        parse_formula,
+        print_formula,
+        "p & é",
+        ("unexpected character 'é' at bytes 4..6", (4, 6), set()),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "p -",
+        ("stray '-' at bytes 2..3 (expected ->)", (2, 3), {"->"}),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "p - > q",
+        ("stray '-' at bytes 2..3 (expected ->)", (2, 3), {"->"}),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "p -- q",
+        ("stray '-' at bytes 2..3 (expected ->)", (2, 3), {"->"}),
+    ),
+    (parse_formula, print_formula, "p ->\r\nq\r\n", "p -> q"),
+    (
+        parse_formula,
+        print_formula,
+        "\r\n",
+        (
+            "expected a formula at bytes 2..2 (expected '(', '<', '[', '~', identifier)",
+            (2, 2),
+            FORMULA_EXPECTED,
+        ),
+    ),
+    (
+        parse_proof,
+        print_proof,
+        "1. p -> p ; A1\r\n2. [a](p -> p) ; NEC a 1\r\n",
+        "indices: a\n1. p -> p ; A1\n2. [a] (p -> p) ; NEC a 1\n",
+    ),
+    (
+        parse_proof,
+        print_proof,
+        "indices: a\r\nstable: a\r\n1. p ->\r ; A1\r\n",
+        (
+            "expected a formula at bytes 32..32 (expected '(', '<', '[', '~', identifier)",
+            (32, 32),
+            FORMULA_EXPECTED,
+        ),
+    ),
+]
+
+
+def test_tokenizer_edge_cases_keep_their_outcomes():
+    for parse, printer, text, expected in TOKENIZER_EDGES:
+        try:
+            got = printer(parse(text))
+        except ParseError as err:
+            got = (str(err), (err.span.start, err.span.end), set(err.expected))
+        assert got == expected, text
+
+
 def test_formula_round_trip_fuzz():
     rng = random.Random(23)
     for _ in range(400):
