@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
@@ -338,6 +337,9 @@ class Program:
     (node type, label, *child positions) per distinct subformula, in the order
     of `subformulas`, which `nodes` holds.  `roots` holds the position of
     each formula; one formula's is the last.  Equal nodes share a position.
+    `atoms` holds the sorted names of the atoms the formulas use, and
+    `indices` the sorted indices their modal operators name.  Every
+    attribute is set here and never changed.
 
     A bit set is any value with `^`, `&` and `|`, such as a Python int,
     and `full` is the set of all positions.  The connectives are bitwise
@@ -348,16 +350,8 @@ class Program:
     def __init__(self, *formulas: Formula):
         nodes, steps, roots = _walk(*formulas)
         self.nodes, self.steps, self.roots = tuple(nodes), tuple(steps), tuple(roots)
-
-    @cached_property
-    def atoms(self) -> tuple[str, ...]:
-        """Sorted names of the atoms the formula uses."""
-        return tuple(sorted({step[1] for step in self.steps if step[0] is Atom}))
-
-    @cached_property
-    def indices(self) -> tuple[str, ...]:
-        """Sorted indices the formula's modal operators name."""
-        return tuple(sorted({step[1] for step in self.steps if step[0] in (Box, Diamond)}))
+        self.atoms = tuple(sorted({s[1] for s in steps if s[0] is Atom}))
+        self.indices = tuple(sorted({s[1] for s in steps if s[0] is Box or s[0] is Diamond}))
 
     def run(self, full, atom, diamond) -> list:
         """The bit set of every step, by position.  Only `^`, `&` and `|`

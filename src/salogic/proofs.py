@@ -11,6 +11,10 @@ cite any earlier accepted line.  check_derivation compiles all lines into
 one core.Program, runs each A1 truth table on it and compares formulas by
 step position, never with ==, so lines of any depth are checked without
 recursion and no line is compiled twice.
+
+A skeleton's variables, one per atom name and one per maximal modal
+subformula, are read by one walk over the program (_skeleton), which
+both propositional_skeleton and the A1 truth table use.
 """
 
 from __future__ import annotations
@@ -161,6 +165,31 @@ class Derivation:
                     )
 
 
+def _skeleton(program: Program, root: int) -> tuple[dict[int, object], list[int]]:
+    """The propositional skeleton of the formula at step `root` of
+    `program`, in one walk: its leaves, each position mapped to its
+    variable (an atom's name, or the position itself for a maximal modal
+    step), in the order they are first met left to right; and the
+    positions of the connectives above them, children before parents."""
+    steps = program.steps
+    leaves: dict[int, object] = {}
+    inner: set[int] = set()
+    stack = [root]
+    while stack:
+        at = stack.pop()
+        if at in leaves or at in inner:
+            continue
+        kind, label, *args = steps[at]
+        if kind is Atom:
+            leaves[at] = label
+        elif kind is Box or kind is Diamond:
+            leaves[at] = at
+        else:  # operands next, leftmost on top
+            inner.add(at)
+            stack.extend(reversed(args))
+    return leaves, sorted(inner)
+
+
 def propositional_skeleton(formula: Formula) -> Formula:
     """`formula` with each maximal modal subformula replaced by a fresh
     placeholder atom; syntactically equal modal subformulas share one
@@ -168,23 +197,15 @@ def propositional_skeleton(formula: Formula) -> Formula:
     numbered m0_, m1_, ... in the order the modal subformulas are first
     met, left to right."""
     program = Program(formula)
+    root = len(program.steps) - 1
+    leaves, connectives = _skeleton(program, root)
     taken = set(program.atoms)
     fresh = (Atom(name) for name in (f"m{i}_" for i in count()) if name not in taken)
-    built: dict[int, Formula] = {}  # step position -> its skeleton
-    root = len(program.steps) - 1
-    stack = [(root, False)]
-    while stack:
-        step, ready = stack.pop()
-        kind, _label, *args = program.steps[step]
-        if ready:  # an atom stays, a connective joins its operands' skeletons
-            built[step] = kind(*[built[a] for a in args]) if args else program.nodes[step]
-        elif step in built:
-            continue
-        elif kind in (Box, Diamond):
-            built[step] = next(fresh)
-        else:  # operands first, leftmost on top
-            stack.append((step, True))
-            stack.extend((a, False) for a in reversed(args))
+    # An atom stays; a modal step, its own variable, becomes a placeholder.
+    built = {at: next(fresh) if leaf == at else program.nodes[at] for at, leaf in leaves.items()}
+    for at in connectives:
+        kind, _label, *args = program.steps[at]
+        built[at] = kind(*[built[a] for a in args])
     return built[root]
 
 
@@ -198,8 +219,8 @@ def _refuse_wide_table(width: int) -> None:
 
 def _true_in_every_row(program: Program, root: int) -> bool:
     """Whether the formula at step `root` of `program` is true in every row
-    of the truth table of its propositional skeleton: one variable per
-    atom name and one per maximal modal subformula, by position, so
+    of the truth table of its propositional skeleton, read from _skeleton:
+    one variable per atom name and one per maximal modal step, so
     distinct positions get distinct variables, as distinct placeholders
     do in propositional_skeleton.  Only the connectives under `root` are
     evaluated, so a line of a derivation costs its own steps.
@@ -212,19 +233,7 @@ def _true_in_every_row(program: Program, root: int) -> bool:
     Raises BoundsTooLarge, before any row, past _MAX_TABLE_ATOMS
     variables: each one doubles the table."""
     steps = program.steps
-    variable: dict[int, object] = {}  # leaf position -> atom name or modal position
-    inner: set[int] = set()  # connective positions under root, outside modal operators
-    stack = [root]
-    while stack:
-        at = stack.pop()
-        kind, label, *args = steps[at]
-        if kind is Atom:
-            variable[at] = label
-        elif kind is Box or kind is Diamond:
-            variable[at] = at
-        elif at not in inner:
-            inner.add(at)
-            stack.extend(args)
+    variable, connectives = _skeleton(program, root)
     names = list(dict.fromkeys(variable.values()))
     _refuse_wide_table(len(names))
     rows, columns = 1, {}
@@ -234,7 +243,7 @@ def _true_in_every_row(program: Program, root: int) -> bool:
         columns[name] = ((1 << rows) - 1) << rows
         rows <<= 1
     full = (1 << rows) - 1
-    order = [(at, *steps[at]) for at in sorted(inner)]  # children before parents
+    order = [(at, *steps[at]) for at in connectives]
     high = names[_TABLE_WIDTH:]
     for bits in range(1 << len(high)):
         columns.update((name, full * (bits >> i & 1)) for i, name in enumerate(high))

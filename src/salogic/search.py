@@ -33,12 +33,13 @@ candidate order and raises BoundsTooLarge at the first block past the
 ceiling, before any block is built or scanned.  It then builds only the
 blocks that the scan order below reaches, scans each in slabs of at most
 _SLAB admissible candidates in increasing order, in one thread, and
-re-checks the hit.  The `workers` argument is kept for compatibility and
-does not change the scan.  axiom_matrix builds each schema instance and
-its program once per call, and keeps one dict of verdicts per mode,
-keyed by the instance formula and the poset it scans, so an instance
-that recurs under a mode (A4 and DDOWN at a reflexive pair) is scanned
-once.
+re-checks the hit on the same program, so a query is compiled once
+whatever its verdict.  The `workers` argument is kept for compatibility
+and does not change the scan.  axiom_matrix builds each schema instance
+once per call and compiles each distinct instance formula once, so
+equal instances (A4 and DDOWN at a reflexive pair) share one program.
+It keeps one dict of verdicts per mode, keyed by that program and the
+poset it scans, so an instance that recurs under a mode is scanned once.
 
 Scan order.  The order blocks are scanned in is not the candidate order.
 A countermodel on n' worlds extends to one on any n > n': add worlds
@@ -98,9 +99,11 @@ subformula's value is a tuple of n ints of lanes, one per world, whose
 column present, at most n*n.  The first slab that hits holds the block's
 least hit, which a walk over the candidate bits from the top picks out
 of the slab's hits.  A hit is rebuilt as a plain StratifiedModel and
-re-checked through semantics.satisfying_worlds and
-semantics.validate_frame before it is reported, so every emitted witness
-has already survived the independent scalar evaluator.
+re-checked by semantics.validate_frame and by the scalar evaluator
+(semantics._masks, which runs the query's program over world masks)
+before it is reported.  The re-check shares only the compiled program
+with the scan, none of its layouts, slabs, columns or _Worlds, so every
+emitted witness has already survived the independent scalar evaluator.
 
 Scan plans.  A block's slabs and their columns depend only on its
 layout (_Layout) and on two caps, at most _SLAB lanes per slab and
@@ -160,7 +163,7 @@ from .core import (
 )
 from .errors import BoundsTooLarge, UndeclaredIdentifier
 from .proofs import PROFILE_SCHEMAS, SCHEMAS
-from .semantics import FramePolicy, _inclusion, satisfying_worlds, validate_frame
+from .semantics import FramePolicy, _inclusion, _masks, validate_frame
 
 __all__ = [
     "Counterexample",
@@ -716,9 +719,9 @@ def _decide(
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")
-    holds = satisfying_worlds(model, program.nodes[-1])
-    for world in model.worlds:
-        if world not in holds:
+    holds = _masks(model, program)[-1]
+    for i, world in enumerate(model.worlds):
+        if not holds >> i & 1:
             return Counterexample(model, world, model.poset.indices[0])
     raise RuntimeError("scan reported a model the scalar evaluator cannot falsify")
 
@@ -839,8 +842,8 @@ def axiom_matrix(
     # Instances and their programs depend on neither the mode nor the
     # reflexivity setting, so each is built once per call.
     formulas: dict[tuple[str, str, str], Formula] = {}
-    programs: dict[Formula, Program] = {}
-    instances = []  # (poset, schema, alpha, beta, formula, scanned poset)
+    programs: dict[Formula, Program] = {}  # equal instances share one program
+    instances = []  # (poset, schema, alpha, beta, formula, program, scanned poset)
     for poset in _posets(bounds):
         for schema in schemas:
             for alpha, beta in _schema_instances(schema, poset):
@@ -855,16 +858,14 @@ def axiom_matrix(
                     # Reflection holds at a stable level: scan alpha stable
                     # alone, which covers every stable set holding alpha.
                     scanned = replace(poset, stable=frozenset({alpha}))
-                instances.append((poset, schema, alpha, beta, formula, scanned))
+                instances.append((poset, schema, alpha, beta, formula, programs[formula], scanned))
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
-        verdicts: dict = {}  # (formula, scanned poset) -> verdict
-        for poset, schema, alpha, beta, formula, scanned in instances:
-            if (formula, scanned) not in verdicts:
-                verdicts[formula, scanned] = _decide(
-                    programs[formula], (scanned,), bounds, policy, ceiling
-                )
+        verdicts: dict = {}  # (program, scanned poset) -> verdict
+        for poset, schema, alpha, beta, formula, program, scanned in instances:
+            if (program, scanned) not in verdicts:
+                verdicts[program, scanned] = _decide(program, (scanned,), bounds, policy, ceiling)
             rows.append(
                 MatrixRow(
                     schema,
@@ -874,7 +875,7 @@ def axiom_matrix(
                     beta,
                     formula,
                     require_stable_reflexive,
-                    verdicts[formula, scanned],
+                    verdicts[program, scanned],
                 )
             )
     return tuple(rows)

@@ -135,8 +135,7 @@ def _world_masks(
     world: str | None = None,
     index: str | None = None,
 ) -> tuple[Program, list[int]]:
-    """The program of `formula` and the worlds where each of its steps
-    holds, as ints whose bit i stands for the i-th declared world.
+    """The program of `formula` and its _masks in `model`.
 
     Every name the inputs use is checked before anything is evaluated."""
     if world is not None and world not in model.worlds:
@@ -149,6 +148,13 @@ def _world_masks(
             raise UndeclaredIdentifier(f"atom {label!r} is not declared in the model")
         if kind in (Box, Diamond) and label not in model.poset.indices:
             raise UndeclaredIdentifier(f"unknown index {label!r}")
+    return program, _masks(model, program)
+
+
+def _masks(model: StratifiedModel, program: Program) -> list[int]:
+    """The worlds where each step of `program` holds, as ints whose bit i
+    stands for the i-th declared world.  The model must declare every
+    atom and index the program names."""
     pos = {w: i for i, w in enumerate(model.worlds)}
     rows: dict[str, list[int]] = {}  # index -> successor mask of each world
 
@@ -162,7 +168,7 @@ def _world_masks(
                 rows[idx][pos[u]] |= 1 << pos[v]
         return sum(1 << i for i, row in enumerate(rows[idx]) if row & x)
 
-    return program, program.run((1 << len(pos)) - 1, atom, diamond)
+    return program.run((1 << len(pos)) - 1, atom, diamond)
 
 
 def satisfying_worlds(model: StratifiedModel, formula: Formula) -> frozenset[str]:

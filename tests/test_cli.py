@@ -371,6 +371,17 @@ def test_axioms_table_none_mode(capsys):
         assert rows and all("COUNTERMODEL" in l for l in rows)
 
 
+@pytest.mark.parametrize("profile, other", [("section2", "A4"), ("section3", "DDOWN")])
+def test_axioms_one_profile_drops_the_other_profiles_rows(capsys, profile, other):
+    code, both, _ = run(capsys, "axioms", "--max-worlds", "2", "--profile", "both")
+    assert code == 0
+    code, out, _ = run(capsys, "axioms", "--max-worlds", "2", "--profile", profile)
+    assert code == 0
+    kept = [line for line in both.splitlines() if line.split()[0] != other]
+    assert len(kept) < len(both.splitlines())
+    assert out.splitlines() == kept
+
+
 def test_axioms_single_index_trivially_valid(capsys):
     code, out, _ = run(capsys, "axioms", "--max-worlds", "2", "--max-indices", "1")
     assert code == 0

@@ -293,6 +293,8 @@ def test_atom_and_index_collectors():
     f = And(Box("b", Atom("q")), Diamond("a", Atom("p")))
     assert atom_names(f) == ("p", "q")
     assert modal_indices(f) == ("a", "b")
+    # A program sets every attribute at construction; none is computed later.
+    assert vars(Program(f)).keys() == {"nodes", "steps", "roots", "atoms", "indices"}
     program = Program(f)
     assert (program.atoms, program.indices) == (("p", "q"), ("a", "b"))
 
