@@ -48,10 +48,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _coherence(text: str) -> CoherenceMode:
-    return CoherenceMode(text)
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -62,7 +58,7 @@ def _read(path: str) -> str:
 def _policy(args) -> FramePolicy:
     from .semantics import FramePolicy
 
-    return FramePolicy(coherence=args.coherence)
+    return FramePolicy(coherence=CoherenceMode(args.coherence))
 
 
 def _bounds(args) -> SearchBounds:
@@ -181,7 +177,7 @@ def _cmd_axioms(args) -> ExitStatus:
     )
     rows = axiom_matrix(
         profiles,
-        (args.coherence,),
+        (CoherenceMode(args.coherence),),
         _bounds(args),
         workers=args.workers,
     )
@@ -238,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_coherence(p):
         p.add_argument(
             "--coherence",
-            type=_coherence,
-            choices=list(CoherenceMode),
-            default=CoherenceMode.SHRINK,
-            metavar="{shrink,grow,none}",
+            choices=[mode.value for mode in CoherenceMode],
+            default="shrink",
             help="cross-level inclusion constraint (default: shrink)",
         )
 

@@ -88,22 +88,24 @@ that covers every stable set containing alpha.
 
 Scanning is bitsliced over Python ints.  Coherence and stable
 reflexivity constrain each relation bit position (world pair) on its
-own, so a block's admissible candidates are a product: every valuation,
-times one choice per position of the bits its indices show there.  A
-slab fixes the candidate's top bits and holds the rest of that product,
-one candidate per lane.  Each candidate bit is a periodic column over
-the lanes, built once per pattern and repeated bytewise.  A
-subformula's value is a tuple of n ints of lanes, one per world, whose
-`&`, `|` and `^` act world by world, so the formula's bit-set program
-(core.Program) runs on it unchanged; a diamond costs one AND per
-column present, at most n*n.  The first slab that hits holds the block's
-least hit, which a walk over the candidate bits from the top picks out
-of the slab's hits.  A hit is rebuilt as a plain StratifiedModel and
-re-checked by semantics.validate_frame and by the scalar evaluator
-(semantics._masks, which runs the query's program over world masks)
-before it is reported.  The re-check shares only the compiled program
-with the scan, none of its layouts, slabs, columns or _Worlds, so every
-emitted witness has already survived the independent scalar evaluator.
+own, and nothing constrains the valuation, so a block's admissible
+candidates are a product of independent cells: one per valuation bit,
+and one per position and group of linked indices, of the bits those
+indices may show there.  A slab fixes the candidate's top bits and holds
+the rest of that product, one candidate per lane.  Each candidate bit is
+a periodic column over the lanes, built once per pattern and repeated
+bytewise.  A subformula's value is a tuple of n ints of lanes, one per
+world, whose `&`, `|` and `^` act world by world, so the formula's
+bit-set program (core.Program) runs on it unchanged; a diamond costs one
+AND per column present, at most n*n.  The first slab that hits holds the
+block's least hit, which a walk over the candidate bits from the top
+picks out of the slab's hits.  A hit is rebuilt as a plain
+StratifiedModel and re-checked by semantics.validate_frame and by the
+scalar evaluator (semantics._masks, which runs the query's program over
+world masks) before it is reported.  The re-check shares only the
+compiled program with the scan, none of its layouts, slabs, columns or
+_Worlds, so every emitted witness has already survived the independent
+scalar evaluator.
 
 Scan plans.  A block's slabs and their columns depend only on its
 layout (_Layout) and on two caps, at most _SLAB lanes per slab and
@@ -111,23 +113,24 @@ _PATTERNS digits per cell.  The layout is the world count, the valuation
 bits and, for each kept index, the inclusions, cell group and forced
 diagonal the policy gives it; index names, atom names and the formula
 are not part of it.  _plan is the one reader of the caps: it passes them
-to _first_slab and _split, which take them as arguments.  Every slab
-lists its digit lists in one fixed order, its valuation bits lowest
-first and then its cells by position and group, as _split builds them;
-the order decides neither which candidates a slab holds nor its least
-hit.  The layout of a block scanned before is memoized, and _first_slab,
-an LRU of 32 entries keyed by the layout and the two caps, holds the
-(lanes, columns) plan of the first slab of the layouts scanned most
-recently.  So the first slab's columns of a layout are built once while
-it is held, however many queries and axiom_matrix rows share it: a
-block that fits one slab, or whose first slab hits, builds none once
-warm.  The traffic is small: the sweep and the matrix benchmark
-workloads each scan 10 distinct layouts, 17 when both run in one
-process, 0.90 MB in all.
-Over 1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
+to _first_slab and _split, which take them as arguments.  A slab is a
+list of digit lists, one per cell, in one fixed order: the one-bit
+valuation cells lowest first, then the relation cells by position and
+group, as _split builds them.  _split hands each slab over with its
+lane count, the product of the lists' lengths.  The order decides
+neither which candidates a slab holds nor its least hit.  The layout of
+a block scanned before is memoized, and _first_slab, an LRU of 32
+entries keyed by the layout and the two caps, holds the (lanes, columns)
+plan of the first slab of the layouts scanned most recently.  So the
+first slab's columns of a layout are built once while it is held,
+however many queries and axiom_matrix rows share it: a block that fits
+one slab, or whose first slab hits, builds none once warm.  The traffic
+is small: the sweep and the matrix benchmark workloads each scan 10
+distinct layouts, 17 when both run in one process, 0.90 MB in all.  Over
+1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
 worlds, 0-5 atoms, every coherence mode) the largest first slab takes
-0.28 MB with no stable index and 0.43 MB with every index stable, so
-32 plans of those shapes take at most about 14 MB.
+0.28 MB with no stable index and 0.43 MB with every index stable, so 32
+plans of those shapes take at most about 14 MB.
 
 Every slab's columns are merged from _digit_columns, an LRU of 256
 entries keyed by one digit list, its stride and the slab's width, so a
@@ -147,7 +150,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
-from math import prod
 from operator import and_, or_, xor
 from typing import NamedTuple
 
@@ -282,10 +284,6 @@ class _Block:
         return tuple(idx for idx in self.poset.indices if idx not in self.dropped)
 
     @property
-    def worlds(self) -> tuple[str, ...]:
-        return tuple(f"w{i}" for i in range(self.n))
-
-    @property
     def rel_bits(self) -> int:
         return self.n * self.n
 
@@ -297,7 +295,7 @@ class _Block:
 def _decode(block: _Block, candidate: int) -> StratifiedModel:
     """Rebuild the StratifiedModel a candidate integer stands for."""
     n = block.n
-    worlds = block.worlds
+    worlds = tuple(f"w{i}" for i in range(n))
     value = candidate
     val = value & ((1 << block.val_bits) - 1)
     value >>= block.val_bits
@@ -379,31 +377,36 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     )
 
 
-def _split(layout: _Layout, slab: int, patterns: int) -> Iterator[tuple[int, list[list[int]]]]:
+def _split(
+    layout: _Layout, slab: int, patterns: int
+) -> Iterator[tuple[int, int, list[list[int]]]]:
     """The layout's frame-admissible candidates, in slabs of at most
     `slab` lanes, in increasing order: every candidate of a slab is below
     every candidate of the next.  Each slab comes with the number of top
-    bits it fixes, which is 0 only when it is the whole block.
+    bits it fixes, which is 0 only when it is the whole block, and with
+    its lane count.
 
-    A slab is a list of digit lists, one per valuation bit, lowest first,
-    and then one per cell: a relation bit position p (pair (w_i, w_j) at
-    p = i*n + j) and a group of kept indices that inclusions link.  Every
-    slab lists its cells in one fixed order, by position and then by
-    group.  Its lanes are the sums of one digit from each list, the first
-    list varying fastest; which candidates a slab holds, and so its least
-    hit, does not depend on the order of the lists.  A valuation bit's
-    digits are 0 and the bit, or the one value the slab fixes.  A cell's
+    A slab is a list of digit lists, one per cell.  The cells are the
+    valuation bits, lowest first, and then the relation cells: a relation
+    bit position p (pair (w_i, w_j) at p = i*n + j) and a group of kept
+    indices that inclusions link, listed by position and then by group.
+    Its lanes are the sums of one digit from each list, the first list
+    varying fastest, so its lane count is the product of the lists'
+    lengths; which candidates a slab holds, and so its least hit, does
+    not depend on the order of the lists.  A valuation bit's digits are 0
+    and the bit, or the one value the slab fixes.  A relation cell's
     digits are the patterns its indices may show at p: each is the sum
     of the candidate bits that are set.  Coherence and stable
-    reflexivity constrain each position on its own, and unlinked indices
-    not at all, so the admissible candidates are exactly this product.
+    reflexivity constrain each position on its own, unlinked indices not
+    at all and the valuation not at all, so the admissible candidates
+    are exactly this product.
 
     A slab fixes the top bits of the candidate, as many as it takes to
     bring it down to `slab` lanes and each cell to `patterns` digits
-    (kept[0]'s bits, from the top position down, first).  Slabs are
-    listed depth first, 0 before 1, so in increasing order of the fixed
-    bits; with every relation bit fixed, a slab is one relation tuple
-    crossed with a run of valuations.
+    (kept[0]'s bits, from the top position down, first).  Fixing a bit
+    narrows its cell's digits.  Slabs are listed depth first, 0 before
+    1, so in increasing order of the fixed bits; with every relation bit
+    fixed, a slab is one relation tuple crossed with a run of valuations.
 
     Given the bits of the earlier kept indices at p, index j's bit there
     is forced to 1 when one of them sits inside it (or p is on the
@@ -414,20 +417,25 @@ def _split(layout: _Layout, slab: int, patterns: int) -> Iterator[tuple[int, lis
     inside, around, cell_of = layout.inside, layout.around, layout.cell
     rel_bits = n * n
     k = len(cell_of)
-    total_bits = k * rel_bits + val_bits
     # Unlinked indices are independent: each group of linked ones has its
-    # own digit list (a cell) at every position.
+    # own cell at every position.
     members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(set(cell_of)))]
     cells = [(p, m) for p in range(rel_bits) for m in members]
-    cell_bits = [
+    cell_bits = [1 << b for b in range(val_bits)] + [
         sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
+    ]
+    # The cell of each candidate bit, lowest first.
+    owner = [*range(val_bits)] + [
+        val_bits + p * len(members) + g for g in reversed(cell_of) for p in range(rel_bits)
     ]
 
     def cell_patterns(c: int, fixed: int, value: int) -> list[int] | None:
-        """Cell c's patterns that agree with `value` on the `fixed` bits
+        """Cell c's digits that agree with `value` on the `fixed` bits
         (a prefix of its indices), or None when they may be more than
         `patterns`: the unfixed bits alone could take more values."""
-        p, group_members = cells[c]
+        if c < val_bits:
+            return [value] if fixed else [0, cell_bits[c]]
+        p, group_members = cells[c - val_bits]
         shift = val_bits + p
         found = [0]
         for place, j in enumerate(group_members):
@@ -447,32 +455,20 @@ def _split(layout: _Layout, slab: int, patterns: int) -> Iterator[tuple[int, lis
             found = grown
         return found
 
-    # (number of fixed top bits, their values, each cell's patterns)
-    stack = [(0, 0, [cell_patterns(c, 0, 0) for c in range(len(cells))])]
+    # (number of fixed top bits, their values, each cell's digits)
+    stack = [(0, 0, [cell_patterns(c, 0, 0) for c in range(len(cell_bits))])]
     while stack:
         depth, value, digits = stack.pop()
-        free = total_bits - depth
-        lanes = 1 << min(val_bits, free)
-        for found in digits:
-            if found is None:
-                lanes = slab + 1
-                break
-            lanes *= len(found)
+        lanes = 1
+        for found in digits:  # None stands for more than `patterns` digits
+            lanes *= len(found) if found else slab + 1
         if lanes <= slab:
-            valuations = [
-                [0, 1 << b] if b < free else [value & 1 << b] for b in range(val_bits)
-            ]
-            yield depth, valuations + digits
+            yield depth, lanes, digits
             continue
-        bit = 1 << (free - 1)
-        if free <= val_bits:
-            stack += [(depth + 1, value | bit, digits), (depth + 1, value, digits)]
-            continue
-        # Fixing a relation bit, kept[k - 1 - rank]'s at position p,
-        # narrows its cell's patterns; a child with none left holds no
-        # candidate.
-        rank, p = divmod(free - 1 - val_bits, rel_bits)
-        c = p * len(members) + cell_of[k - 1 - rank]
+        # Fixing the top free bit narrows its cell's digits; a child with
+        # none left holds no candidate.
+        bit = 1 << (len(owner) - 1 - depth)
+        c = owner[-1 - depth]
         for child in (value | bit, value):
             found = cell_patterns(c, cell_bits[c] & ~(bit - 1), child & cell_bits[c])
             if found != []:
@@ -610,8 +606,7 @@ def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[int, dict[in
     False when the slab is the whole block.  The caps are arguments, so
     they key the cache with the layout.  A plan is a function of its key
     and is only read, so what the cache holds changes no verdict."""
-    depth, digits = next(_split(layout, slab, patterns))
-    lanes = prod(map(len, digits))
+    depth, lanes, digits = next(_split(layout, slab, patterns))
     return lanes, _columns(digits, lanes), depth > 0
 
 
@@ -626,8 +621,7 @@ def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, i
     lanes, columns, more = _first_slab(layout, _SLAB, _PATTERNS)
     yield lanes, columns
     if more:
-        for _depth, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
-            lanes = prod(map(len, digits))
+        for _depth, lanes, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
             yield lanes, _columns(digits, lanes)
 
 

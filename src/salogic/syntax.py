@@ -406,9 +406,9 @@ class _Sections:
         return StratifiedModel(
             poset=poset,
             worlds=tuple(self.worlds),
-            relations={idx: frozenset(pairs) for idx, pairs in self.rel.items()},
-            valuation={atom: frozenset(ws) for atom, ws in self.val.items()},
-            world_order=frozenset(self.worldorder) if self.worldorder_declared else None,
+            relations=self.rel,
+            valuation=self.val,
+            world_order=self.worldorder if self.worldorder_declared else None,
         )
 
 

@@ -150,6 +150,18 @@ def test_valid_rejects_bad_bounds(capsys):
     assert code == 2
 
 
+def test_an_unknown_coherence_mode_lists_the_modes(capsys):
+    # argparse rejects the value itself and names every mode, in the
+    # words --help shows, not the converter's name.
+    for command in (["valid", "p"], ["sat", "p"], ["axioms"], ["check-model", SEC33]):
+        code, out, err = run(capsys, *command, "--coherence", "bogus")
+        assert (code, out) == (2, "")
+        line = err.splitlines()[-1]
+        assert "argument --coherence: invalid choice: 'bogus'" in line
+        assert all(mode in line for mode in ("shrink", "grow", "none"))
+        assert "_coherence" not in err
+
+
 def test_valid_bounds_ceiling_is_an_input_error(capsys):
     code, _, err = run(capsys, "valid", "p", "--max-worlds", "8")
     assert code == 2

@@ -279,10 +279,12 @@ def contract_blocks() -> list[tuple[IndexPoset, int]]:
 
 def slab_lanes(block, policy, slab, patterns) -> list[list[int]]:
     """The candidates of each slab the block lists under the caps, in
-    lane order; no cell of a slab has more than `patterns` digits."""
+    lane order; no cell of a slab has more than `patterns` digits, and
+    each slab's lane count is the product of its digit lists' lengths."""
     slabs = []
-    for _depth, digits in search._split(search._layout(block, policy), slab, patterns):
+    for _depth, count, digits in search._split(search._layout(block, policy), slab, patterns):
         assert all(len(options) <= patterns for options in digits[block.val_bits :])
+        assert count == prod(map(len, digits))
         lanes = [0]
         for options in digits:
             lanes = [lane + option for option in options for lane in lanes]
@@ -412,10 +414,11 @@ def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
 
 
 def test_lane_order_does_not_change_the_least_hit(monkeypatch):
-    # _split lists each slab's valuation bits and then its cells in one
-    # fixed order.  With each slab's digit lists in a seeded random order
-    # instead, every block's least hit stays the same: the slab holds the
-    # same candidates, and _scan_slab finds its least hit by walking the
+    # _split lists each slab's cells in one fixed order: the one-bit
+    # valuation cells, lowest first, and then the relation cells.  With
+    # each slab's digit lists in a seeded random order instead, every
+    # block's least hit stays the same: the slab holds the same
+    # candidates, and _scan_slab finds its least hit by walking the
     # candidate bits.  One-index shapes at 1-3 worlds and two-index
     # shapes at 1-2 worlds, in full and projected onto the indices the
     # formula names, at the default caps and at (16, 2).
@@ -425,10 +428,10 @@ def test_lane_order_does_not_change_the_least_hit(monkeypatch):
 
     def shuffled_split(layout, slab, patterns):
         nonlocal moved
-        for depth, digits in split(layout, slab, patterns):
+        for depth, lanes, digits in split(layout, slab, patterns):
             shuffled = order.sample(digits, len(digits))
             moved += shuffled != digits
-            yield depth, shuffled
+            yield depth, lanes, shuffled
 
     def first_hit(block, program, policy, lists):
         monkeypatch.setattr(search, "_split", lists)
@@ -539,7 +542,7 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     block = search._Block(chain, 2, ("p",))
     layout = search._layout(block, policy)
     split = search._split(layout, 32, search._PATTERNS)
-    widths = [prod(map(len, digits)) for _depth, digits in split]
+    widths = [lanes for _depth, lanes, _digits in split]
     hit = search._first_hit(block, Program(formula), policy)
     assert search._decode(block, hit) == model
     assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
@@ -555,8 +558,7 @@ def fresh_plan(block, policy, slab, patterns) -> list[tuple[int, dict[int, int]]
     no plan cache."""
     search._digit_columns.cache_clear()
     plan = []
-    for _depth, digits in search._split(search._layout(block, policy), slab, patterns):
-        lanes = prod(map(len, digits))
+    for _depth, lanes, digits in search._split(search._layout(block, policy), slab, patterns):
         plan.append((lanes, search._columns(digits, lanes)))
     return plan
 
@@ -606,7 +608,7 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
             for kept in kept_subsets(poset):
                 block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
                 key, case = plan_key(block, policy), (policy, poset, n, kept)
-                digits = [digits for _depth, digits in search._split(*key)]
+                digits = [digits for _depth, _lanes, digits in search._split(*key)]
                 assert digits_of.setdefault(key, digits) == digits, case
                 before = cache_hits()
                 fresh = fresh_plan(block, policy, *key[1:])
@@ -763,7 +765,7 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     largest = search._Block(antichain, 3, ("p",))
     layout = search._layout(largest, policy)
     split = search._split(layout, search._SLAB, search._PATTERNS)
-    widths = [prod(map(len, digits)) for _depth, digits in split]
+    widths = [lanes for _depth, lanes, _digits in split]
     probe = [(lanes, hit) for n, lanes, hit in slabs if n == 3]
     assert len(widths) > 1 and 0 < len(probe) < len(widths)
     assert [lanes for lanes, _hit in probe] == widths[: len(probe)]

@@ -421,6 +421,23 @@ def test_trace_example_shape():
     assert render_trace(trace).count("w0 [a] q = true") == 2
 
 
+def test_a_hand_built_trace_prints_formulas_outside_its_root():
+    # A trace built by hand may hold formulas that are not subformulas of
+    # its root, or equal ones that are other objects: each is printed
+    # from its own formula.
+    q_then_box = Implies(Atom("q"), Box("b", Not(Atom("r"))))
+    not_r = EvalTrace("w2", "b", Not(Atom("r")), False)
+    below = EvalTrace("w1", "a", q_then_box, False, (not_r,), "w2")
+    other_p = EvalTrace("w0", "a", Atom("p"), True)
+    trace = EvalTrace("w0", "a", Diamond("a", Atom("p")), False, (below, other_p), "w1")
+    assert render_trace(trace, 1) == (
+        "  w0 [a] <a> p = false  (fails at w1)\n"
+        "    w1 [a] q -> [b] ~r = false  (fails at w2)\n"
+        "      w2 [b] ~r = false\n"
+        "    w0 [a] p = true"
+    )
+
+
 def test_render_trace_line_cap():
     # <a>^k p on n complete worlds with p nowhere renders
     # 1 + n + ... + n^k lines.
