@@ -13,6 +13,8 @@ program, its verdict read from the same masks, and parents share their
 children, so building costs O(reachable pairs).  Rendered, it has one
 line per path from the root, which is exponential in modal depth:
 render_trace counts the lines first and refuses past _MAX_TRACE_LINES.
+Below that, it builds one line text per distinct node, from one compile
+of all their formulas, and each printed line costs one indentation.
 
 Frame validation is configured by a FramePolicy.  The two coherence
 directions are both on offer because neither is privileged by the
@@ -38,7 +40,7 @@ from .core import (
     _pair_order,
 )
 from .errors import BoundsTooLarge, FrameViolation, UndeclaredIdentifier
-from .syntax import _step_texts, print_formula
+from .syntax import _texts
 
 __all__ = [
     "EvalTrace",
@@ -244,38 +246,39 @@ def render_trace(trace: EvalTrace, depth: int = 0) -> str:
     """Indented text rendering of an evaluation trace, one line per node
     below its parent; a node shared by several parents is printed under each.
 
-    Raises BoundsTooLarge, before building any text, when that is more
-    than _MAX_TRACE_LINES lines."""
+    Each distinct node's line text is built once, its formula printed
+    from one compile of all the trace's formulas; each printed line then
+    costs one indentation.  Raises BoundsTooLarge, before building any
+    text, when that is more than _MAX_TRACE_LINES lines."""
     lines: dict[int, int] = {}  # id of a node -> lines it renders to
+    nodes: list[EvalTrace] = []  # each distinct node once, children first
     stack = [trace]
     while stack:
         node = stack.pop()
         todo = [kid for kid in node.children if id(kid) not in lines]
         if todo:
             stack += [node, *todo]
-        else:
+        elif id(node) not in lines:
             lines[id(node)] = 1 + sum(lines[id(kid)] for kid in node.children)
+            nodes.append(node)
     if lines[id(trace)] > _MAX_TRACE_LINES:
         raise BoundsTooLarge(
             f"the trace renders to {lines[id(trace)]} lines, past the ceiling "
             f"of {_MAX_TRACE_LINES}"
         )
-    program = Program(trace.formula)
-    texts = {id(g): text for g, text in zip(program.nodes, _step_texts(program))}
+    line_of: dict[int, str] = {}  # id of a node -> its line, unindented
+    for node, text in zip(nodes, _texts(*(node.formula for node in nodes))):
+        role = "witness" if node.verdict else "fails at"
+        tail = "" if node.witness is None else f"  ({role} {node.witness})"
+        verdict = "true" if node.verdict else "false"
+        line_of[id(node)] = f"{node.world} [{node.index}] {text} = {verdict}{tail}"
     out: list[str] = []
-    stack = [iter((trace,))]  # the children left to print at each depth
-    while stack:
-        for node in stack[-1]:
-            role = "witness" if node.verdict else "fails at"
-            tail = "" if node.witness is None else f"  ({role} {node.witness})"
-            text = texts.get(id(node.formula)) or print_formula(node.formula)
-            verdict = "true" if node.verdict else "false"
-            pad = "  " * (depth + len(stack) - 1)
-            out.append(f"{pad}{node.world} [{node.index}] {text} = {verdict}{tail}")
-            stack.append(iter(node.children))
-            break
-        else:
-            stack.pop()
+    pending = [(trace, depth)]  # the nodes left to print, next on top
+    while pending:
+        node, level = pending.pop()
+        out.append("  " * level + line_of[id(node)])
+        if node.children:  # most lines are leaves: skip building an empty list
+            pending += [(kid, level + 1) for kid in reversed(node.children)]
     return "\n".join(out)
 
 

@@ -257,8 +257,9 @@ _LAYOUT = {
 }
 
 
-def _step_texts(program: Program) -> list[str]:
-    """The canonical text of every step of `program`, in step order."""
+def _texts(*formulas: Formula) -> list[str]:
+    """The canonical text of each of `formulas`, from one compile."""
+    program = Program(*formulas)
     texts: list[str] = []
     levels: list[int] = []
     for kind, label, *args in program.steps:
@@ -269,7 +270,7 @@ def _step_texts(program: Program) -> list[str]:
         ]
         texts.append(layout.format(label, *operands))
         levels.append(level)
-    return texts
+    return [texts[root] for root in program.roots]
 
 
 def print_formula(formula: Formula) -> str:
@@ -277,7 +278,7 @@ def print_formula(formula: Formula) -> str:
 
     parse_formula(print_formula(f)) == f for every AST f.
     """
-    return _step_texts(Program(formula))[-1]
+    return _texts(formula)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +347,10 @@ class _Sections:
                 raise ParseError(f"duplicate {role} {name!r}", span, set())
             target.append(name)
 
-    def feed(self, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> bool:
-        """Consume one line; returns False when the line is blank."""
+    def feed(self, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> None:
+        """Consume one line; a blank line adds nothing."""
         if not content.strip():
-            return False
+            return
         head, sep, rest = content.partition(":")
         stripped = head.strip()
         lead = len(content) - len(content.lstrip())
@@ -388,7 +389,6 @@ class _Sections:
             if not is_identifier(name):
                 raise ParseError(f"bad atom name {name!r}", span, {"identifier"})
             self.val.setdefault(name, set()).update(_idents(text, words, "world"))
-        return True
 
     def build_poset(self, text: str) -> IndexPoset:
         if not self.indices:

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from salogic import load_example_model
+from salogic import core, load_example_model, semantics
 from salogic.core import (
     And,
     Atom,
@@ -15,6 +15,7 @@ from salogic.core import (
     IndexPoset,
     Not,
     Or,
+    Program,
     StratifiedModel,
     subformulas,
 )
@@ -32,6 +33,7 @@ from salogic.proofs import (
 )
 from salogic.search import SearchBounds, decide_sat, decide_valid
 from salogic.semantics import (
+    _MAX_TRACE_LINES,
     EvalTrace,
     FramePolicy,
     VIOLATION_COHERENCE,
@@ -44,7 +46,7 @@ from salogic.semantics import (
     satisfying_worlds,
     validate_frame,
 )
-from salogic.syntax import parse_formula, print_formula
+from salogic.syntax import _LAYOUT, parse_formula, print_formula
 
 from fuzz import random_formula, random_model
 from oracles import naive_eval
@@ -454,6 +456,155 @@ def test_render_trace_line_cap():
     assert render_trace(chain(6, 7)).count("\n") + 1 == 335923
     with pytest.raises(BoundsTooLarge, match="2015539 lines"):
         render_trace(chain(6, 8))
+
+
+# The printer and render_trace as they were before a render compiled all of
+# a trace's formulas at once, kept verbatim (but for the names) as the
+# reference the one-compile render must match byte for byte: one line per
+# path, each built with its own f-string, and a second compile for every
+# formula that is not a subformula object of the root.
+def _reference_step_texts(program: Program) -> list[str]:
+    """The canonical text of every step of `program`, in step order."""
+    texts: list[str] = []
+    levels: list[int] = []
+    for kind, label, *args in program.steps:
+        layout, level, minimums = _LAYOUT[kind]
+        operands = [
+            texts[a] if levels[a] >= least else "(" + texts[a] + ")"
+            for a, least in zip(args, minimums)
+        ]
+        texts.append(layout.format(label, *operands))
+        levels.append(level)
+    return texts
+
+
+def _reference_print_formula(formula) -> str:
+    return _reference_step_texts(Program(formula))[-1]
+
+
+def _reference_render_trace(trace: EvalTrace, depth: int = 0) -> str:
+    lines: dict[int, int] = {}  # id of a node -> lines it renders to
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        todo = [kid for kid in node.children if id(kid) not in lines]
+        if todo:
+            stack += [node, *todo]
+        else:
+            lines[id(node)] = 1 + sum(lines[id(kid)] for kid in node.children)
+    if lines[id(trace)] > _MAX_TRACE_LINES:
+        raise BoundsTooLarge(
+            f"the trace renders to {lines[id(trace)]} lines, past the ceiling "
+            f"of {_MAX_TRACE_LINES}"
+        )
+    program = Program(trace.formula)
+    texts = {id(g): text for g, text in zip(program.nodes, _reference_step_texts(program))}
+    out: list[str] = []
+    stack = [iter((trace,))]  # the children left to print at each depth
+    while stack:
+        for node in stack[-1]:
+            role = "witness" if node.verdict else "fails at"
+            tail = "" if node.witness is None else f"  ({role} {node.witness})"
+            text = texts.get(id(node.formula)) or _reference_print_formula(node.formula)
+            verdict = "true" if node.verdict else "false"
+            pad = "  " * (depth + len(stack) - 1)
+            out.append(f"{pad}{node.world} [{node.index}] {text} = {verdict}{tail}")
+            stack.append(iter(node.children))
+            break
+        else:
+            stack.pop()
+    return "\n".join(out)
+
+
+@dataclass(frozen=True)
+class _MyNot(Not):
+    pass
+
+
+@dataclass(frozen=True)
+class _MyDiamond(Diamond):
+    pass
+
+
+def _random_trace(rng, size):
+    """A hand-built trace DAG: each node reuses earlier ones as children,
+    the same one possibly twice, and holds a subformula object of the
+    root's formula, an equal copy of one, a formula outside the root, or
+    a node subclass over one of those."""
+    root = random_formula(rng, 4)
+    inside = subformulas(root)
+    nodes: list[EvalTrace] = []
+    for i in range(size):
+        pick = rng.randrange(4)
+        formula = rng.choice(inside)
+        if pick == 1:
+            formula = parse_formula(print_formula(formula))  # equal, not the same
+        elif pick == 2:
+            formula = random_formula(rng, 3)
+        elif pick == 3:
+            formula = rng.choice([_MyNot(formula), _MyDiamond("b", formula)])
+        if i == size - 1:
+            formula = root
+        kids = tuple(rng.choices(nodes, k=rng.randint(0, min(3, len(nodes)))))
+        witness = rng.choice([None, "w0", "w1"])
+        nodes.append(
+            EvalTrace(rng.choice(("w0", "w1")), rng.choice("ab"), formula, rng.random() < 0.5, kids, witness)
+        )
+    return nodes[-1]
+
+
+def test_render_trace_matches_the_reference():
+    rng = random.Random(131)
+    for _ in range(150):
+        trace = _random_trace(rng, rng.randint(1, 12))
+        for depth in range(-3, 4):
+            assert render_trace(trace, depth) == _reference_render_trace(trace, depth)
+    for _ in range(100):
+        m = random_model(rng)
+        f = random_formula(rng, 4, atoms=("p", "q"), indices=m.poset.indices)
+        trace = evaluate_with_trace(m, rng.choice(m.worlds), rng.choice(m.poset.indices), f)[1]
+        depth = rng.randint(-3, 3)
+        assert render_trace(trace, depth) == _reference_render_trace(trace, depth)
+    # One field that is not a formula: at the root, below it, or inside a
+    # formula; the error is the reference's, word for word.
+    good = EvalTrace("w1", "a", Atom("p"), True)
+    for bad in (7, Not("x"), And(Atom("p"), None)):
+        for trace in (
+            EvalTrace("w0", "a", bad, True, (good,)),
+            EvalTrace("w0", "a", Atom("q"), False, (good, EvalTrace("w1", "a", bad, False))),
+        ):
+            with pytest.raises(TypeError) as want:
+                _reference_render_trace(trace)
+            with pytest.raises(TypeError) as got:
+                render_trace(trace)
+            assert str(got.value) == str(want.value)
+
+
+def test_render_trace_compiles_once(monkeypatch):
+    walks = []
+    walk = core._walk
+
+    def counted(*formulas):
+        walks.append(formulas)
+        return walk(*formulas)
+
+    monkeypatch.setattr(core, "_walk", counted)
+    # Five lines whose formulas lie outside the root's formula, one of them
+    # an equal copy of it: a second compile for each would make six walks.
+    kids = (EvalTrace("w0", "a", Atom("q"), True), EvalTrace("w1", "a", Not(Atom("r")), False))
+    trace = EvalTrace("w0", "a", Atom("p"), True, (*kids, EvalTrace("w0", "b", Atom("p"), True, kids)))
+    assert render_trace(trace).count("\n") == 5
+    assert len(walks) == 1
+    _, trace = evaluate_with_trace(SEC33, "w2", "gamma", parse_formula("[gamma] p"))
+    walks.clear()
+    lines = render_trace(trace).count("\n") + 1
+    assert len(walks) == 1
+    # A refused render compiles nothing.
+    monkeypatch.setattr(semantics, "_MAX_TRACE_LINES", lines - 1)
+    walks.clear()
+    with pytest.raises(BoundsTooLarge, match=f"renders to {lines} lines, past the ceiling of {lines - 1}$"):
+        render_trace(trace)
+    assert walks == []
 
 
 # --- admissibility ----------------------------------------------------------
