@@ -90,6 +90,7 @@ _EXPORTS = {
         "validate_frame",
     ),
     "syntax": (
+        "load_example_model",
         "parse_formula",
         "parse_model",
         "parse_poset",
@@ -109,7 +110,6 @@ __all__ = [
     *(name for names in _EXPORTS.values() for name in names),
     "EXAMPLE_MODELS",
     "example_model_path",
-    "load_example_model",
 ]
 
 
@@ -135,10 +135,3 @@ def example_model_path(name: str) -> Path:
     if name not in EXAMPLE_MODELS:
         raise KeyError(f"no bundled model named {name!r}; have {EXAMPLE_MODELS}")
     return Path(str(files("salogic").joinpath("examples", f"{name}.salm")))
-
-
-def load_example_model(name: str) -> StratifiedModel:
-    """Parse and return a bundled example model."""
-    from .syntax import parse_model
-
-    return parse_model(example_model_path(name).read_text(encoding="utf-8"))

@@ -54,10 +54,11 @@ blocks at max_worlds first, in poset order, up to the first that hits,
 and returns ValidUpTo when none does: a ValidUpTo verdict scans one
 projected block per poset.  Otherwise it scans in full, in candidate
 order, the blocks on fewer worlds and then the block whose projection
-hit, unless that projection dropped no index: it is then the block
-itself, and its hit is the block's least.  The first hit is the
-enumeration-order minimum: each block at max_worlds before that one
-missed its projection, so it misses in full too.
+hit, unless that projection dropped no index and used no pin of the
+probe's own (Pinning, below): it is then the block itself, and its hit
+is the block's least.  The first hit is the enumeration-order minimum:
+each block at max_worlds before that one missed its projection, so it
+misses in full too.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
@@ -73,6 +74,44 @@ serve the probe only, and the minimum is looked for in full blocks.
 The search ceiling counts raw candidates of the full blocks, admissible
 or not, and is the one bound on a block's size: the scan's Python ints
 need no limit on candidate bits.
+
+Pinning.  One pass over the compiled steps from the root (_signs) gives
+each index and atom of the formula the signs of its occurrences: `~`
+and an implication's antecedent flip the sign, a box gives its index
+the flipped sign of the box and a diamond its own, a modal operand keeps
+the sign, and a step shared by several parents collects all of theirs.
+The formula's truth is monotone in each coordinate of one sign: a
+falsifying candidate stays one when an index of positive sign only
+loses pairs, one of negative sign only gains pairs, an atom of positive
+sign only (or absent from the formula) holds at fewer worlds and one of
+negative sign only at more.  This is the minimal-valuation argument
+behind Sahlqvist correspondence (Blackburn, de Rijke and Venema, Modal
+Logic, 2001, chapter 3), with the pure-literal rule of Davis and Putnam
+(JACM 1960) as its propositional case.  _pins turns the signs into pins
+of the blocks.  Every scan pins each index of positive sign only to
+its least relation given the other kept indices, at each world pair the
+OR of the kept relations inside it plus the diagonal when the layout
+forces it, and each atom of positive sign only, or absent, to no world.  Both
+pins only clear bits: clearing them in a block's least hit leaves a
+falsifying admissible candidate no larger, so the least hit has them.
+The probe also pins each index of negative sign only to its greatest
+relation, the AND of the kept relations around it (every pair when none
+is), and each atom of negative sign only to every world.  It still hits
+exactly when its block does: from any countermodel, move each pinned
+coordinate to its extreme given the others, again and again; the
+falling ones only fall and the rising ones only rise, and each move
+keeps the frame admissible and the formula false at the same world, so
+the moves end inside the pinned set.  Those two pins can set bits, so a
+probe hit that used one is not taken as the block's least.  _layout and
+_split apply the pins cell by cell: a pinned valuation bit is a
+one-digit cell, and a pinned index keeps only the patterns of its cells
+in which it shows its extreme.  Pins apply to a query only when its
+probe at max_worlds spans more than one slab of raw candidates, when
+1 << (n*n*len(indices) + n*len(atoms)) exceeds _SLAB at n = max_worlds:
+below that the kernel is not what a query costs.  Without the gate the
+sweep benchmark's ops took 0.46-0.59 ms instead of 0.35-0.50 (4 of 4
+alternating runs), and its 37 layouts overflowed _first_slab.  A block
+that pins nothing has the layout it would have without pins.
 
 Stable sets.  Stability never influences evaluation, and enforcing
 stable reflexivity only shrinks a block's admissible relation space, so
@@ -111,9 +150,10 @@ Scan plans.  A block's slabs and their columns depend only on its
 layout (_Layout) and on two caps, at most _SLAB lanes per slab and
 _PATTERNS digits per cell.  The layout is the world count, the valuation
 bits and, for each kept index, the inclusions, cell group and forced
-diagonal the policy gives it; index names, atom names and the formula
-are not part of it.  _plan is the one reader of the caps: it passes them
-to _first_slab and _split, which take them as arguments.  A slab is a
+diagonal the policy gives it, and the block's pins; index names, atom
+names and the formula are not part of it.  _plan is the one reader of
+the caps that builds slabs: it passes them to _first_slab and _split,
+which take them as arguments (_decide reads _SLAB only to gate pinning).  A slab is a
 list of digit lists, one per cell, in one fixed order: the one-bit
 valuation cells lowest first, then the relation cells by position and
 group, as _split builds them.  _split hands each slab over with its
@@ -125,18 +165,20 @@ plan of the first slab of the layouts scanned most recently.  So the
 first slab's columns of a layout are built once while it is held,
 however many queries and axiom_matrix rows share it: a block that fits
 one slab, or whose first slab hits, builds none once warm.  The traffic
-is small: the sweep and the matrix benchmark workloads each scan 10
-distinct layouts, 17 when both run in one process, 0.90 MB in all.  Over
-1,305 shapes (1-8 indices as an antichain, a chain or a star, 1-4
-worlds, 0-5 atoms, every coherence mode) the largest first slab takes
-0.28 MB with no stable index and 0.43 MB with every index stable, so 32
-plans of those shapes take at most about 14 MB.
+is small: the sweep and the matrix benchmark workloads scan 23 and 16
+distinct layouts (0.45 and 0.10 MB of first-slab plans), pins included,
+so each fits the cache; both in one process need 36, 4 more than it
+holds.  Over 1,305 shapes (1-8 indices as an antichain, a chain or a
+star, 1-4 worlds, 0-5 atoms, every coherence mode) the largest first
+slab takes 0.28 MB with no stable index and 0.43 MB with every index
+stable, so 32 plans of those shapes take at most about 14 MB.
 
 Every slab's columns are merged from _digit_columns, an LRU of 256
 entries keyed by one digit list, its stride and the slab's width, so a
 slab reads the columns that any slab, block or query with the same list
-built.  The sweep and matrix workloads use 167 and 136 keys (1.08 and
-0.98 MB), 262 together; one 4-world chain query uses 581.  An entry
+built.  The sweep and matrix workloads use 120 and 56 keys (0.34 and
+0.08 MB), 131 together; one 4-world chain query with both signs on both
+indices uses 581.  An entry
 holds one column of at most _SLAB bits (8 KiB) per bit its list sets,
 one per index of a cell's group, so 256 entries take at most 2 MiB per
 index of the largest group.  Plans and columns are functions of their
@@ -154,9 +196,13 @@ from operator import and_, or_, xor
 from typing import NamedTuple
 
 from .core import (
+    Atom,
     AxiomProfile,
+    Box,
     CoherenceMode,
+    Diamond,
     Formula,
+    Implies,
     IndexPoset,
     Not,
     Program,
@@ -268,16 +314,24 @@ def enumerated_posets(max_indices: int) -> tuple[IndexPoset, ...]:
     )
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """One (poset, world count) block of the candidate space.  A projection
     leaves out the relations of the `dropped` indices: its tuples hold
-    the masks of the kept indices only.  Sizes count the full block."""
+    the masks of the kept indices only.  Sizes count the full block.  The
+    other four fields pin coordinates, as "Pinning" in the module
+    docstring says: the kept indices in `least` take their least
+    admissible relation given the other kept ones and those in `greatest`
+    their greatest; the atoms in `nowhere` hold at no world and those in
+    `everywhere` at every world."""
 
     poset: IndexPoset
     n: int
     atoms: tuple[str, ...]
     dropped: frozenset[str] = frozenset()
+    least: frozenset[str] = frozenset()
+    greatest: frozenset[str] = frozenset()
+    nowhere: frozenset[str] = frozenset()
+    everywhere: frozenset[str] = frozenset()
 
     @property
     def kept(self) -> tuple[str, ...]:
@@ -323,7 +377,14 @@ class _Layout(NamedTuple):
     indices whose relation the policy puts within / around j's, as bits
     of a pattern shifted to p = 0), its cell group and whether its
     diagonal is forced.  Index names, atom names and the formula are not
-    part of it, so blocks that differ only in those share one layout."""
+    part of it, so blocks that differ only in those share one layout.
+
+    The pins come last and are empty in a block that pins nothing: the
+    valuation bits pinned to 0 (`zero`) and to 1 (`one`), and for each
+    kept index j, low[j] when j takes its least relation, or high[j] when
+    it takes its greatest, as the mask of every kept index whose relation
+    the policy puts within / around j's (None for an index not pinned
+    that way)."""
 
     n: int
     val_bits: int
@@ -331,6 +392,10 @@ class _Layout(NamedTuple):
     around: tuple[int, ...]
     cell: tuple[int, ...]
     reflexive: tuple[bool, ...]
+    zero: int = 0
+    one: int = 0
+    low: tuple[int | None, ...] = ()
+    high: tuple[int | None, ...] = ()
 
 
 @lru_cache(maxsize=1024)
@@ -350,7 +415,7 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     # A stable level's diagonal spreads along the inclusions.
     stable = poset.stable if policy.require_stable_reflexive else frozenset()
     reflexive = set(stable)
-    inside, around = [0] * k, [0] * k
+    within, beyond = [0] * k, [0] * k  # every kept index inside / around j
     group = list(range(k))  # a label per kept index, shared by linked ones
     if policy.coherence is not CoherenceMode.NONE:
         for low, high in poset.strict_pairs():
@@ -359,21 +424,32 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
                 reflexive.add(sup)
             if sub not in ipos or sup not in ipos:
                 continue
+            within[ipos[sup]] |= 1 << ((k - 1 - ipos[sub]) * block.rel_bits)
+            beyond[ipos[sub]] |= 1 << ((k - 1 - ipos[sup]) * block.rel_bits)
             i, j = sorted((ipos[sub], ipos[sup]))
-            mask = 1 << ((k - 1 - i) * block.rel_bits)
-            if ipos[sub] < ipos[sup]:
-                inside[j] |= mask
-            else:
-                around[j] |= mask
             group = [group[i] if g == group[j] else g for g in group]
     labels = sorted(set(group))
+    # The kept indices before j hold the pattern bits above j's own.
+    earlier = [-(1 << ((k - j) * block.rel_bits)) for j in range(k)]
+    worlds = (1 << block.n) - 1
+
+    def valuation(pinned: frozenset[str]) -> int:
+        return sum(worlds << (a * block.n) for a, atom in enumerate(block.atoms) if atom in pinned)
+
+    def indices(pinned: frozenset[str], masks: list[int]) -> tuple[int | None, ...]:
+        return tuple(mask if idx in pinned else None for idx, mask in zip(kept, masks))
+
     return _Layout(
         block.n,
         block.val_bits,
-        tuple(inside),
-        tuple(around),
+        tuple(map(and_, within, earlier)),
+        tuple(map(and_, beyond, earlier)),
         tuple(labels.index(g) for g in group),
         tuple(idx in reflexive for idx in kept),
+        valuation(block.nowhere),
+        valuation(block.everywhere),
+        indices(block.least, within) if block.least else (),
+        indices(block.greatest, beyond) if block.greatest else (),
     )
 
 
@@ -421,6 +497,9 @@ def _split(
     # own cell at every position.
     members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(set(cell_of)))]
     cells = [(p, m) for p in range(rel_bits) for m in members]
+    pinned_bits = layout.zero | layout.one
+    low, high = layout.low or (None,) * k, layout.high or (None,) * k
+    pinned = [[j for j in m if low[j] is not None or high[j] is not None] for m in members]
     cell_bits = [1 << b for b in range(val_bits)] + [
         sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
     ]
@@ -434,6 +513,9 @@ def _split(
         (a prefix of its indices), or None when they may be more than
         `patterns`: the unfixed bits alone could take more values."""
         if c < val_bits:
+            if cell_bits[c] & pinned_bits:
+                pin = cell_bits[c] & layout.one
+                return [pin] if not fixed or value == pin else []
             return [value] if fixed else [0, cell_bits[c]]
         p, group_members = cells[c - val_bits]
         shift = val_bits + p
@@ -453,6 +535,22 @@ def _split(
                     pattern | one for one in choices if (one or not must) and (may or not one)
                 ]
             found = grown
+        for j in pinned[(c - val_bits) % len(members)]:
+            # A pinned index shows its extreme at p given the others: the
+            # least is set where an index within it or a forced diagonal
+            # is, the greatest where every index around it is.
+            bit = 1 << ((k - 1 - j) * rel_bits)
+            diagonal = p % (n + 1) == 0 and layout.reflexive[j]
+            extremes = []
+            for pattern in found:
+                at_p = pattern >> shift
+                if low[j] is not None:
+                    extreme = diagonal or at_p & low[j] != 0
+                else:
+                    extreme = at_p & high[j] == high[j]
+                if (at_p & bit != 0) == extreme:
+                    extremes.append(pattern)
+            found = extremes
         return found
 
     # (number of fixed top bits, their values, each cell's digits)
@@ -500,9 +598,10 @@ def _digit_columns(stride: int, options: tuple[int, ...], lanes: int) -> dict[in
     lane l takes digit l // stride mod len(options), so the column has
     period stride * len(options) and is built once and repeated bytewise.
     The dicts are only read.  Why 256 entries: one 4-world chain query
-    (`<b>p -> <a>p` under shrink, 2 vCPUs, Python 3.11.7) takes 7.4 s
-    with 32, 3.9-5.2 s with 128, 3.85 s with 256 and 3.6-3.8 s with 1024
-    entries, at a peak RSS of 16.8, 17.7, 19.0 and 22.2 MB."""
+    that pinning leaves whole (`([a]p -> [b]p) | ([b]p -> [a]p)` under
+    shrink, 2 vCPUs, Python 3.11.7, two runs each) takes 5.6-5.8 s of CPU
+    with 32, 2.4-2.6 s with 128, 2.2 s with 256 and 2.0 s with 1024
+    entries, at a peak RSS of 16.8, 17.5, 19.0 and 22.2 MB."""
     union = 0
     for option in options:
         union |= option
@@ -662,6 +761,69 @@ def _check_indices(program: Program, posets: tuple[IndexPoset, ...]) -> None:
                 )
 
 
+_POSITIVE, _NEGATIVE = 1, 2
+_FLIPPED = (0, _NEGATIVE, _POSITIVE, _POSITIVE | _NEGATIVE)  # by sign
+
+
+def _signs(program: Program) -> tuple[dict[str, int], dict[str, int]]:
+    """The sign of each atom and each index of the program's last
+    formula, as a mask of _POSITIVE and _NEGATIVE: the signs of its
+    occurrences.  One pass from the root down the steps, which list
+    children before parents: `~`, an implication's antecedent and the
+    index of a box flip the sign, and a step reached on several paths
+    collects each one's sign."""
+    steps = program.steps
+    signs = [0] * len(steps)
+    signs[program.roots[-1]] = _POSITIVE
+    atoms: dict[str, int] = {}
+    indices: dict[str, int] = {}
+    for pos in range(program.roots[-1], -1, -1):
+        sign = signs[pos]
+        if not sign:
+            continue
+        step = steps[pos]
+        kind = step[0]
+        if kind is Atom:
+            atoms[step[1]] = atoms.get(step[1], 0) | sign
+            continue
+        if kind is Diamond:
+            indices[step[1]] = indices.get(step[1], 0) | sign
+        elif kind is Box:
+            indices[step[1]] = indices.get(step[1], 0) | _FLIPPED[sign]
+        elif kind is Not:
+            sign = _FLIPPED[sign]
+        elif kind is Implies:
+            signs[step[2]] |= _FLIPPED[sign]
+            signs[step[3]] |= sign
+            continue
+        else:  # And, Or
+            signs[step[3]] |= sign
+        signs[step[2]] |= sign
+    return atoms, indices
+
+
+def _pins(
+    program: Program, atoms: tuple[str, ...]
+) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    """The pins of every scan of the program's blocks over `atoms`, and
+    those of the probe, as _Block fields.  Every scan pins the indices of
+    positive sign only to their least relation and the atoms of positive
+    sign only, or of none, to no world.  The probe also pins the indices
+    of negative sign only to their greatest relation and the atoms of
+    negative sign only to every world."""
+    atom_signs, index_signs = _signs(program)
+    pins = {
+        "least": frozenset(i for i, sign in index_signs.items() if sign == _POSITIVE),
+        "nowhere": frozenset(a for a in atoms if atom_signs.get(a, _POSITIVE) == _POSITIVE),
+    }
+    probe = {
+        **pins,
+        "greatest": frozenset(i for i, sign in index_signs.items() if sign == _NEGATIVE),
+        "everywhere": frozenset(a for a, sign in atom_signs.items() if sign == _NEGATIVE),
+    }
+    return pins, probe
+
+
 def _decide(
     program: Program,
     posets: tuple[IndexPoset, ...],
@@ -689,24 +851,28 @@ def _decide(
                 )
     used = frozenset(program.indices)
     top = bounds.max_worlds
+    pins = probe_pins = {}
+    if 1 << (top * top * len(used) + top * len(atoms)) > _SLAB:
+        # The probe spans more than one slab: pin what the signs decide.
+        pins, probe_pins = _pins(program, atoms)
     for poset in posets:
         # The formula reads only the relations of the indices it names,
         # so the projection onto them hits exactly when the block does.
-        projection = _Block(poset, top, atoms, frozenset(poset.indices) - used)
+        projection = _Block(poset, top, atoms, frozenset(poset.indices) - used, **probe_pins)
         hit = _first_hit(projection, program, policy)
         if hit is not None:
             break
     else:
         return ValidUpTo(bounds)
-    for block in (_Block(p, n, atoms) for n in range(1, top) for p in posets):
+    for block in (_Block(p, n, atoms, **pins) for n in range(1, top) for p in posets):
         first = _first_hit(block, program, policy)
         if first is not None:
             hit = first
             break
     else:
         block = projection
-        if projection.dropped:
-            block = _Block(poset, top, atoms)
+        if projection.dropped or projection.greatest or projection.everywhere:
+            block = _Block(poset, top, atoms, **pins)
             hit = _first_hit(block, program, policy)
             if hit is None:
                 raise RuntimeError("scan of a block missed the hit of its projection")

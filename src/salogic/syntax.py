@@ -46,6 +46,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
+from . import example_model_path
 from .core import (
     And,
     Atom,
@@ -71,6 +72,7 @@ if TYPE_CHECKING:
     from .proofs import Derivation
 
 __all__ = [
+    "load_example_model",
     "parse_formula",
     "parse_model",
     "parse_poset",
@@ -423,6 +425,12 @@ def parse_model(text: str) -> StratifiedModel:
     for content, offset in _logical_lines(text):
         sections.feed(text, content, offset, _MODEL_SECTIONS + ("rel", "val"))
     return sections.build_model(text)
+
+
+def load_example_model(name: str) -> StratifiedModel:
+    """Parse and return a bundled example model (see
+    salogic.EXAMPLE_MODELS)."""
+    return parse_model(example_model_path(name).read_text(encoding="utf-8"))
 
 
 def parse_poset(text: str) -> IndexPoset:

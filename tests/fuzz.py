@@ -59,6 +59,30 @@ def random_formula(rng: random.Random, depth: int, atoms=ATOM_POOL, indices=INDE
     return Diamond(rng.choice(indices), random_formula(rng, depth - 1, atoms, indices))
 
 
+def random_shared_formula(rng: random.Random, size: int, atoms=ATOM_POOL, indices=INDEX_POOL):
+    """A formula built in `size` steps, each applying a random connective
+    or modality to nodes built before, so that subformulas recur: one
+    node object can sit under several parents, with different signs."""
+    pool = [Atom(name) for name in atoms]
+    for _ in range(size):
+        pick = rng.randrange(6)
+        left, right = rng.choice(pool), rng.choice(pool)
+        if pick == 0:
+            node = Not(left)
+        elif pick == 1:
+            node = And(left, right)
+        elif pick == 2:
+            node = Or(left, right)
+        elif pick == 3:
+            node = Implies(left, right)
+        elif pick == 4:
+            node = Box(rng.choice(indices), left)
+        else:
+            node = Diamond(rng.choice(indices), left)
+        pool.append(node)
+    return pool[-1]
+
+
 def _random_subset(rng: random.Random, items, bias=0.5):
     return frozenset(x for x in items if rng.random() < bias)
 

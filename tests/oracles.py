@@ -128,6 +128,33 @@ def first_countermodel(formula, posets, max_worlds, policy, atoms, min_worlds=1)
     return None
 
 
+def formula_signs(formula, sign=1, atoms=None, indices=None):
+    """The signs (+1, -1) of the occurrences of each atom and each modal
+    index in `formula`, by plain recursion over the tree, every shared
+    subtree visited once per occurrence.  Negation and an implication's
+    antecedent flip the sign of their operand; a box's index takes the
+    flipped sign of the box, a diamond's index the diamond's own."""
+    atoms = {} if atoms is None else atoms
+    indices = {} if indices is None else indices
+    if isinstance(formula, Atom):
+        atoms.setdefault(formula.name, set()).add(sign)
+    elif isinstance(formula, Not):
+        formula_signs(formula.operand, -sign, atoms, indices)
+    elif isinstance(formula, (And, Or)):
+        formula_signs(formula.left, sign, atoms, indices)
+        formula_signs(formula.right, sign, atoms, indices)
+    elif isinstance(formula, Implies):
+        formula_signs(formula.left, -sign, atoms, indices)
+        formula_signs(formula.right, sign, atoms, indices)
+    elif isinstance(formula, (Box, Diamond)):
+        flip = -1 if isinstance(formula, Box) else 1
+        indices.setdefault(formula.index, set()).add(flip * sign)
+        formula_signs(formula.operand, sign, atoms, indices)
+    else:
+        raise TypeError(formula)
+    return atoms, indices
+
+
 def _abstract(formula, table):
     """Modal subtrees become shared opaque leaves of a tuple IR."""
     if isinstance(formula, (Box, Diamond)):

@@ -186,10 +186,39 @@ _NAMESPACE_PROBE = textwrap.dedent(
 def test_package_namespace():
     submodules = [path.stem for path in MODULES if path.stem != "__main__"]
     report = _run_fresh(_NAMESPACE_PROBE, *submodules)
-    assert report["own"] == ["EXAMPLE_MODELS", "example_model_path", "load_example_model"]
+    assert report["own"] == ["EXAMPLE_MODELS", "example_model_path"]
     assert report["search_before"] is False
     assert report["decide_valid"] is True
     assert len(report["all"]) == len(set(report["all"]))
     assert report["star"] == sorted(report["all"])
     assert report["mismatched"] == []
     assert set(report["all"]) | set(submodules) <= set(report["dir"])
+
+
+# Run in a fresh interpreter: the public functions the package defines or
+# re-exports have annotations that resolve, and `import salogic` alone
+# loads no submodule.
+_HINTS_PROBE = textwrap.dedent(
+    """
+    import json, sys, typing
+
+    import salogic
+
+    loaded = sorted(name for name in sys.modules if name.startswith("salogic"))
+    hints = {
+        name: {key: value.__qualname__ for key, value in typing.get_type_hints(function).items()}
+        for name in ("example_model_path", "load_example_model")
+        for function in [getattr(salogic, name)]
+    }
+    print(json.dumps({"loaded": loaded, "hints": hints}))
+    """
+)
+
+
+def test_example_model_functions_have_resolvable_hints():
+    report = _run_fresh(_HINTS_PROBE)
+    assert report["loaded"] == ["salogic"]
+    assert report["hints"] == {
+        "example_model_path": {"name": "str", "return": "Path"},
+        "load_example_model": {"name": "str", "return": "StratifiedModel"},
+    }

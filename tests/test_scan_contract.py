@@ -30,7 +30,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from math import prod
 from pathlib import Path
 
@@ -65,8 +65,14 @@ from salogic.errors import CycleError
 from salogic.semantics import FramePolicy
 from salogic.syntax import parse_formula, parse_poset, print_formula, print_model
 
-from fuzz import random_formula
-from oracles import decode_candidate, first_countermodel, frame_ok, naive_eval
+from fuzz import random_formula, random_shared_formula
+from oracles import (
+    decode_candidate,
+    first_countermodel,
+    formula_signs,
+    frame_ok,
+    naive_eval,
+)
 
 GOLDEN = Path(__file__).with_name("witness_goldens.json")
 FOUR_WORLD_GOLDEN = Path(__file__).with_name("four_world_goldens.json")
@@ -318,6 +324,56 @@ def test_slab_lanes_equal_the_filtered_raw_space():
                 assert_slabs_list(block, policy, with_valuations, 4, 2)
 
 
+def pinned_filter(poset, n, policy, least, greatest) -> list[int]:
+    """The admissible relation tuples, in increasing order, where each
+    index in `least` has its least relation given the others, and each in
+    `greatest` its greatest: clearing any one bit that a least index sets,
+    or setting any one that a greatest index clears, leaves a tuple that
+    fails the frame conditions."""
+    tuples = raw_frame_filter(poset, n, policy)
+    admissible = set(tuples)
+    rel_bits, k = n * n, len(poset.indices)
+
+    def extreme(t, idx, up):
+        shift = (k - 1 - poset.indices.index(idx)) * rel_bits
+        bits = [1 << (shift + q) for q in range(rel_bits)]
+        return all(t ^ bit not in admissible for bit in bits if bool(t & bit) == up)
+
+    return [
+        t
+        for t in tuples
+        if all(extreme(t, idx, True) for idx in least)
+        and all(extreme(t, idx, False) for idx in greatest)
+    ]
+
+
+def test_pinned_slab_lanes_equal_the_pinned_filtered_space():
+    # Every way to pin each index least, greatest or not at all, with the
+    # atom q pinned to every world or to none and p free: a pinned block
+    # lists exactly the admissible candidates that hold its pins, each
+    # once, in increasing slabs.  At the default caps and, on blocks of
+    # at most 8 relation bits, at slabs of 2 lanes, where the walk fixes
+    # bits of pinned indices and, at 2 worlds, pinned valuation bits too;
+    # a child that fixes one the other way is empty.
+    none = frozenset()
+    for policy in POLICIES:
+        for poset, n in contract_blocks():
+            if n == 3 and len(poset.indices) > 1:
+                continue
+            for choice in product((None, "least", "greatest"), repeat=len(poset.indices)):
+                least = frozenset(i for i, c in zip(poset.indices, choice) if c == "least")
+                greatest = frozenset(i for i, c in zip(poset.indices, choice) if c == "greatest")
+                tuples = pinned_filter(poset, n, policy, least, greatest)
+                for q in (0, (1 << n) - 1):
+                    pins = {"nowhere": frozenset({"q"})} if q == 0 else {"everywhere": frozenset({"q"})}
+                    block = search._Block(poset, n, ("p", "q"), none, least, greatest, **pins)
+                    expected = [(t << 2 * n) | (q << n) | v for t in tuples for v in range(1 << n)]
+                    caps = [(search._SLAB, search._PATTERNS)]
+                    caps += [(2, 2)] if len(poset.indices) * n * n <= 8 else []
+                    for slab, patterns in caps:
+                        assert_slabs_list(block, policy, expected, slab, patterns)
+
+
 def restrictions(tuples, poset, n, kept) -> set[int]:
     """The distinct restrictions of relation tuples to the `kept` indices."""
     rel_bits, k = n * n, len(poset.indices)
@@ -406,7 +462,7 @@ def test_first_hit_matches_the_oracle_on_fuzzed_blocks(monkeypatch):
                     else:
                         assert hit is not None and search._decode(block, hit) == expected[0]
                     if dropped and len(poset.indices) > 1:
-                        got = search._first_hit(replace(block, dropped=dropped), program, policy)
+                        got = search._first_hit(block._replace(dropped=dropped), program, policy)
                         assert got == least, (policy, poset, n, formula, cap)
                 hits += expected is not None
                 misses += expected is None
@@ -450,7 +506,7 @@ def test_lane_order_does_not_change_the_least_hit(monkeypatch):
                 program = Program(formula)
                 block = search._Block(poset, n, atom_names(formula))
                 dropped = frozenset(poset.indices) - set(modal_indices(formula))
-                blocks = [block, replace(block, dropped=dropped)] if dropped else [block]
+                blocks = [block, block._replace(dropped=dropped)] if dropped else [block]
                 for slab, patterns in ((search._SLAB, search._PATTERNS), (16, 2)):
                     monkeypatch.setattr(search, "_SLAB", slab)
                     monkeypatch.setattr(search, "_PATTERNS", patterns)
@@ -752,7 +808,11 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     # This formula's first countermodel has 1 world.  The largest block is
     # scanned up to its first slab that hits, then the 1-world antichain,
     # which names both indices and so needs no rescan.  Once its plans are
-    # warm the query builds no columns.
+    # warm the query builds no columns.  Its probe spans 2^21 raw
+    # candidates, more than one slab, so it pins `a` (negative) to its
+    # greatest relation and `b` (positive) to its least: one slab of 8
+    # lanes, the valuations of p, where the unpinned block has slabs of
+    # 65536.
     refuted = parse_formula("<a>p -> <b>p")
     verdict = decide_valid(refuted, bounds, policy)
     assert len(verdict.model.worlds) == 1
@@ -763,12 +823,15 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     assert built == []
     assert blocks == [(3, antichain, frozenset()), (1, antichain, frozenset())]
     largest = search._Block(antichain, 3, ("p",))
-    layout = search._layout(largest, policy)
-    split = search._split(layout, search._SLAB, search._PATTERNS)
-    widths = [lanes for _depth, lanes, _digits in split]
+    pinned = largest._replace(least=frozenset({"b"}), greatest=frozenset({"a"}))
+    widths = {}
+    for block in (largest, pinned):
+        split = search._split(search._layout(block, policy), search._SLAB, search._PATTERNS)
+        widths[block] = [lanes for _depth, lanes, _digits in split]
+    assert widths[pinned] == [8] and widths[largest][0] == 65536
     probe = [(lanes, hit) for n, lanes, hit in slabs if n == 3]
-    assert len(widths) > 1 and 0 < len(probe) < len(widths)
-    assert [lanes for lanes, _hit in probe] == widths[: len(probe)]
+    assert 0 < len(probe) <= len(widths[pinned]) < len(widths[largest])
+    assert [lanes for lanes, _hit in probe] == widths[pinned][: len(probe)]
     assert [hit is not None for _lanes, hit in probe] == [False] * (len(probe) - 1) + [True]
     assert [(n, hit is not None) for n, _lanes, hit in slabs[len(probe) :]] == [(1, True)]
 
@@ -794,6 +857,139 @@ def test_a_probe_that_drops_no_index_is_not_rescanned(monkeypatch):
     assert blocks == [(2, antichain, whole), (1, antichain, whole), (1, chain, whole)]
     expected = first_countermodel(formula, (antichain, chain), 2, policy, ("p",))
     assert (verdict.model, verdict.world) == expected
+
+
+def star_posets() -> list[IndexPoset]:
+    """Three indices with `a` below both others, or above both, each with
+    no stable index and with `a` stable."""
+    below = [("a", "b"), ("a", "c")]
+    above = [(high, low) for low, high in below]
+    return [
+        IndexPoset.from_order(("a", "b", "c"), order, stable)
+        for order in (below, above)
+        for stable in ((), ("a",))
+    ]
+
+
+def test_signs_match_the_recursive_reference():
+    # _signs makes one pass over the compiled steps, where a subformula
+    # that occurs several times is one step; the reference recurses over
+    # the tree and visits each occurrence.  Fuzzed formulas built from
+    # shared nodes, so that one step often has both signs.
+    rng = random.Random(7411)
+    mask = {frozenset({1}): search._POSITIVE, frozenset({-1}): search._NEGATIVE}
+    mask[frozenset({1, -1})] = search._POSITIVE | search._NEGATIVE
+    shared = mixed = 0
+    for _ in range(400):
+        formula = random_shared_formula(rng, rng.randrange(1, 12), ("p", "q", "r"), ("a", "b"))
+        program = Program(formula)
+        atoms, indices = formula_signs(formula)
+        expected = (
+            {name: mask[frozenset(signs)] for name, signs in atoms.items()},
+            {name: mask[frozenset(signs)] for name, signs in indices.items()},
+        )
+        assert search._signs(program) == expected, print_formula(formula)
+        shared += len(program.steps) < sum(1 for _ in _occurrences(formula))
+        mixed += any(sign == 3 for names in expected for sign in names.values())
+    assert shared > 100 and mixed > 50
+
+
+def _occurrences(formula):
+    """Every node occurrence of the tree, shared subtrees once per parent."""
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [getattr(node, name) for name in ("operand", "left", "right") if hasattr(node, name)]
+
+
+def test_pinned_scans_keep_the_least_hit_and_the_verdict(monkeypatch):
+    # _decide pins only probes wider than one slab; here the pins _pins
+    # gives are put on blocks of every size.  Every scan's pins keep the
+    # block's least hit: that of the unpinned block, and the oracle's
+    # first countermodel.  The probe's pins, on the projection onto the
+    # named indices, keep whether the block hits, and when the probe drops
+    # no index its hit is an admissible countermodel that holds its atom
+    # pins.  Every policy; one index at 1-3 worlds; the antichain and the
+    # chain at 1-2 worlds, each with every stable set; stars of three
+    # indices at one world.  A fifth of the draws scan an atom the
+    # formula lacks.  At the default caps and at slabs of 16 lanes and
+    # cells of 2 digits, where the walk fixes pinned bits too.
+    rng = random.Random(7451)
+    shapes = [(poset, 3 if len(poset.indices) == 1 else 2) for poset in stable_shapes()]
+    shapes += [(poset, 1) for poset in star_posets()]
+    pinned = probed = hits = misses = 0
+    for policy in POLICIES:
+        for poset, max_worlds in shapes:
+            for n in range(1, max_worlds + 1):
+                names = rng.choice([(name,) for name in poset.indices] + [poset.indices])
+                formula = random_formula(rng, 3, rng.choice([("p",), ("p", "q")]), names)
+                atoms = atom_names(formula)
+                if rng.random() < 0.2:
+                    atoms = tuple(sorted({*atoms, "r"}))
+                program = Program(formula)
+                pins, probe = search._pins(program, atoms)
+                dropped = frozenset(poset.indices) - set(program.indices)
+                expected = first_countermodel(formula, (poset,), n, policy, atoms, min_worlds=n)
+                full = search._Block(poset, n, atoms)
+                case = (policy, poset, n, atoms, print_formula(formula))
+                for slab, patterns in ((search._SLAB, search._PATTERNS), (16, 2)):
+                    monkeypatch.setattr(search, "_SLAB", slab)
+                    monkeypatch.setattr(search, "_PATTERNS", patterns)
+                    least = search._first_hit(full, program, policy)
+                    if expected is None:
+                        assert least is None, case
+                    else:
+                        assert search._decode(full, least) == expected[0], case
+                    block = search._Block(poset, n, atoms, **pins)
+                    assert search._first_hit(block, program, policy) == least, case
+                    projection = search._Block(poset, n, atoms, dropped, **probe)
+                    hit = search._first_hit(projection, program, policy)
+                    assert (hit is None) == (least is None), case
+                    if hit is not None and not dropped:
+                        model = search._decode(projection, hit)
+                        assert frame_ok(model, policy), case
+                        assert not all(naive_eval(model, w, formula) for w in model.worlds), case
+                        for atom in probe["nowhere"] | probe["everywhere"]:
+                            pin = model.worlds if atom in probe["everywhere"] else ()
+                            assert model.valuation[atom] == frozenset(pin), case
+                pinned += block != full
+                probed += projection != full._replace(dropped=dropped)
+                hits += expected is not None
+                misses += expected is None
+    assert pinned > 100 and probed > 120 and hits > 100 and misses > 15
+
+
+def test_pinning_keeps_every_verdict_and_witness(monkeypatch):
+    # Queries whose probes span more than one slab, so that _decide pins
+    # them: formulas naming both indices at 3 worlds, on the antichain and
+    # the chain with every stable set, a fifth of them over an atom they
+    # lack.  Two fuzzed formulas per shape and policy, and one of three
+    # fixed ones whose first countermodel often needs 3 worlds, so that the
+    # block whose probe hit is scanned again with every scan's pins.
+    # Their verdicts and witnesses equal those found with _pins giving no
+    # pin at all.
+    rng = random.Random(7487)
+    fixed = ("~(p & <b>(~p & ~<a>p) & <a>(~p & <b>p))", "<a><b>p -> <b><a>p", "[a][b]p -> [b][a]p")
+    queries = []
+    for policy in POLICIES:
+        for poset in stable_shapes():
+            if len(poset.indices) != 2:
+                continue
+            formulas = [parse_formula(rng.choice(fixed))]
+            while len(formulas) < 3:
+                formula = random_formula(rng, 3, ("p",), poset.indices)
+                if set(modal_indices(formula)) == {"a", "b"}:
+                    formulas.append(formula)
+            for formula in formulas:
+                atoms = ("p", "q") if rng.random() < 0.2 else None
+                queries.append((formula, SearchBounds(3, 2, poset=poset, atoms=atoms), policy))
+    pinned = [decide_valid(*query) for query in queries]
+    monkeypatch.setattr(search, "_pins", lambda program, atoms: ({}, {}))
+    assert [decide_valid(*query) for query in queries] == pinned
+    worlds = [len(v.model.worlds) for v in pinned if isinstance(v, Counterexample)]
+    assert worlds.count(3) > 3 and len(worlds) - worlds.count(3) > 10
+    assert sum(isinstance(v, ValidUpTo) for v in pinned) > 5
 
 
 def test_reflection_rows_match_the_oracle_over_every_stable_set():
@@ -882,12 +1078,13 @@ def test_the_plan_cache_stays_within_maxsize():
 def test_wide_valuations_keep_ints_within_the_slab():
     # 20 atoms at one world: 2^20 valuations, so every slab is a run of
     # them and no world's int of any value the program computes exceeds
-    # _SLAB bits.
+    # _SLAB bits.  Each atom occurs with both signs, in the conjunction
+    # and in the disjunction, so none is pinned and all 2^20 are scanned.
     names = [f"p{i}" for i in range(20)]
-    conj = Atom(names[0])
+    conj, disj = Atom(names[0]), Atom(names[0])
     for name in names[1:]:
-        conj = And(conj, Atom(name))
-    formula = Implies(conj, Or(Atom(names[7]), Atom(names[19])))
+        conj, disj = And(conj, Atom(name)), Or(disj, Atom(name))
+    formula = Implies(conj, disj)
     widest = []
     run = Program.run
 

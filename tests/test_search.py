@@ -269,15 +269,17 @@ def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
     # A formula naming every index scans each block once, in full.
     assert all(dropped == frozenset() for _n, dropped, _l, _h in slabs(late))
     # The projections of the largest blocks are probed first, up to the
-    # first that hits: here the antichain's, onto `a`, at 2 worlds, in its
-    # third slab.  The blocks on fewer worlds follow in candidate order,
-    # in full, and miss: the 1-world antichain in two slabs of 4 and the
-    # 1-world chain in slabs of 2 and 4.  Then the antichain at 2 worlds is
-    # scanned in full, in candidate order, up to the slab that holds its
-    # least hit.
+    # first that hits: here the antichain's, onto `a`, at 2 worlds.  It
+    # spans more than one slab of 4, so `a`, of negative sign only, is
+    # pinned to its greatest relation (every pair), and the probe is one
+    # slab of the 4 valuations of p, which hits.  The blocks on fewer
+    # worlds follow in candidate order, in full, and miss: the 1-world
+    # antichain in two slabs of 4 and the 1-world chain in slabs of 2 and
+    # 4.  The probe's pin is not one of every scan's, so its hit need not
+    # be the least: the antichain at 2 worlds is scanned in full, in
+    # candidate order, up to the slab that holds its least hit.
     got = slabs(spread)
     assert [(n, dropped, lanes, hit is not None) for n, dropped, lanes, hit in got] == [
-        *[(2, {"b"}, 4, False)] * 2,
         (2, {"b"}, 4, True),
         *[(1, frozenset(), 4, False)] * 2,
         (1, frozenset(), 2, False),
@@ -287,6 +289,19 @@ def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
     ]
     model, world = expected[formulas.index(spread)]
     assert search._decode(search._Block(model.poset, 2, ("p",)), got[-1][3]) == model
+
+
+def test_pure_polarity_chain_queries_hold_at_four_worlds():
+    # Each names `a` with positive sign only and `b` with negative sign
+    # only, so the probe of the one 4-world block pins `a` to its least
+    # relation given `b` and `b` to its greatest given `a`: under shrink
+    # the two relations are then equal, which leaves 2^20 lanes of its
+    # 2^36 raw candidates (p has both signs).  Unpinned, each query takes
+    # over a second.
+    bounds = SearchBounds(4, 2, poset=CHAIN)
+    for text in ("<b>p -> <a>p", "[a]p -> [b]p"):
+        verdict = decide_valid(parse_formula(text), bounds, SHRINK, ceiling=10**13)
+        assert verdict == ValidUpTo(bounds), text
 
 
 def test_ceiling_and_bit_guard():
@@ -323,7 +338,12 @@ def test_ceiling_is_checked_while_blocks_are_listed():
 def test_a_query_builds_only_the_blocks_it_scans(monkeypatch):
     block = search._Block
     built = []
-    monkeypatch.setattr(search, "_Block", lambda *args: built.append(args) or block(*args))
+
+    def spy_block(*args, **pins):
+        built.append(block(*args, **pins))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_Block", spy_block)
     # Past the ceiling: the sizes are added up and no block is built.
     with pytest.raises(BoundsTooLarge, match="exceeds the ceiling"):
         decide_valid(parse_formula("p"), SearchBounds(100_000, 2))
@@ -336,22 +356,42 @@ def test_a_query_builds_only_the_blocks_it_scans(monkeypatch):
     valid = parse_formula("[a](p -> q) -> ([a]p -> [a]q)")
     assert isinstance(decide_valid(valid, SearchBounds(3, 2), SHRINK), ValidUpTo)
     atoms, b = ("p", "q"), frozenset({"b"})
-    assert built == [(antichain, 3, atoms, b), (chain, 3, atoms, b)]
+    assert built == [block(antichain, 3, atoms, b), block(chain, 3, atoms, b)]
 
     # A countermodel: the probe, then the smaller blocks in candidate
     # order up to the first that hits ...
     built.clear()
     assert len(decide_valid(parse_formula("[a]p -> p"), SearchBounds(3, 2)).model.worlds) == 1
-    assert built == [(antichain, 3, ("p",), b), (antichain, 1, ("p",))]
+    assert built == [block(antichain, 3, ("p",), b), block(antichain, 1, ("p",))]
     # ... and, when none does, the full block whose projection hit.
     built.clear()
     assert len(decide_valid(parse_formula("<a>p -> [a]p"), SearchBounds(2, 2)).model.worlds) == 2
     assert built == [
-        (antichain, 2, ("p",), b),
-        (antichain, 1, ("p",)),
-        (chain, 1, ("p",)),
-        (antichain, 2, ("p",)),
+        block(antichain, 2, ("p",), b),
+        block(antichain, 1, ("p",)),
+        block(chain, 1, ("p",)),
+        block(antichain, 2, ("p",)),
     ]
+    # A probe wider than one slab is pinned.  With slabs of 64 lanes this
+    # one spans 2^10 raw candidates, and both indices, of negative sign
+    # only, take their greatest relation in it.  That pin is the probe's
+    # alone, so although the probe drops no index its block is scanned
+    # again after the smaller blocks miss, with every scan's pins: none,
+    # since p has both signs.
+    monkeypatch.setattr(search, "_SLAB", 64)
+    built.clear()
+    formula = parse_formula("~(<a>(p & <a>p) & <a>(~p & <a>~p) & <b>p)")
+    verdict = decide_valid(formula, SearchBounds(2, 2), SHRINK)
+    none, both = frozenset(), frozenset({"a", "b"})
+    assert built == [
+        block(antichain, 2, ("p",), none, none, both, none, none),
+        block(antichain, 1, ("p",)),
+        block(chain, 1, ("p",)),
+        block(antichain, 2, ("p",)),
+    ]
+    assert (verdict.model, verdict.world) == first_countermodel(
+        formula, (antichain, chain), 2, SHRINK, ("p",)
+    )
 
 
 def test_each_derivation_compiles_its_lines_once(monkeypatch):
