@@ -52,13 +52,14 @@ diagonal pair and no other.  So when no block at max_worlds hits, no
 block does.  _decide therefore probes the projections (below) of the
 blocks at max_worlds first, in poset order, up to the first that hits,
 and returns ValidUpTo when none does: a ValidUpTo verdict scans one
-projected block per poset.  Otherwise it scans in full, in candidate
+projected block per poset.  Otherwise one loop takes, in candidate
 order, the blocks on fewer worlds and then the block whose projection
-hit, unless that projection dropped no index and used no pin of the
-probe's own (Pinning, below): it is then the block itself, and its hit
-is the block's least.  The first hit is the enumeration-order minimum:
-each block at max_worlds before that one missed its projection, so it
-misses in full too.
+hit, and scans each in full up to the first hit.  A block equal to its
+projection (one that dropped no index and pinned nothing that only the
+probe pins; Pinning, below) is not scanned again: the probe's hit is
+its least.  The first hit is the enumeration-order minimum: each block
+at max_worlds before that one missed its projection, so it misses in
+full too.
 
 Projection.  A formula's truth depends only on the relations of the
 indices its modalities name; the other levels matter only through the
@@ -104,11 +105,13 @@ keeps the frame admissible and the formula false at the same world, so
 the moves end inside the pinned set.  Those two pins can set bits, so a
 probe hit that used one is not taken as the block's least.  _layout and
 _split apply the pins cell by cell: a pinned valuation bit is a
-one-digit cell, and a pinned index keeps only the patterns of its cells
-in which it shows its extreme.  Pins apply to a query only when its
-probe at max_worlds spans more than one slab of raw candidates, when
-1 << (n*n*len(indices) + n*len(atoms)) exceeds _SLAB at n = max_worlds:
-below that the kernel is not what a query costs.  Without the gate the
+one-digit cell, and a pinned index has a kind, _LEAST or _GREATEST,
+that _split reads against the layout's own inclusion masks: the index
+keeps only the patterns of its cells in which it shows its extreme.
+Pins apply to a query only when its probe at max_worlds spans more
+than one slab of raw candidates, when 1 << (n*n*len(indices) +
+n*len(atoms)) exceeds _SLAB at n = max_worlds: below that the kernel
+is not what a query costs.  Without the gate the
 sweep benchmark's ops took 0.46-0.59 ms instead of 0.35-0.50 (4 of 4
 alternating runs), and its 37 layouts overflowed _first_slab.  A block
 that pins nothing has the layout it would have without pins.
@@ -232,6 +235,7 @@ __all__ = [
 DEFAULT_CEILING = 10**9
 _SLAB = 1 << 16  # lanes per slab, at most
 _PATTERNS = 1 << 10  # digits of one cell in a slab, at most
+_LEAST, _GREATEST = 1, 2  # the pin kinds of an index
 
 
 @dataclass(frozen=True)
@@ -373,29 +377,27 @@ def _decode(block: _Block, candidate: int) -> StratifiedModel:
 class _Layout(NamedTuple):
     """What a block's admissible candidates, and so its slabs and their
     columns, depend on: the world count, the valuation bits and, for each
-    kept index j, its inside[j] / around[j] masks (the earlier kept
-    indices whose relation the policy puts within / around j's, as bits
-    of a pattern shifted to p = 0), its cell group and whether its
-    diagonal is forced.  Index names, atom names and the formula are not
-    part of it, so blocks that differ only in those share one layout.
+    kept index j, its within[j] / beyond[j] masks (every kept index whose
+    relation the policy puts within / around j's, as bits of a pattern
+    shifted to p = 0), its cell group and whether its diagonal is forced.
+    Index names, atom names and the formula are not part of it, so blocks
+    that differ only in those share one layout.
 
-    The pins come last and are empty in a block that pins nothing: the
-    valuation bits pinned to 0 (`zero`) and to 1 (`one`), and for each
-    kept index j, low[j] when j takes its least relation, or high[j] when
-    it takes its greatest, as the mask of every kept index whose relation
-    the policy puts within / around j's (None for an index not pinned
-    that way)."""
+    The pins come last: the valuation bits pinned to 0 (`zero`) and to 1
+    (`one`), and each kept index's pin kind, _LEAST when it takes its
+    least relation, _GREATEST when it takes its greatest and 0 when it is
+    not pinned.  A block that pins nothing has the layout it would have
+    without pins."""
 
     n: int
     val_bits: int
-    inside: tuple[int, ...]
-    around: tuple[int, ...]
+    within: tuple[int, ...]
+    beyond: tuple[int, ...]
     cell: tuple[int, ...]
     reflexive: tuple[bool, ...]
-    zero: int = 0
-    one: int = 0
-    low: tuple[int | None, ...] = ()
-    high: tuple[int | None, ...] = ()
+    zero: int
+    one: int
+    pins: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -429,27 +431,24 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
             i, j = sorted((ipos[sub], ipos[sup]))
             group = [group[i] if g == group[j] else g for g in group]
     labels = sorted(set(group))
-    # The kept indices before j hold the pattern bits above j's own.
-    earlier = [-(1 << ((k - j) * block.rel_bits)) for j in range(k)]
     worlds = (1 << block.n) - 1
 
     def valuation(pinned: frozenset[str]) -> int:
         return sum(worlds << (a * block.n) for a, atom in enumerate(block.atoms) if atom in pinned)
 
-    def indices(pinned: frozenset[str], masks: list[int]) -> tuple[int | None, ...]:
-        return tuple(mask if idx in pinned else None for idx, mask in zip(kept, masks))
-
     return _Layout(
         block.n,
         block.val_bits,
-        tuple(map(and_, within, earlier)),
-        tuple(map(and_, beyond, earlier)),
+        tuple(within),
+        tuple(beyond),
         tuple(labels.index(g) for g in group),
         tuple(idx in reflexive for idx in kept),
         valuation(block.nowhere),
         valuation(block.everywhere),
-        indices(block.least, within) if block.least else (),
-        indices(block.greatest, beyond) if block.greatest else (),
+        tuple(
+            _LEAST if idx in block.least else _GREATEST if idx in block.greatest else 0
+            for idx in kept
+        ),
     )
 
 
@@ -487,19 +486,26 @@ def _split(
     Given the bits of the earlier kept indices at p, index j's bit there
     is forced to 1 when one of them sits inside it (or p is on the
     diagonal and j is reflexive) and to 0 when one around it is 0; so
-    every admissible prefix extends.
+    every admissible prefix extends.  The forced bit reads within[j]
+    whole, as the bits of later members are still 0 in a partial
+    pattern; the allowed bit reads beyond[j] cut to the earlier members.
+    Once a cell's pattern is whole, a pinned index keeps it only where
+    it shows its extreme given the others: a _LEAST index is set exactly
+    where an index within it or a forced diagonal is, a _GREATEST one
+    exactly where every index around it is.
     """
     n, val_bits = layout.n, layout.val_bits
-    inside, around, cell_of = layout.inside, layout.around, layout.cell
+    within, beyond, cell_of, pins = layout.within, layout.beyond, layout.cell, layout.pins
     rel_bits = n * n
     k = len(cell_of)
+    # The earlier kept indices around j: its allowed bit reads these.
+    around = [mask & -(1 << ((k - j) * rel_bits)) for j, mask in enumerate(beyond)]
     # Unlinked indices are independent: each group of linked ones has its
     # own cell at every position.
     members = [[j for j in range(k) if cell_of[j] == g] for g in range(len(set(cell_of)))]
     cells = [(p, m) for p in range(rel_bits) for m in members]
     pinned_bits = layout.zero | layout.one
-    low, high = layout.low or (None,) * k, layout.high or (None,) * k
-    pinned = [[j for j in m if low[j] is not None or high[j] is not None] for m in members]
+    pinned = [[j for j in m if pins[j]] for m in members]
     cell_bits = [1 << b for b in range(val_bits)] + [
         sum(1 << (val_bits + (k - 1 - j) * rel_bits + p) for j in m) for p, m in cells
     ]
@@ -529,25 +535,22 @@ def _split(
             grown = []
             for pattern in found:
                 at_p = pattern >> shift
-                must = diagonal or at_p & inside[j]
+                must = diagonal or at_p & within[j]
                 may = at_p & around[j] == around[j]
                 grown += [
                     pattern | one for one in choices if (one or not must) and (may or not one)
                 ]
             found = grown
         for j in pinned[(c - val_bits) % len(members)]:
-            # A pinned index shows its extreme at p given the others: the
-            # least is set where an index within it or a forced diagonal
-            # is, the greatest where every index around it is.
             bit = 1 << ((k - 1 - j) * rel_bits)
             diagonal = p % (n + 1) == 0 and layout.reflexive[j]
             extremes = []
             for pattern in found:
                 at_p = pattern >> shift
-                if low[j] is not None:
-                    extreme = diagonal or at_p & low[j] != 0
+                if pins[j] == _LEAST:
+                    extreme = diagonal or at_p & within[j] != 0
                 else:
-                    extreme = at_p & high[j] == high[j]
+                    extreme = at_p & beyond[j] == beyond[j]
                 if (at_p & bit != 0) == extreme:
                     extremes.append(pattern)
             found = extremes
@@ -859,23 +862,20 @@ def _decide(
         # The formula reads only the relations of the indices it names,
         # so the projection onto them hits exactly when the block does.
         projection = _Block(poset, top, atoms, frozenset(poset.indices) - used, **probe_pins)
-        hit = _first_hit(projection, program, policy)
-        if hit is not None:
+        probe = _first_hit(projection, program, policy)
+        if probe is not None:
             break
     else:
         return ValidUpTo(bounds)
-    for block in (_Block(p, n, atoms, **pins) for n in range(1, top) for p in posets):
-        first = _first_hit(block, program, policy)
-        if first is not None:
-            hit = first
+    # Candidate order: the blocks on fewer worlds, then the block whose
+    # projection hit; a projection equal to its block holds its least hit.
+    order = [(p, n) for n in range(1, top) for p in posets] + [(poset, top)]
+    for block in (_Block(p, n, atoms, **pins) for p, n in order):
+        hit = probe if block == projection else _first_hit(block, program, policy)
+        if hit is not None:
             break
     else:
-        block = projection
-        if projection.dropped or projection.greatest or projection.everywhere:
-            block = _Block(poset, top, atoms, **pins)
-            hit = _first_hit(block, program, policy)
-            if hit is None:
-                raise RuntimeError("scan of a block missed the hit of its projection")
+        raise RuntimeError("scan of a block missed the hit of its projection")
     model = _decode(block, hit)
     if validate_frame(model, policy):
         raise RuntimeError("scan reported a model that fails frame validation")

@@ -44,7 +44,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
+
+# The proof-script functions import the proof records when called, so
+# parsing formulas and models does not load the proof checker; their
+# annotations name the records through the lazy package namespace.
+import salogic
 
 from . import example_model_path
 from .core import (
@@ -65,11 +70,6 @@ from .core import (
     is_identifier,
 )
 from .errors import ParseError, SourceSpan, UndeclaredIdentifier
-
-# The proof-script functions import the proof records when called, so
-# parsing formulas and models does not load the proof checker.
-if TYPE_CHECKING:
-    from .proofs import Derivation
 
 __all__ = [
     "load_example_model",
@@ -520,7 +520,7 @@ def parse_proof(
     *,
     profile: AxiomProfile = AxiomProfile.SECTION2,
     nec_requires_stable: bool = True,
-) -> Derivation:
+) -> salogic.proofs.Derivation:
     """Parse a proof script (see module docstring).
 
     `profile` and `nec_requires_stable` are carried onto the Derivation
@@ -601,7 +601,7 @@ def _print_justification(justification) -> str:
     raise TypeError(f"not a justification: {justification!r}")
 
 
-def print_proof(derivation: Derivation) -> str:
+def print_proof(derivation: salogic.proofs.Derivation) -> str:
     """Canonical proof script: poset header, then one numbered line per step."""
     lines = _poset_lines(derivation.poset)
     for line in derivation.lines:

@@ -195,22 +195,34 @@ def test_package_namespace():
     assert set(report["all"]) | set(submodules) <= set(report["dir"])
 
 
-# Run in a fresh interpreter: the public functions the package defines or
-# re-exports have annotations that resolve, and `import salogic` alone
-# loads no submodule.
+# Run in a fresh interpreter: every public function and class of the
+# package, and every function a public class defines, has annotations
+# that resolve, and `import salogic` alone loads no submodule.
 _HINTS_PROBE = textwrap.dedent(
     """
-    import json, sys, typing
+    import inspect, json, sys, typing
 
     import salogic
 
     loaded = sorted(name for name in sys.modules if name.startswith("salogic"))
-    hints = {
-        name: {key: value.__qualname__ for key, value in typing.get_type_hints(function).items()}
-        for name in ("example_model_path", "load_example_model")
-        for function in [getattr(salogic, name)]
-    }
-    print(json.dumps({"loaded": loaded, "hints": hints}))
+    targets = {}
+    for name in salogic.__all__:
+        value = getattr(salogic, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            targets[name] = value
+        if inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if inspect.isfunction(member):
+                    targets[f"{name}.{attr}"] = member
+    hints, failed = {}, {}
+    for name, target in targets.items():
+        try:
+            found = typing.get_type_hints(target)
+        except Exception as error:
+            failed[name] = repr(error)
+            continue
+        hints[name] = {key: getattr(value, "__qualname__", repr(value)) for key, value in found.items()}
+    print(json.dumps({"loaded": loaded, "hints": hints, "failed": failed}))
     """
 )
 
@@ -218,7 +230,10 @@ _HINTS_PROBE = textwrap.dedent(
 def test_example_model_functions_have_resolvable_hints():
     report = _run_fresh(_HINTS_PROBE)
     assert report["loaded"] == ["salogic"]
-    assert report["hints"] == {
-        "example_model_path": {"name": "str", "return": "Path"},
-        "load_example_model": {"name": "str", "return": "StratifiedModel"},
-    }
+    assert report["failed"] == {}
+    hints = report["hints"]
+    assert {"parse_proof", "print_proof", "StratifiedModel", "decide_valid"} <= set(hints)
+    assert hints["example_model_path"] == {"name": "str", "return": "Path"}
+    assert hints["load_example_model"] == {"name": "str", "return": "StratifiedModel"}
+    assert hints["parse_proof"]["return"] == "Derivation"
+    assert hints["print_proof"] == {"derivation": "Derivation", "return": "str"}

@@ -1,51 +1,86 @@
-"""No function of the package calls itself.  A function listed in ALLOWED
-would be exempt, given a bound that keeps its depth below the
-interpreter's recursion limit; none is."""
+"""No function of the package recurses, by calling itself or through a
+cycle of calls within its module.  A call `f(...)` stands for the
+function f that the caller's scope sees (a nested function, or one at
+module level), and a call `self.f(...)` for the method f of the caller's
+class.  A function listed in ALLOWED is exempt, given a bound that keeps
+its depth below the interpreter's recursion limit."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "salogic"
 
-ALLOWED: set[str] = set()
+# The formula parser descends implication -> disjunction -> conjunction ->
+# prefix -> atom -> implication, once round the cycle per open
+# parenthesis; syntax._MAX_NESTING bounds the nesting.
+ALLOWED = {
+    f"syntax._FormulaParser.{name}"
+    for name in ("implication", "disjunction", "conjunction", "prefix", "atom")
+}
 
 
-def self_calls(source: str, module: str) -> list[str]:
-    """Qualified names of the functions in `source` that call themselves
-    by name, or as a method through `self`."""
-    found = []
+def recursive_functions(source: str, module: str) -> list[str]:
+    """Qualified names of the functions in `source` that lie on a cycle
+    of calls, a self-call included, sorted."""
+    functions = {}  # qualified name -> (node, enclosing scopes, class)
 
-    def visit(node, prefix):
+    def collect(node, prefix, scopes, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
+                name = f"{prefix}{child.name}."
+                collect(child, name, scopes, name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = child.name
-                for call in ast.walk(child):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    func = call.func
-                    if (isinstance(func, ast.Name) and func.id == name) or (
-                        isinstance(func, ast.Attribute)
-                        and func.attr == name
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "self"
-                    ):
-                        found.append(f"{prefix}{name}")
-                        break
-                visit(child, f"{prefix}{name}.")
+                name = f"{prefix}{child.name}"
+                functions[name] = (child, scopes, cls)
+                collect(child, f"{name}.", [f"{name}.", *scopes], cls)
             else:
-                visit(child, prefix)
+                collect(child, prefix, scopes, cls)
 
-    visit(ast.parse(source), f"{module}.")
-    return found
+    collect(ast.parse(source), f"{module}.", [f"{module}."], None)
+
+    def callees(name):
+        node, scopes, cls = functions[name]
+        stack = list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue  # a nested definition is a function of its own
+            stack.extend(ast.iter_child_nodes(child))
+            if not isinstance(child, ast.Call):
+                continue
+            func = child.func
+            if isinstance(func, ast.Name):
+                # The innermost scope that defines the name; a method's own
+                # name is not in scope in its body.
+                candidates = [f"{scope}{func.id}" for scope in [f"{name}.", *scopes]]
+                yield from [target for target in candidates if target in functions][:1]
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "self"
+                and f"{cls}{func.attr}" in functions
+            ):
+                yield f"{cls}{func.attr}"
+
+    calls = {name: set(callees(name)) for name in functions}
+    found = []
+    for start in functions:
+        reached, stack = set(), list(calls[start])
+        while stack and start not in reached:
+            name = stack.pop()
+            if name not in reached:
+                reached.add(name)
+                stack.extend(calls[name])
+        if start in reached:
+            found.append(start)
+    return sorted(found)
 
 
 def test_only_bounded_functions_recurse():
     recursive = {
         name
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in self_calls(path.read_text(encoding="utf-8"), path.stem)
+        for name in recursive_functions(path.read_text(encoding="utf-8"), path.stem)
     }
     assert recursive - ALLOWED == set()
     # The allowlist names only functions that still recurse.
@@ -57,4 +92,19 @@ def test_a_new_self_call_is_found():
         "class C:\n    def f(self):\n        return self.f()\n\n"
         "def g(n):\n    return g(n - 1)\n"
     )
-    assert self_calls(source, "m") == ["m.C.f", "m.g"]
+    assert recursive_functions(source, "m") == ["m.C.f", "m.g"]
+
+
+def test_a_call_cycle_is_found():
+    # Two functions that call each other, two methods that do so through
+    # `self`, and a caller of each cycle that is on none.
+    source = (
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n\n"
+        "def parity(n):\n    return even(n)\n\n"
+        "class P:\n"
+        "    def a(self):\n        return self.b()\n"
+        "    def b(self):\n        return self.a()\n"
+        "    def c(self):\n        return self.a() or odd(1)\n"
+    )
+    assert recursive_functions(source, "m") == ["m.P.a", "m.P.b", "m.even", "m.odd"]

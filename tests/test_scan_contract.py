@@ -859,6 +859,25 @@ def test_a_probe_that_drops_no_index_is_not_rescanned(monkeypatch):
     assert (verdict.model, verdict.world) == expected
 
 
+def test_a_probe_only_pin_leaves_one_slab(monkeypatch):
+    # `a` has negative sign only, so the probe pins it to its greatest
+    # relation, every world pair; `p` has both signs and stays free.  The
+    # probe of the 5-world block is then one slab of 2^5 valuations that
+    # misses, where without that pin it would span 2^25 relations.
+    lanes = []
+    scan_slab = search._scan_slab
+
+    def spy_scan_slab(block, program, count, columns):
+        lanes.append(count)
+        return scan_slab(block, program, count, columns)
+
+    monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
+    bounds = SearchBounds(5, 1)
+    verdict = decide_valid(parse_formula("[a](p | ~p)"), bounds, ceiling=10**10)
+    assert verdict == ValidUpTo(bounds)
+    assert lanes == [32]
+
+
 def star_posets() -> list[IndexPoset]:
     """Three indices with `a` below both others, or above both, each with
     no stable index and with `a` stable."""
