@@ -14,7 +14,10 @@ children, so building costs O(reachable pairs).  Rendered, it has one
 line per path from the root, which is exponential in modal depth:
 render_trace counts the lines first and refuses past _MAX_TRACE_LINES.
 Below that, it builds one line text per distinct node, from one compile
-of all their formulas, and each printed line costs one indentation.
+of all their formulas.  A subtree is printed line by line the first time
+it appears at a level; each later appearance at that level is one slice
+copy of those lines, so the render's loop runs once per distinct (node,
+level) pair and once per edge below one.
 
 Frame validation is configured by a FramePolicy.  The two coherence
 directions are both on offer because neither is privileged by the
@@ -247,9 +250,10 @@ def render_trace(trace: EvalTrace, depth: int = 0) -> str:
     below its parent; a node shared by several parents is printed under each.
 
     Each distinct node's line text is built once, its formula printed
-    from one compile of all the trace's formulas; each printed line then
-    costs one indentation.  Raises BoundsTooLarge, before building any
-    text, when that is more than _MAX_TRACE_LINES lines."""
+    from one compile of all the trace's formulas.  A subtree printed
+    again at the same level costs one slice copy of the lines its first
+    print there made.  Raises BoundsTooLarge, before building any text,
+    when that is more than _MAX_TRACE_LINES lines."""
     lines: dict[int, int] = {}  # id of a node -> lines it renders to
     nodes: list[EvalTrace] = []  # each distinct node once, children first
     stack = [trace]
@@ -273,12 +277,19 @@ def render_trace(trace: EvalTrace, depth: int = 0) -> str:
         verdict = "true" if node.verdict else "false"
         line_of[id(node)] = f"{node.world} [{node.index}] {text} = {verdict}{tail}"
     out: list[str] = []
+    first: dict[tuple[int, int], int] = {}  # (id of a node, level) -> its first line in out
     pending = [(trace, depth)]  # the nodes left to print, next on top
     while pending:
         node, level = pending.pop()
-        out.append("  " * level + line_of[id(node)])
-        if node.children:  # most lines are leaves: skip building an empty list
+        if node.children:  # most lines are leaves, with no subtree to record or copy
+            key = (id(node), level)
+            if key in first:  # its first print is done: every line below it sits deeper
+                start = first[key]
+                out += out[start : start + lines[id(node)]]
+                continue
+            first[key] = len(out)
             pending += [(kid, level + 1) for kid in reversed(node.children)]
+        out.append("  " * level + line_of[id(node)])
     return "\n".join(out)
 
 

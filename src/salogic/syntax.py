@@ -302,31 +302,25 @@ def _words_with_offsets(content: str, base: int):
     return [(m.group(), base + m.start(), base + m.end()) for m in re.finditer(r"\S+", content)]
 
 
-def _idents(text, words, role):
-    names = []
-    for word, start, end in words:
-        if not is_identifier(word):
-            raise ParseError(
-                f"{role} {word!r} is not an identifier",
-                _byte_span(text, start, end),
-                {"identifier"},
-            )
-        names.append(word)
-    return names
+# One whole word of a section line, with whitespace or an end of the line
+# on both sides (as str.split() cuts words): a name, or a pair of names
+# that findall returns as a tuple.  The patterns compile on first use, in
+# the re module's cache, so importing the module compiles none of them.
+_NAME = rf"(?<!\S){_IDENT.pattern}(?!\S)"
+_ORDER_PAIR = rf"(?<!\S)({_IDENT.pattern})<=({_IDENT.pattern})(?!\S)"
+_RELATION_PAIR = rf"(?<!\S)({_IDENT.pattern})->({_IDENT.pattern})(?!\S)"
 
-
-def _pairs(text, words, separator, role):
-    pairs = []
-    for word, start, end in words:
-        left, sep, right = word.partition(separator)
-        if not sep or not is_identifier(left) or not is_identifier(right):
-            raise ParseError(
-                f"malformed {role} pair {word!r}",
-                _byte_span(text, start, end),
-                {f"identifier{separator}identifier"},
-            )
-        pairs.append((left, right))
-    return pairs
+# By section keyword: the pattern every word of the line must match, the
+# error for the first word that does not, and its expected set.
+_SECTION_WORDS = {
+    "indices": (_NAME, "index {!r} is not an identifier", "identifier"),
+    "stable": (_NAME, "index {!r} is not an identifier", "identifier"),
+    "worlds": (_NAME, "world {!r} is not an identifier", "identifier"),
+    "val": (_NAME, "world {!r} is not an identifier", "identifier"),
+    "order": (_ORDER_PAIR, "malformed order pair {!r}", "identifier<=identifier"),
+    "worldorder": (_ORDER_PAIR, "malformed world order pair {!r}", "identifier<=identifier"),
+    "rel": (_RELATION_PAIR, "malformed relation pair {!r}", "identifier->identifier"),
+}
 
 
 class _Sections:
@@ -350,7 +344,12 @@ class _Sections:
             target.append(name)
 
     def feed(self, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> None:
-        """Consume one line; a blank line adds nothing."""
+        """Consume one line; a blank line adds nothing.
+
+        The line's words are checked by one findall, whose match count
+        equals the word count exactly when every word matches; the words'
+        offsets are computed only on the error path, to name the first
+        word that does not."""
         if not content.strip():
             return
         head, sep, rest = content.partition(":")
@@ -363,34 +362,39 @@ class _Sections:
         )
         if not sep:
             raise ParseError("expected a 'section:' line", span, {"':'"})
-        words = _words_with_offsets(rest, offset + len(head) + 1)
         parts = stripped.split()
         keyword = parts[0] if parts else ""
         if keyword not in allowed or len(parts) != (2 if keyword in ("rel", "val") else 1):
             raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
+        if keyword in ("rel", "val") and not is_identifier(parts[1]):
+            role = "index" if keyword == "rel" else "atom"
+            raise ParseError(f"bad {role} name {parts[1]!r}", span, {"identifier"})
+        pattern, message, expected = _SECTION_WORDS[keyword]
+        found = re.findall(pattern, rest)
+        if len(found) != len(rest.split()):
+            word, start, end = next(
+                bad
+                for bad in _words_with_offsets(rest, offset + len(head) + 1)
+                if not re.fullmatch(pattern, bad[0])
+            )
+            raise ParseError(message.format(word), _byte_span(text, start, end), {expected})
         if keyword == "indices":
-            self._declare(self.indices, _idents(text, words, "index"), span, "index")
+            self._declare(self.indices, found, span, "index")
         elif keyword == "worlds":
-            self._declare(self.worlds, _idents(text, words, "world"), span, "world")
+            self._declare(self.worlds, found, span, "world")
         elif keyword == "order":
-            self.order.extend(_pairs(text, words, "<=", "order"))
+            self.order.extend(found)
         elif keyword == "worldorder":
             self.worldorder_declared = True
-            self.worldorder.extend(_pairs(text, words, "<=", "world order"))
+            self.worldorder.extend(found)
         elif keyword == "stable":
-            for name in _idents(text, words, "index"):
+            for name in found:
                 if name not in self.stable:
                     self.stable.append(name)
         elif keyword == "rel":
-            name = parts[1]
-            if not is_identifier(name):
-                raise ParseError(f"bad index name {name!r}", span, {"identifier"})
-            self.rel.setdefault(name, set()).update(_pairs(text, words, "->", "relation"))
-        elif keyword == "val":
-            name = parts[1]
-            if not is_identifier(name):
-                raise ParseError(f"bad atom name {name!r}", span, {"identifier"})
-            self.val.setdefault(name, set()).update(_idents(text, words, "world"))
+            self.rel.setdefault(parts[1], set()).update(found)
+        else:
+            self.val.setdefault(parts[1], set()).update(found)
 
     def build_poset(self, text: str) -> IndexPoset:
         if not self.indices:

@@ -565,6 +565,40 @@ def test_render_trace_matches_the_reference():
         trace = evaluate_with_trace(m, rng.choice(m.worlds), rng.choice(m.poset.indices), f)[1]
         depth = rng.randint(-3, 3)
         assert render_trace(trace, depth) == _reference_render_trace(trace, depth)
+    # Shared subtrees printed again at one level and at several: in a
+    # ladder each node's children are the one below it twice and the one
+    # two below, so every rung recurs at several levels.  On complete
+    # relations, a formula whose modal subformulas recur under different
+    # parents shares them across levels.
+    rungs = [EvalTrace("w0", "a", Atom("p"), True), EvalTrace("w1", "b", Not(Atom("p")), False)]
+    for i in range(8):
+        below = rungs[-1]
+        rungs.append(
+            EvalTrace(f"w{i % 3}", "ab"[i % 2], Or(below.formula, rungs[-2].formula), i % 2 == 0,
+                      (below, rungs[-2], below), "w1" if i % 3 else None)
+        )
+    worlds = ("w0", "w1", "w2")
+    complete = {(u, v) for u in worlds for v in worlds}
+    m = StratifiedModel(
+        IndexPoset.from_order(("a", "b"), [("a", "b")]), worlds,
+        {"a": complete, "b": complete}, {"p": {"w1"}, "q": set()},
+    )
+    f = parse_formula("<a>(q | <b>(q | [a]p)) & [b](<b>(q | [a]p) | [a]p)")
+    for trace in (rungs[-1], *(evaluate_with_trace(m, w, "a", f)[1] for w in worlds)):
+        for depth in range(-3, 4):
+            assert render_trace(trace, depth) == _reference_render_trace(trace, depth)
+    # A deep chain under three parents at three levels: X, with X a
+    # 3000-deep Not chain over [a]p, in And(X, Or(X, Not(X))), 9,009 lines.
+    deep = Box("a", Atom("p"))
+    for _ in range(3000):
+        deep = Not(deep)
+    m = StratifiedModel(
+        IndexPoset.from_order(("a",)), ("w0", "w1"), {"a": {("w0", "w0")}}, {"p": {"w1"}}
+    )
+    trace = evaluate_with_trace(m, "w0", "a", And(deep, Or(deep, Not(deep))))[1]
+    text = render_trace(trace)
+    assert text.count("\n") + 1 == 9009
+    assert text == _reference_render_trace(trace)
     # One field that is not a formula: at the root, below it, or inside a
     # formula; the error is the reference's, word for word.
     good = EvalTrace("w1", "a", Atom("p"), True)

@@ -1,8 +1,10 @@
 import random
+import re
 import string
 
 import pytest
 
+from salogic import syntax
 from salogic.core import (
     And,
     Atom,
@@ -13,6 +15,7 @@ from salogic.core import (
     IndexPoset,
     Not,
     Or,
+    is_identifier,
 )
 from salogic.errors import (
     CycleError,
@@ -24,6 +27,7 @@ from salogic.errors import (
 )
 from salogic.proofs import Axiom, Derivation, Necessitation, ProofLine
 from salogic.syntax import (
+    _byte_span,
     parse_formula,
     parse_model,
     parse_poset,
@@ -321,6 +325,313 @@ def test_parse_poset():
     assert poset.stable == frozenset({"a"})
     with pytest.raises(ParseError):
         parse_poset("indices: a\nworlds: w\n")
+
+
+IDENTIFIER = {"identifier"}
+ORDER_PAIR = {"identifier<=identifier"}
+RELATION_PAIR = {"identifier->identifier"}
+
+MODEL_LINE_EDGES = [
+    # A bad word first, in the middle and last, in each kind of section.
+    (parse_model, "indices: 1a b c\nworlds: w\n",
+     ("index '1a' is not an identifier at bytes 9..11 (expected identifier)",
+      (9, 11), IDENTIFIER)),
+    (parse_model, "indices: a b-c c\nworlds: w\n",
+     ("index 'b-c' is not an identifier at bytes 11..14 (expected identifier)",
+      (11, 14), IDENTIFIER)),
+    (parse_model, "indices: a b c!\nworlds: w\n",
+     ("index 'c!' is not an identifier at bytes 13..15 (expected identifier)",
+      (13, 15), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: 0w w1 w2\n",
+     ("world '0w' is not an identifier at bytes 19..21 (expected identifier)",
+      (19, 21), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: w0 w.1 w2\n",
+     ("world 'w.1' is not an identifier at bytes 22..25 (expected identifier)",
+      (22, 25), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: w0 w1 w2?\n",
+     ("world 'w2?' is not an identifier at bytes 25..28 (expected identifier)",
+      (25, 28), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nstable: 2 a b\n",
+     ("index '2' is not an identifier at bytes 35..36 (expected identifier)",
+      (35, 36), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nstable: a b<=a b\n",
+     ("index 'b<=a' is not an identifier at bytes 37..41 (expected identifier)",
+      (37, 41), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nstable: a b $\n",
+     ("index '$' is not an identifier at bytes 39..40 (expected identifier)",
+      (39, 40), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nval p: -w0 w1 w0\n",
+     ("world '-w0' is not an identifier at bytes 34..37 (expected identifier)",
+      (34, 37), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nval p: w0 w1->w0 w1\n",
+     ("world 'w1->w0' is not an identifier at bytes 37..43 (expected identifier)",
+      (37, 43), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nval p: w0 w1 w0:\n",
+     ("world 'w0:' is not an identifier at bytes 40..43 (expected identifier)",
+      (40, 43), IDENTIFIER)),
+    (parse_model, "indices: a b\nworlds: w0 w1\norder: a b<=a a<=b\n",
+     ("malformed order pair 'a' at bytes 34..35 (expected identifier<=identifier)",
+      (34, 35), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\norder: a<=b a=>b a<=b\n",
+     ("malformed order pair 'a=>b' at bytes 39..43 (expected identifier<=identifier)",
+      (39, 43), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\norder: a<=b a<=b a->b\n",
+     ("malformed order pair 'a->b' at bytes 44..48 (expected identifier<=identifier)",
+      (44, 48), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nworldorder: w0 w0<=w1 w1<=w1\n",
+     ("malformed world order pair 'w0' at bytes 39..41 (expected identifier<=identifier)",
+      (39, 41), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nworldorder: w0<=w1 w0<w1 w1<=w1\n",
+     ("malformed world order pair 'w0<w1' at bytes 46..51 (expected identifier<=identifier)",
+      (46, 51), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nworldorder: w0<=w1 w1<=w1 <=w1\n",
+     ("malformed world order pair '<=w1' at bytes 53..57 (expected identifier<=identifier)",
+      (53, 57), ORDER_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: w0 w0->w1 w1->w1\n",
+     ("malformed relation pair 'w0' at bytes 34..36 (expected identifier->identifier)",
+      (34, 36), RELATION_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: w0->w0 w0-w1 w1->w1\n",
+     ("malformed relation pair 'w0-w1' at bytes 41..46 (expected identifier->identifier)",
+      (41, 46), RELATION_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: w0->w0 w1->w1 w0->\n",
+     ("malformed relation pair 'w0->' at bytes 48..52 (expected identifier->identifier)",
+      (48, 52), RELATION_PAIR)),
+    # A relation pair with a second arrow, with `<=` alone, or with `<=` in
+    # place of `->`.
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: w0->w0 w0->w0->w0\n",
+     ("malformed relation pair 'w0->w0->w0' at bytes 41..51 (expected identifier->identifier)",
+      (41, 51), RELATION_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: a<= w0->w0\n",
+     ("malformed relation pair 'a<=' at bytes 34..37 (expected identifier->identifier)",
+      (34, 37), RELATION_PAIR)),
+    (parse_model, "indices: a b\nworlds: w0 w1\nrel a: w0->w0 a<=b\n",
+     ("malformed relation pair 'a<=b' at bytes 41..45 (expected identifier->identifier)",
+      (41, 45), RELATION_PAIR)),
+    # Any whitespace separates words (no-break space, file separator, em
+    # space); a span counts the bytes of every character before it.
+    (parse_model,
+     "indices:\xa0a\xa0b\nworlds:\x1cw0\x1cw1\nrel a:\xa0w0->w1\x1cw1->w1\u2003\nval p:\x1cw1\n",
+     "indices: a b\nworlds: w0 w1\nrel a: w0->w1 w1->w1\nval p: w1\n"),
+    (parse_model, "indices:\xa0a\xa0b\nworlds:\x1cw0\x1c1w\n",
+     ("world '1w' is not an identifier at bytes 26..28 (expected identifier)",
+      (26, 28), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: w0\nrel a: w0->w0\xa0w0->w0->w0\n",
+     ("malformed relation pair 'w0->w0->w0' at bytes 37..47 (expected identifier->identifier)",
+      (37, 47), RELATION_PAIR)),
+    (parse_model, "# café\nindices: a\nworlds: w0 1w\n",
+     ("world '1w' is not an identifier at bytes 30..32 (expected identifier)",
+      (30, 32), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: é w0 1w\n",
+     ("world 'é' is not an identifier at bytes 19..21 (expected identifier)",
+      (19, 21), IDENTIFIER)),
+    (parse_model, "indices: a\nval é: w0\nworlds: w0\n",
+     ("bad atom name 'é' at bytes 11..17 (expected identifier)",
+      (11, 17), IDENTIFIER)),
+    (parse_model, "indices: a\nworlds: w0é w1 1w\n",
+     ("world 'w0é' is not an identifier at bytes 19..23 (expected identifier)",
+      (19, 23), IDENTIFIER)),
+    # A bad word in a trailing comment is no word at all.
+    (parse_model,
+     "indices: a b  # 1b c-d\nworlds: w0 # w0->w0->w0\nrel a: w0->w0 # a<=\nval p: w0 #1w\n",
+     "indices: a b\nworlds: w0\nrel a: w0->w0\nval p: w0\n"),
+    # The two files the CI loop runs under several hash seeds.
+    (parse_model, "indices: a\nworlds: w0\nrel a: w0->w0 w0->w0->w0\n",
+     ("malformed relation pair 'w0->w0->w0' at bytes 36..46 (expected identifier->identifier)",
+      (36, 46), RELATION_PAIR)),
+    (parse_model, "indices: a\nworlds: w0 1w\n",
+     ("world '1w' is not an identifier at bytes 22..24 (expected identifier)",
+      (22, 24), IDENTIFIER)),
+    # Poset files and proof headers read their lines the same way.
+    (parse_poset, "indices: a b\norder: a<=b b<=\n",
+     ("malformed order pair 'b<=' at bytes 25..28 (expected identifier<=identifier)",
+      (25, 28), ORDER_PAIR)),
+    (parse_poset, "indices: a 1b\n",
+     ("index '1b' is not an identifier at bytes 11..13 (expected identifier)",
+      (11, 13), IDENTIFIER)),
+    (parse_poset, "indices: a b\nstable: a b-\n",
+     ("index 'b-' is not an identifier at bytes 23..25 (expected identifier)",
+      (23, 25), IDENTIFIER)),
+    (parse_poset, "indices: a b # 1c\norder: a<=b\nstable: b\n",
+     "indices: a b\norder: a<=b\nstable: b\n"),
+    (parse_proof, "indices: a 1b\n1. p -> p ; A1\n",
+     ("index '1b' is not an identifier at bytes 11..13 (expected identifier)",
+      (11, 13), IDENTIFIER)),
+    (parse_proof, "indices: a b\norder: a->b\n1. p -> p ; A1\n",
+     ("malformed order pair 'a->b' at bytes 20..24 (expected identifier<=identifier)",
+      (20, 24), ORDER_PAIR)),
+    (parse_proof, "indices: a b\nstable: a\xa0b\xa0c!\n1. p -> p ; A1\n",
+     ("index 'c!' is not an identifier at bytes 27..29 (expected identifier)",
+      (27, 29), IDENTIFIER)),
+    (parse_proof, "indices: a b # x-y\norder: a<=b\n1. p -> p ; A1\n",
+     "indices: a b\norder: a<=b\n1. p -> p ; A1\n"),
+]
+
+
+
+def _print_poset(poset):
+    return print_proof(Derivation((), poset))
+
+
+def test_model_line_edge_cases_keep_their_outcomes():
+    printers = {parse_model: print_model, parse_poset: _print_poset, parse_proof: print_proof}
+    for parse, text, expected in MODEL_LINE_EDGES:
+        try:
+            got = printers[parse](parse(text))
+        except ParseError as err:
+            got = (str(err), (err.span.start, err.span.end), set(err.expected))
+        assert got == expected, text
+
+
+# The word checks as they were before a line was matched whole: one word at
+# a time, each with its offsets, by partition and is_identifier.  The
+# parsers must keep their results and errors on every input.
+
+
+def _reference_idents(text, words, role):
+    names = []
+    for word, start, end in words:
+        if not is_identifier(word):
+            raise ParseError(
+                f"{role} {word!r} is not an identifier",
+                _byte_span(text, start, end),
+                {"identifier"},
+            )
+        names.append(word)
+    return names
+
+
+def _reference_pairs(text, words, separator, role):
+    pairs = []
+    for word, start, end in words:
+        left, sep, right = word.partition(separator)
+        if not sep or not is_identifier(left) or not is_identifier(right):
+            raise ParseError(
+                f"malformed {role} pair {word!r}",
+                _byte_span(text, start, end),
+                {f"identifier{separator}identifier"},
+            )
+        pairs.append((left, right))
+    return pairs
+
+
+class _ReferenceSections(syntax._Sections):
+    def feed(self, text, content, offset, allowed):
+        if not content.strip():
+            return
+        head, sep, rest = content.partition(":")
+        stripped = head.strip()
+        lead = len(content) - len(content.lstrip())
+        span = _byte_span(
+            text,
+            offset + lead,
+            offset + max(len(head.rstrip()), lead + 1),
+        )
+        if not sep:
+            raise ParseError("expected a 'section:' line", span, {"':'"})
+        base = offset + len(head) + 1
+        words = [(m.group(), base + m.start(), base + m.end()) for m in re.finditer(r"\S+", rest)]
+        parts = stripped.split()
+        keyword = parts[0] if parts else ""
+        if keyword not in allowed or len(parts) != (2 if keyword in ("rel", "val") else 1):
+            raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
+        if keyword == "indices":
+            self._declare(self.indices, _reference_idents(text, words, "index"), span, "index")
+        elif keyword == "worlds":
+            self._declare(self.worlds, _reference_idents(text, words, "world"), span, "world")
+        elif keyword == "order":
+            self.order.extend(_reference_pairs(text, words, "<=", "order"))
+        elif keyword == "worldorder":
+            self.worldorder_declared = True
+            self.worldorder.extend(_reference_pairs(text, words, "<=", "world order"))
+        elif keyword == "stable":
+            for name in _reference_idents(text, words, "index"):
+                if name not in self.stable:
+                    self.stable.append(name)
+        elif keyword == "rel":
+            name = parts[1]
+            if not is_identifier(name):
+                raise ParseError(f"bad index name {name!r}", span, {"identifier"})
+            pairs = _reference_pairs(text, words, "->", "relation")
+            self.rel.setdefault(name, set()).update(pairs)
+        elif keyword == "val":
+            name = parts[1]
+            if not is_identifier(name):
+                raise ParseError(f"bad atom name {name!r}", span, {"identifier"})
+            self.val.setdefault(name, set()).update(_reference_idents(text, words, "world"))
+
+
+def _reference_parse(parse, text):
+    """parse_model or parse_poset, reading each line word by word."""
+    model = parse is parse_model
+    allowed = syntax._MODEL_SECTIONS + ("rel", "val") if model else syntax._POSET_SECTIONS
+    sections = _ReferenceSections()
+    for content, offset in syntax._logical_lines(text):
+        sections.feed(text, content, offset, allowed)
+    return sections.build_model(text) if model else sections.build_poset(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ParseError, str(err), err.span, err.expected
+    except SalError as err:
+        return type(err), str(err)
+
+
+_MODEL_HEADS = [
+    "indices:", "worlds:", "stable:", "order:", "worldorder:",
+    "rel a:", "rel b:", "val p:", "val q:",
+]
+_POSET_HEADS = ["indices:", "stable:", "order:"]
+
+
+def _fuzzed_text(rng, heads):
+    """Lines under `heads`, and now and then a malformed head, over indices
+    a, b and worlds w0, w1; some words and separators are malformed."""
+    names = ["a", "b", "w0", "w1", "p", "_x9"]
+    bad = ["1a", "a-", "\u00e9", "w0\u00e9", "a<=", "<=b", "a<=b<=c", "->", "x->y->z", "a:b", "$"]
+    separators = [" ", "  ", "\t", "\r", "\x0b", "\u00a0", "\x1c", "\u2003"]
+    malformed = ["rel 1x:", "val \u00e9:", "bogus:", " worlds :", "indices", ":"]
+
+    def word(head):
+        roll = rng.random()
+        if roll < 0.08:
+            return rng.choice(bad)
+        left, right = rng.choice(names), rng.choice(names)
+        if roll < 0.16:
+            return left + rng.choice(("<=", "->")) + right
+        if "order" in head:
+            return f"{left}<={right}"
+        return f"{left}->{right}" if head.startswith("rel") else left
+
+    lines = ["indices: a b", "worlds: w0 w1"] if "worlds:" in heads else ["indices: a b"]
+    for _ in range(rng.randint(0, 6)):
+        head = rng.choice(malformed if rng.random() < 0.1 else heads)
+        line = head + "".join(
+            rng.choice(separators) + word(head) for _ in range(rng.randint(0, 4))
+        )
+        if rng.random() < 0.2:
+            line += rng.choice(separators) + "#" + rng.choice(bad)
+        lines.append(line)
+    rng.shuffle(lines)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_model_lines_match_the_word_by_word_reference():
+    rng = random.Random(53)
+    for parse, heads in ((parse_model, _MODEL_HEADS), (parse_poset, _POSET_HEADS)):
+        kinds = {"parsed": 0, "ParseError": 0, "other": 0}
+        for _ in range(3000):
+            text = _fuzzed_text(rng, heads)
+            want = _outcome(lambda text: _reference_parse(parse, text), text)
+            assert _outcome(parse, text) == want, text
+            if not isinstance(want, tuple):
+                kinds["parsed"] += 1
+            else:
+                kinds["ParseError" if want[0] is ParseError else "other"] += 1
+        # Each outcome is common, so that every path is compared.
+        assert min(kinds.values()) > 300, (parse, kinds)
 
 
 # --- proof scripts ----------------------------------------------------------
