@@ -12,6 +12,10 @@ Formula grammar (ASCII), loosest binding first::
 
 `[a]F` is necessity at level a, `<a>F` possibility at level a.
 Identifiers match `[A-Za-z_][A-Za-z0-9_]*`; whitespace is insignificant.
+A formula is parsed without recursion: its text is cut into tokens first,
+then one loop reads them by operator precedence over an explicit stack
+(Dijkstra's shunting-yard), which rejects nesting of parentheses, prefix
+operators and `->` deeper than 128 levels.
 
 Model files are line oriented and `#` starts a comment::
 
@@ -43,8 +47,6 @@ of the order sections, which the parser computes anyway).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NoReturn
 
 # The proof-script functions import the proof records when called, so
 # parsing formulas and models does not load the proof checker; their
@@ -84,22 +86,19 @@ __all__ = [
 
 
 def _byte_span(text: str, start: int, end: int) -> SourceSpan:
-    """Convert character offsets into the byte offsets SourceSpan carries."""
+    """Convert character offsets into the byte offsets SourceSpan carries.
+
+    Bytes are counted in UTF-8, where a lone surrogate (such as the
+    '\\udcff' an undecodable byte of argv becomes) counts the 3 bytes of its
+    surrogatepass encoding, so every string has a span."""
     return SourceSpan(
-        len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
+        len(text[:start].encode("utf-8", "surrogatepass")),
+        len(text[:end].encode("utf-8", "surrogatepass")),
     )
 
 
 # ---------------------------------------------------------------------------
 # Formulas
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'eof', or the operator text itself
-    text: str
-    start: int  # character offsets; converted to bytes only for diagnostics
-    end: int
 
 
 # One token after any whitespace (`\s` is exactly str.isspace): an
@@ -108,131 +107,108 @@ _FORMULA_TOKEN = re.compile(
     rf"\s*(?:(?P<ident>{_IDENT.pattern})|(?P<op>->|[~&|()\[\]<>])|(?P<stray>-)|(?P<bad>\S))"
 )
 
-
-def _tokenize_formula(text: str, start: int, end: int) -> list[_Token]:
-    """Tokens of text[start:end], with offsets into the whole of `text`."""
-    tokens: list[_Token] = []
-    for m in _FORMULA_TOKEN.finditer(text, start, end):
-        kind, i, j = m.lastgroup, m.start(m.lastgroup), m.end()
-        if kind == "stray":
-            raise ParseError("stray '-'", _byte_span(text, i, j), {"->"})
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", _byte_span(text, i, j))
-        tokens.append(_Token("ident" if kind == "ident" else m[kind], m[kind], i, j))
-    tokens.append(_Token("eof", "", end, end))
-    return tokens
-
-
 _ATOM_STARTERS = frozenset({"identifier", "'('", "'~'", "'['", "'<'"})
 
-# Recursion guard: parsing is promised to be total, so pathological nesting
-# must surface as a diagnostic rather than a RecursionError.  Parenthesis
-# nesting costs several interpreter frames per level; 128 stays well inside
-# the default recursion limit while being far beyond hand-written formulas.
+# Nesting bound: parsing is promised to be total, and although the parser
+# keeps no interpreter frame per level, the formula nodes' dataclass `==`,
+# `hash` and `repr` still recurse on the trees it builds.  Open
+# parentheses, prefix operators and pending `->` together may nest 128
+# deep: far beyond hand-written formulas, and well inside the default
+# recursion limit.
 _MAX_NESTING = 128
 
-
-class _FormulaParser:
-    def __init__(self, text: str, tokens: list[_Token]):
-        self.text = text
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        self.indices: list[str] = []  # every index read, in text order
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, expected) -> NoReturn:
-        tok = self.peek()
-        raise ParseError(
-            message, _byte_span(self.text, tok.start, tok.end), expected
-        )
-
-    def expect(self, kind: str, expected_name: str) -> _Token:
-        if self.peek().kind != kind:
-            self.fail(f"expected {expected_name}", {expected_name})
-        return self.advance()
-
-    def implication(self) -> Formula:
-        parts = [self.disjunction()]
-        while self.peek().kind == "->":
-            self.advance()
-            self.nest()
-            parts.append(self.disjunction())
-        self.depth -= len(parts) - 1
-        out = parts.pop()
-        for left in reversed(parts):
-            out = Implies(left, out)
-        return out
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.prefix()
-        while self.peek().kind == "&":
-            self.advance()
-            out = And(out, self.prefix())
-        return out
-
-    def nest(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            self.fail(f"formula nesting deeper than {_MAX_NESTING}", set())
-
-    def prefix(self) -> Formula:
-        # A run of prefix operators, innermost last; each nests one level.
-        wraps = []
-        while self.peek().kind in ("~", "[", "<"):
-            self.nest()
-            kind = self.advance().kind
-            if kind == "~":
-                wraps.append((Not,))
-                continue
-            idx = self.expect("ident", "identifier").text
-            self.indices.append(idx)
-            node, close = (Box, "]") if kind == "[" else (Diamond, ">")
-            self.expect(close, f"'{close}'")
-            wraps.append((node, idx))
-        out = self.atom()
-        self.depth -= len(wraps)
-        for node, *label in reversed(wraps):
-            out = node(*label, out)
-        return out
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.nest()
-            self.advance()
-            out = self.implication()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return out
-        self.fail("expected a formula", _ATOM_STARTERS)
+# Operator -> (how tightly it binds, node).  A binary operator that
+# arrives after an operand folds every pending operator that binds at least
+# as tightly into that operand, but `->` is right associative and folds
+# only the tighter ones.  Any other token after an operand folds all of
+# them, back to the innermost '(', which binds loosest: only its ')'
+# takes it off the stack.
+_OPERATORS = {
+    "(": (0, None),
+    "->": (1, Implies),
+    "|": (2, Or),
+    "&": (3, And),
+    "~": (4, Not),
+    "[": (4, Box),
+    "<": (4, Diamond),
+}
 
 
 def _parse_formula(text: str, start: int, end: int) -> tuple[Formula, list[str]]:
     """The formula in text[start:end] and the indices it reads, in text
-    order; error spans are byte offsets into the whole of `text`."""
-    parser = _FormulaParser(text, _tokenize_formula(text, start, end))
-    out = parser.implication()
-    if parser.peek().kind != "eof":
-        parser.fail("trailing input after formula", {"end of input"})
-    return out, parser.indices
+    order; error spans are byte offsets into the whole of `text`.
+
+    All tokens are read first, so a bad character is reported wherever it
+    stands.  One loop then parses them by operator precedence over an
+    explicit stack of (binding, node, leading node arguments): open
+    parentheses, prefix operators with their labels, and binary operators
+    with their left operands."""
+    tokens = []  # (kind, start, end); kind is 'ident', 'eof' or the operator
+    for m in _FORMULA_TOKEN.finditer(text, start, end):
+        group = m.lastgroup
+        i, j = m.start(group), m.end()
+        if group == "stray":
+            raise ParseError("stray '-'", _byte_span(text, i, j), {"->"})
+        if group == "bad":
+            raise ParseError(f"unexpected character {m[group]!r}", _byte_span(text, i, j))
+        tokens.append((m["op"] or "ident", i, j))
+    tokens.append(("eof", end, end))
+
+    def error(message, token, expected):
+        return ParseError(message, _byte_span(text, token[1], token[2]), expected)
+
+    nesting = f"formula nesting deeper than {_MAX_NESTING}"
+    stack: list = []
+    indices: list[str] = []
+    out = None  # the operand just read, or None where one is expected
+    depth = pos = 0  # depth: the '(', prefix operators and '->' on the stack
+    while True:
+        kind, i, j = token = tokens[pos]
+        pos += 1
+        if out is None:
+            if kind == "ident":
+                out = Atom(text[i:j])
+                continue
+            if kind not in ("(", "~", "[", "<"):
+                raise error("expected a formula", token, _ATOM_STARTERS)
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise error(nesting, token, set())
+            args = ()
+            if kind in ("[", "<"):
+                close = "]" if kind == "[" else ">"
+                if tokens[pos][0] != "ident":
+                    raise error("expected identifier", tokens[pos], {"identifier"})
+                if tokens[pos + 1][0] != close:
+                    raise error(f"expected '{close}'", tokens[pos + 1], {f"'{close}'"})
+                args = (text[tokens[pos][1] : tokens[pos][2]],)
+                indices += args
+                pos += 2
+            stack.append((*_OPERATORS[kind], args))
+            continue
+        infix = kind in ("->", "|", "&")
+        level = _OPERATORS[kind][0] + (kind == "->") if infix else 1
+        while stack and stack[-1][0] >= level:
+            _, node, args = stack.pop()
+            out = node(*args, out)
+            if node is not And and node is not Or:
+                depth -= 1
+        if infix:
+            if kind == "->":
+                depth += 1
+                if depth > _MAX_NESTING:
+                    raise error(nesting, tokens[pos], set())
+            stack.append((*_OPERATORS[kind], (out,)))
+            out = None
+        elif not stack:
+            if kind != "eof":
+                raise error("trailing input after formula", token, {"end of input"})
+            return out, indices
+        elif kind != ")":
+            raise error("expected ')'", token, {"')'"})
+        else:
+            stack.pop()
+            depth -= 1
 
 
 def parse_formula(text: str) -> Formula:

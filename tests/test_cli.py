@@ -479,9 +479,21 @@ def test_fuzzed_invocations_conform_to_exit_statuses(capsys):
         "--max-worlds", "2", "0", "--max-indices", "1", "--coherence",
         "shrink", "sideways", "--strict", "--profile", "section2", "--format",
         "dot", "svg", "--highlight", "--workers",
+        # An undecodable byte of argv, as a lone surrogate.
+        "p & \udcff",
     ]
     for _ in range(150):
         argv = [rng.choice(fragments) for _ in range(rng.randint(0, 6))]
         code = main(argv)
         capsys.readouterr()
         assert code in (0, 1, 2), argv
+    # Random words seldom put a fragment where a formula is read, so each
+    # command that reads one is also given the lone surrogate as its formula.
+    for argv in (
+        ["valid", "p & \udcff"],
+        ["sat", "p & \udcff"],
+        ["eval", SEC33, "p & \udcff", "--world", "w0", "--index", "beta"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: unexpected character '\\udcff' at bytes 4..7\n", argv

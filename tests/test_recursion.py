@@ -2,21 +2,12 @@
 cycle of calls within its module.  A call `f(...)` stands for the
 function f that the caller's scope sees (a nested function, or one at
 module level), and a call `self.f(...)` for the method f of the caller's
-class.  A function listed in ALLOWED is exempt, given a bound that keeps
-its depth below the interpreter's recursion limit."""
+class."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "salogic"
-
-# The formula parser descends implication -> disjunction -> conjunction ->
-# prefix -> atom -> implication, once round the cycle per open
-# parenthesis; syntax._MAX_NESTING bounds the nesting.
-ALLOWED = {
-    f"syntax._FormulaParser.{name}"
-    for name in ("implication", "disjunction", "conjunction", "prefix", "atom")
-}
 
 
 def recursive_functions(source: str, module: str) -> list[str]:
@@ -77,14 +68,8 @@ def recursive_functions(source: str, module: str) -> list[str]:
 
 
 def test_only_bounded_functions_recurse():
-    recursive = {
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in recursive_functions(path.read_text(encoding="utf-8"), path.stem)
-    }
-    assert recursive - ALLOWED == set()
-    # The allowlist names only functions that still recurse.
-    assert ALLOWED - recursive == set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert recursive_functions(path.read_text(encoding="utf-8"), path.stem) == [], path.name
 
 
 def test_a_new_self_call_is_found():

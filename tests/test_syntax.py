@@ -1,6 +1,7 @@
 import random
 import re
 import string
+from dataclasses import dataclass
 
 import pytest
 
@@ -131,6 +132,14 @@ TOKENIZER_EDGES = [
         "p & é",
         ("unexpected character 'é' at bytes 4..6", (4, 6), set()),
     ),
+    # Every token is read before any is parsed: a bad character is
+    # reported even after a token the grammar would refuse first.
+    (
+        parse_formula,
+        print_formula,
+        "p q é",
+        ("unexpected character 'é' at bytes 4..6", (4, 6), set()),
+    ),
     (
         parse_formula,
         print_formula,
@@ -176,6 +185,41 @@ TOKENIZER_EDGES = [
             FORMULA_EXPECTED,
         ),
     ),
+    # A lone surrogate, as an undecodable byte of argv becomes, counts the
+    # 3 bytes of its surrogatepass encoding.
+    (
+        parse_formula,
+        print_formula,
+        "p & \udcff",
+        ("unexpected character '\\udcff' at bytes 4..7", (4, 7), set()),
+    ),
+    # One level past the nesting bound is reported at the token that
+    # opens it: the '(' or prefix operator, or the token after a '->'.
+    (
+        parse_formula,
+        print_formula,
+        "(" * 129 + "p" + ")" * 129,
+        ("formula nesting deeper than 128 at bytes 128..129", (128, 129), set()),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "~" * 129 + "p",
+        ("formula nesting deeper than 128 at bytes 128..129", (128, 129), set()),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "[a]" * 129 + "p",
+        ("formula nesting deeper than 128 at bytes 384..385", (384, 385), set()),
+    ),
+    (
+        parse_formula,
+        print_formula,
+        "p -> " * 129 + "p",
+        ("formula nesting deeper than 128 at bytes 645..646", (645, 646), set()),
+    ),
+    (parse_formula, print_formula, "p -> " * 128 + "p", "p -> " * 128 + "p"),
 ]
 
 
@@ -204,6 +248,245 @@ def test_parse_totality_on_garbage():
             parse_formula(text)
         except ParseError as err:
             assert 0 <= err.span.start <= err.span.end <= len(text.encode())
+
+
+# The formula parser as it was before it parsed by operator precedence: a
+# token record per token and a recursive descent with one method per
+# grammar level.  The parser must keep its results, the indices it reports
+# and its errors on every input.
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'ident', 'eof', or the operator text itself
+    text: str
+    start: int
+    end: int
+
+
+def _reference_tokenize(text, start, end):
+    tokens = []
+    for m in syntax._FORMULA_TOKEN.finditer(text, start, end):
+        kind, i, j = m.lastgroup, m.start(m.lastgroup), m.end()
+        if kind == "stray":
+            raise ParseError("stray '-'", _byte_span(text, i, j), {"->"})
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", _byte_span(text, i, j))
+        tokens.append(_Token("ident" if kind == "ident" else m[kind], m[kind], i, j))
+    tokens.append(_Token("eof", "", end, end))
+    return tokens
+
+
+class _ReferenceFormulaParser:
+    def __init__(self, text, tokens):
+        self.text = text
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.indices = []
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message, expected):
+        tok = self.peek()
+        raise ParseError(message, _byte_span(self.text, tok.start, tok.end), expected)
+
+    def expect(self, kind, expected_name):
+        if self.peek().kind != kind:
+            self.fail(f"expected {expected_name}", {expected_name})
+        return self.advance()
+
+    def implication(self):
+        parts = [self.disjunction()]
+        while self.peek().kind == "->":
+            self.advance()
+            self.nest()
+            parts.append(self.disjunction())
+        self.depth -= len(parts) - 1
+        out = parts.pop()
+        for left in reversed(parts):
+            out = Implies(left, out)
+        return out
+
+    def disjunction(self):
+        out = self.conjunction()
+        while self.peek().kind == "|":
+            self.advance()
+            out = Or(out, self.conjunction())
+        return out
+
+    def conjunction(self):
+        out = self.prefix()
+        while self.peek().kind == "&":
+            self.advance()
+            out = And(out, self.prefix())
+        return out
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > syntax._MAX_NESTING:
+            self.fail(f"formula nesting deeper than {syntax._MAX_NESTING}", set())
+
+    def prefix(self):
+        wraps = []
+        while self.peek().kind in ("~", "[", "<"):
+            self.nest()
+            kind = self.advance().kind
+            if kind == "~":
+                wraps.append((Not,))
+                continue
+            idx = self.expect("ident", "identifier").text
+            self.indices.append(idx)
+            node, close = (Box, "]") if kind == "[" else (Diamond, ">")
+            self.expect(close, f"'{close}'")
+            wraps.append((node, idx))
+        out = self.atom()
+        self.depth -= len(wraps)
+        for node, *label in reversed(wraps):
+            out = node(*label, out)
+        return out
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.advance()
+            return Atom(tok.text)
+        if tok.kind == "(":
+            self.nest()
+            self.advance()
+            out = self.implication()
+            self.expect(")", "')'")
+            self.depth -= 1
+            return out
+        self.fail("expected a formula", syntax._ATOM_STARTERS)
+
+
+def _reference_parse_formula(text, start, end):
+    parser = _ReferenceFormulaParser(text, _reference_tokenize(text, start, end))
+    out = parser.implication()
+    if parser.peek().kind != "eof":
+        parser.fail("trailing input after formula", {"end of input"})
+    return out, parser.indices
+
+
+def _formula_outcome(parse, text, start, end):
+    """The printed formula and its indices, or the error's message, span
+    and expected set.  Trees are compared by their text, as `==` recurses
+    on deep nodes."""
+    try:
+        formula, indices = parse(text, start, end)
+    except ParseError as err:
+        return str(err), err.span, err.expected
+    return print_formula(formula), indices
+
+
+# Token soup: every token kind, near-misses of '->', a bad character and a
+# lone surrogate, and both kinds of label.
+_SOUP = [
+    "p", "q", "a", "b_1", "(", ")", "~", "[", "]", "<", ">", "[a]", "<b>",
+    "->", "|", "&", "-", "- >", "é", "\udcff",
+]
+_SPACES = ["", " ", "  ", "\t", "\n", "\r\n", " ", " "]
+
+
+def _mutated(rng, text):
+    """`text` with a few of its tokens deleted, doubled, swapped or
+    replaced by soup."""
+    tokens = [m.group().strip() for m in syntax._FORMULA_TOKEN.finditer(text)]
+    for _ in range(rng.randint(1, 3)):
+        if not tokens:
+            break
+        k = rng.randrange(len(tokens))
+        roll = rng.randrange(4)
+        if roll == 0:
+            del tokens[k]
+        elif roll == 1:
+            tokens.insert(k, tokens[k])
+        elif roll == 2:
+            m = rng.randrange(len(tokens))
+            tokens[k], tokens[m] = tokens[m], tokens[k]
+        else:
+            tokens[k] = rng.choice(_SOUP)
+    return "".join(rng.choice(_SPACES[1:]) + token for token in tokens)
+
+
+# Openers that each nest one level deeper: (text, closer, whether the text
+# starts with a whole operand).  After a prefix operator, such a text would
+# end the prefix's operand and the level with it, so it follows only the
+# other openers.
+_OPENERS = [
+    ("(", ")", False), ("~", "", False), ("[a]", "", False), ("<b>", "", False),
+    ("(p & ", ")", False), ("~q | (", " & q)", True), ("p -> ", "", True),
+    ("p & q -> ", "", True), ("~p | p -> ", "", True),
+]
+
+
+def _nested(rng, depth):
+    """A formula whose openers nest exactly `depth` deep, mixing '(', '~',
+    '[a]', '<b>' and '->' chains, with '&' and '|' between them."""
+    opens, closes = [], []
+    while len(opens) < depth:
+        opener, closer, operand_first = rng.choice(_OPENERS)
+        if operand_first and opens and opens[-1] in ("~", "[a]", "<b>"):
+            continue
+        opens.append(opener)
+        closes.append(closer)
+    return "".join(opens) + "p" + "".join(reversed(closes))
+
+
+def _compare_formula(text, start=0, end=None):
+    end = len(text) if end is None else end
+    want = _formula_outcome(_reference_parse_formula, text, start, end)
+    assert _formula_outcome(syntax._parse_formula, text, start, end) == want, (text, start, end)
+    return want
+
+
+def test_formulas_match_the_recursive_reference():
+    rng = random.Random(61)
+    alphabet = "pq ab()[]<>~&|-> \t\n∀αβ✗é\udcff" + string.ascii_letters + string.digits
+    parsed = 0
+    for _ in range(1000):
+        text = print_formula(random_formula(rng, rng.randint(0, 7)))
+        parsed += len(_compare_formula(text)) == 2
+        _compare_formula("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))))
+        soup = "".join(
+            rng.choice(_SPACES) + rng.choice(_SOUP) for _ in range(rng.randint(0, 12))
+        )
+        _compare_formula(soup)
+        _compare_formula(_mutated(rng, text))
+        # A slice of a longer text, as parse_proof passes a proof line's
+        # formula: spans count the bytes before the slice, and the
+        # characters after it are no tokens.
+        head = rng.choice(("", "1. ", "é. ", "\udcff; "))
+        tail = rng.choice(("", " ; A1", " q", " é", ")"))
+        body = rng.choice((text, _mutated(rng, text)))
+        _compare_formula(head + body + tail, len(head), len(head) + len(body))
+    assert parsed == 1000
+    # Every nesting depth from well inside the bound to past it, for each
+    # opener alone and in mixtures, closed and left open.
+    for depth in range(120, 134):
+        for text in (
+            "(" * depth + "p" + ")" * depth,
+            "(" * depth + "p",
+            "~" * depth + "p",
+            "[a]" * depth + "p",
+            "<a>" * depth + "p",
+            "p -> " * depth + "p",
+            "p -> " * depth,
+            "~p -> " * depth + "p",
+            "p & q -> " * depth + "p | q",
+        ):
+            _compare_formula(text)
+        for _ in range(8):
+            text = _nested(rng, depth)
+            _compare_formula(text)
+            _compare_formula(_mutated(rng, text))
 
 
 # --- models -----------------------------------------------------------------
@@ -430,6 +713,14 @@ MODEL_LINE_EDGES = [
     (parse_model, "indices: a\nworlds: w0é w1 1w\n",
      ("world 'w0é' is not an identifier at bytes 19..23 (expected identifier)",
       (19, 23), IDENTIFIER)),
+    # A lone surrogate counts the 3 bytes of its surrogatepass encoding,
+    # in the bad word or before it.
+    (parse_model, "indices: a\nworlds: w\udcff\n",
+     ("world 'w\\udcff' is not an identifier at bytes 19..23 (expected identifier)",
+      (19, 23), IDENTIFIER)),
+    (parse_model, "# \udcff\nindices: a\nworlds: w0 1w\n",
+     ("world '1w' is not an identifier at bytes 28..30 (expected identifier)",
+      (28, 30), IDENTIFIER)),
     # A bad word in a trailing comment is no word at all.
     (parse_model,
      "indices: a b  # 1b c-d\nworlds: w0 # w0->w0->w0\nrel a: w0->w0 # a<=\nval p: w0 #1w\n",
