@@ -244,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-indices", type=_positive_int, default=2)
         add_coherence(p)
         p.add_argument("--poset", metavar="FILE", help="fixed index poset file")
-        p.add_argument("--workers", type=_positive_int, default=1)
+        p.add_argument(
+            "--workers",
+            type=_positive_int,
+            default=1,
+            help="accepted for compatibility; does not change the scan (default: 1)",
+        )
 
     p = sub.add_parser("check-model", help="validate a model's frame conditions")
     p.add_argument("file")

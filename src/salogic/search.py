@@ -769,12 +769,13 @@ _FLIPPED = (0, _NEGATIVE, _POSITIVE, _POSITIVE | _NEGATIVE)  # by sign
 
 
 def _signs(program: Program) -> tuple[dict[str, int], dict[str, int]]:
-    """The sign of each atom and each index of the program's last
+    """The sign of each atom and each index of the program's one
     formula, as a mask of _POSITIVE and _NEGATIVE: the signs of its
     occurrences.  One pass from the root down the steps, which list
-    children before parents: `~`, an implication's antecedent and the
-    index of a box flip the sign, and a step reached on several paths
-    collects each one's sign."""
+    children before parents, so every step lies under the root and has
+    its sign before the pass reads it: `~`, an implication's antecedent
+    and the index of a box flip the sign, and a step reached on several
+    paths collects each one's sign."""
     steps = program.steps
     signs = [0] * len(steps)
     signs[program.roots[-1]] = _POSITIVE
@@ -782,8 +783,6 @@ def _signs(program: Program) -> tuple[dict[str, int], dict[str, int]]:
     indices: dict[str, int] = {}
     for pos in range(program.roots[-1], -1, -1):
         sign = signs[pos]
-        if not sign:
-            continue
         step = steps[pos]
         kind = step[0]
         if kind is Atom:
@@ -983,13 +982,17 @@ def axiom_matrix(
     each coherence mode, instantiated at every ordered index pair of every
     searched poset (reflexive pairs included).
 
-    Rows come out in a fixed order: mode, then poset, then schema in
-    SCHEMA_ORDER, then instance indices in declaration order.  Each row's
-    verdict comes from one _decide call over one poset, whose blocks the
-    ceiling counts: the searched poset, or for A3 at alpha that poset
-    with {alpha} as its stable set.  A ValidUpTo verdict carries
-    `bounds`.  Every countermodel carried by a row re-verifies through
-    the scalar evaluator before it is returned.
+    Rows are built in one nested loop, so they come out in its order:
+    mode, then poset, then schema in SCHEMA_ORDER, then instance indices
+    in declaration order.  Each distinct instance formula is built and
+    compiled once per call, whatever the modes.  Each row's verdict comes
+    from one _decide call over one poset, whose blocks the ceiling counts:
+    the searched poset, or for A3 at alpha that poset with {alpha} as its
+    stable set; rows of one mode with the same program and scanned poset
+    share that call.  A ValidUpTo verdict carries `bounds`.  Every
+    countermodel carried by a row re-verifies through the scalar evaluator
+    before it is returned.  The scan is sequential; `workers` is accepted
+    for compatibility and does not change it.
     """
     profiles = tuple(profiles)
     if not profiles:
@@ -999,43 +1002,31 @@ def axiom_matrix(
             raise TypeError(f"not a profile: {profile!r}")
     allowed = frozenset().union(*(PROFILE_SCHEMAS[p] for p in profiles))
     schemas = [s for s in SCHEMA_ORDER if s in allowed]
-    # Instances and their programs depend on neither the mode nor the
-    # reflexivity setting, so each is built once per call.
+    posets = _posets(bounds)
     formulas: dict[tuple[str, str, str], Formula] = {}
     programs: dict[Formula, Program] = {}  # equal instances share one program
-    instances = []  # (poset, schema, alpha, beta, formula, program, scanned poset)
-    for poset in _posets(bounds):
-        for schema in schemas:
-            for alpha, beta in _schema_instances(schema, poset):
-                key = (schema, alpha, beta)
-                if key not in formulas:
-                    formulas[key] = schema_instance(*key)
-                formula = formulas[key]
-                if formula not in programs:
-                    programs[formula] = Program(formula)
-                scanned = poset
-                if SCHEMAS[schema][1] == "a stable":
-                    # Reflection holds at a stable level: scan alpha stable
-                    # alone, which covers every stable set holding alpha.
-                    scanned = replace(poset, stable=frozenset({alpha}))
-                instances.append((poset, schema, alpha, beta, formula, programs[formula], scanned))
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
-        verdicts: dict = {}  # (program, scanned poset) -> verdict
-        for poset, schema, alpha, beta, formula, program, scanned in instances:
-            if (program, scanned) not in verdicts:
-                verdicts[program, scanned] = _decide(program, (scanned,), bounds, policy, ceiling)
-            rows.append(
-                MatrixRow(
-                    schema,
-                    mode,
-                    poset,
-                    alpha,
-                    beta,
-                    formula,
-                    require_stable_reflexive,
-                    verdicts[program, scanned],
-                )
-            )
+        verdicts: dict = {}  # (program, posets it scans) -> verdict
+        for poset in posets:
+            for schema in schemas:
+                for alpha, beta in _schema_instances(schema, poset):
+                    key = (schema, alpha, beta)
+                    if key not in formulas:
+                        formulas[key] = schema_instance(*key)
+                    formula = formulas[key]
+                    if formula not in programs:
+                        programs[formula] = Program(formula)
+                    scanned = poset
+                    if SCHEMAS[schema][1] == "a stable":
+                        # Reflection holds at a stable level: scan alpha
+                        # stable alone, which covers every stable set
+                        # holding alpha.
+                        scanned = replace(poset, stable=frozenset({alpha}))
+                    query = (programs[formula], (scanned,))
+                    if query not in verdicts:
+                        verdicts[query] = _decide(*query, bounds, policy, ceiling)
+                    fields = (schema, mode, poset, alpha, beta, formula, require_stable_reflexive)
+                    rows.append(MatrixRow(*fields, verdicts[query]))
     return tuple(rows)

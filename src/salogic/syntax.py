@@ -262,8 +262,8 @@ def print_formula(formula: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Model files
 
-_MODEL_SECTIONS = ("indices", "order", "stable", "worlds", "worldorder")
 _POSET_SECTIONS = ("indices", "order", "stable")
+_MODEL_SECTIONS = _POSET_SECTIONS + ("worlds", "worldorder", "rel", "val")
 
 
 def _logical_lines(text: str):
@@ -300,24 +300,17 @@ _SECTION_WORDS = {
 
 
 class _Sections:
-    """Accumulator for the line-oriented model/poset/proof-header format."""
+    """Accumulator for the line-oriented model/poset/proof-header format.
+
+    `words` maps a section line's head, split into its parts (`("indices",)`,
+    `("rel", "a")`), to the words read under it in line order.  A line
+    declares its section even with no words, so a bare `val q:` declares
+    `q` and an empty `worldorder:` line gives an empty world order.  Only
+    `indices` and `worlds` reject a repeated name; the other sections keep
+    repeats, which the poset and model constructors freeze into sets."""
 
     def __init__(self):
-        self.indices: list[str] = []
-        self.order: list[tuple[str, str]] = []
-        self.stable: list[str] = []
-        self.worlds: list[str] = []
-        self.worldorder: list[tuple[str, str]] = []
-        self.worldorder_declared = False
-        self.rel: dict[str, set[tuple[str, str]]] = {}
-        self.val: dict[str, set[str]] = {}
-
-    @staticmethod
-    def _declare(target: list[str], names: list[str], span, role: str):
-        for name in names:
-            if name in target:
-                raise ParseError(f"duplicate {role} {name!r}", span, set())
-            target.append(name)
+        self.words: dict[tuple[str, ...], list] = {}
 
     def feed(self, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> None:
         """Consume one line; a blank line adds nothing.
@@ -338,7 +331,7 @@ class _Sections:
         )
         if not sep:
             raise ParseError("expected a 'section:' line", span, {"':'"})
-        parts = stripped.split()
+        parts = tuple(stripped.split())
         keyword = parts[0] if parts else ""
         if keyword not in allowed or len(parts) != (2 if keyword in ("rel", "val") else 1):
             raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
@@ -354,43 +347,47 @@ class _Sections:
                 if not re.fullmatch(pattern, bad[0])
             )
             raise ParseError(message.format(word), _byte_span(text, start, end), {expected})
-        if keyword == "indices":
-            self._declare(self.indices, found, span, "index")
-        elif keyword == "worlds":
-            self._declare(self.worlds, found, span, "world")
-        elif keyword == "order":
-            self.order.extend(found)
-        elif keyword == "worldorder":
-            self.worldorder_declared = True
-            self.worldorder.extend(found)
-        elif keyword == "stable":
-            for name in found:
-                if name not in self.stable:
-                    self.stable.append(name)
-        elif keyword == "rel":
-            self.rel.setdefault(parts[1], set()).update(found)
-        else:
-            self.val.setdefault(parts[1], set()).update(found)
+        words = self.words.setdefault(parts, [])
+        if keyword not in ("indices", "worlds"):
+            words += found
+            return
+        for name in found:
+            if name in words:
+                role = "index" if keyword == "indices" else "world"
+                raise ParseError(f"duplicate {role} {name!r}", span, set())
+            words.append(name)
+
+    @classmethod
+    def read(cls, text: str, allowed: tuple[str, ...]) -> _Sections:
+        """The sections of every line of `text`."""
+        sections = cls()
+        for content, offset in _logical_lines(text):
+            sections.feed(text, content, offset, allowed)
+        return sections
 
     def build_poset(self, text: str) -> IndexPoset:
-        if not self.indices:
+        words = self.words
+        if not words.get(("indices",)):
             raise ParseError(
                 "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
             )
-        return IndexPoset.from_order(self.indices, self.order, self.stable)
+        return IndexPoset.from_order(
+            words[("indices",)], words.get(("order",), ()), words.get(("stable",), ())
+        )
 
     def build_model(self, text: str) -> StratifiedModel:
         poset = self.build_poset(text)
-        if not self.worlds:
+        words = self.words
+        if not words.get(("worlds",)):
             raise ParseError(
                 "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
             )
         return StratifiedModel(
             poset=poset,
-            worlds=tuple(self.worlds),
-            relations=self.rel,
-            valuation=self.val,
-            world_order=self.worldorder if self.worldorder_declared else None,
+            worlds=tuple(words[("worlds",)]),
+            relations={key[1]: found for key, found in words.items() if key[0] == "rel"},
+            valuation={key[1]: found for key, found in words.items() if key[0] == "val"},
+            world_order=words.get(("worldorder",)),
         )
 
 
@@ -401,10 +398,7 @@ def parse_model(text: str) -> StratifiedModel:
     section refers to an unknown world or index, and CycleError when an
     order section is not antisymmetric.
     """
-    sections = _Sections()
-    for content, offset in _logical_lines(text):
-        sections.feed(text, content, offset, _MODEL_SECTIONS + ("rel", "val"))
-    return sections.build_model(text)
+    return _Sections.read(text, _MODEL_SECTIONS).build_model(text)
 
 
 def load_example_model(name: str) -> StratifiedModel:
@@ -416,10 +410,7 @@ def load_example_model(name: str) -> StratifiedModel:
 def parse_poset(text: str) -> IndexPoset:
     """Parse a poset file: the model format restricted to the `indices:`,
     `order:` and `stable:` sections."""
-    sections = _Sections()
-    for content, offset in _logical_lines(text):
-        sections.feed(text, content, offset, _POSET_SECTIONS)
-    return sections.build_poset(text)
+    return _Sections.read(text, _POSET_SECTIONS).build_poset(text)
 
 
 def _poset_lines(poset: IndexPoset) -> list[str]:
@@ -544,8 +535,9 @@ def parse_proof(
             first_use.setdefault(name, number)
         lines.append(ProofLine(number, formula, justification))
 
+    header = sections.words
     for section in ("order", "stable"):
-        if getattr(sections, section) and not sections.indices:
+        if header.get((section,)) and not header.get(("indices",)):
             raise ParseError(
                 f"{section}: requires an indices: header",
                 _byte_span(text, 0, len(text)),
@@ -555,7 +547,7 @@ def parse_proof(
     # with no stable levels.
     poset = (
         sections.build_poset(text)
-        if sections.indices
+        if header.get(("indices",))
         else IndexPoset.from_order(list(first_use) or ["a"])
     )
     for name, number in first_use.items():

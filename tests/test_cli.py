@@ -9,6 +9,9 @@ import pytest
 
 from salogic import example_model_path
 from salogic.cli import main
+from salogic.syntax import print_formula
+
+from fuzz import random_formula
 
 SEC33 = str(example_model_path("sec33"))
 
@@ -211,14 +214,20 @@ def test_valid_and_sat_report_the_poset_size(tmp_path, capsys):
 
 
 def test_valid_worker_flag_gives_identical_output(capsys):
-    outputs = set()
-    for workers in ("1", "4"):
-        code, out, _ = run(
-            capsys, "valid", "<a>p -> <b>p", "--max-worlds", "2", "--workers", workers
-        )
-        assert code == 1
-        outputs.add(out)
-    assert len(outputs) == 1
+    # --workers is accepted for compatibility and does not change the scan,
+    # so each search command prints the same bytes for every count.
+    queries = [
+        (1, "valid", "<a>p -> <b>p"),
+        (0, "sat", "p & <a>p & [b]~p"),
+        (0, "axioms"),
+    ]
+    for code_wanted, *command in queries:
+        outputs = set()
+        for workers in ("1", "4"):
+            code, out, err = run(capsys, *command, "--max-worlds", "2", "--workers", workers)
+            assert (code, err) == (code_wanted, "")
+            outputs.add(out)
+        assert len(outputs) == 1, command
 
 
 # --- prove ------------------------------------------------------------------
@@ -497,3 +506,89 @@ def test_fuzzed_invocations_conform_to_exit_statuses(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err == "error: unexpected character '\\udcff' at bytes 4..7\n", argv
+
+
+def _generated_command(rng, files):
+    """A command line that starts from a subcommand and what it requires,
+    then takes 0-4 of that command's own options, each with a valid or an
+    invalid value.  A search never runs past 2 worlds."""
+
+    def formula(indices):
+        if rng.random() < 0.8:
+            return print_formula(random_formula(rng, rng.randint(0, 3), ("p", "q"), indices))
+        return rng.choice(["((", "p &", "p & \udcff", "[a", "<>p", "p q", "", "~", "\u00e9"])
+
+    coherence = ["shrink", "grow", "none", "sideways"]
+    search = {
+        "--max-worlds": ["1", "2", "0", "-1", "x"],
+        "--max-indices": ["1", "2", "0", "x"],
+        "--coherence": coherence,
+        "--poset": files,
+        "--workers": ["1", "4", "0", "x"],
+    }
+    commands = {
+        "check-model": ([rng.choice(files)], {"--coherence": coherence, "--strict": None}),
+        "eval": (
+            [
+                rng.choice(files),
+                formula(("alpha", "beta", "gamma")),
+                "--world",
+                rng.choice(["w0", "w1", "w2", "w9"]),
+                "--index",
+                rng.choice(["alpha", "beta", "gamma", "zz"]),
+            ],
+            {"--trace": None},
+        ),
+        "valid": ([formula(("a", "b")), "--max-worlds", rng.choice("12")], search),
+        "sat": ([formula(("a", "b")), "--max-worlds", rng.choice("12")], search),
+        "axioms": (
+            ["--max-worlds", rng.choice("12")],
+            {**search, "--profile": ["section2", "section3", "both", "bogus"]},
+        ),
+        "prove": (
+            [rng.choice(files)],
+            {
+                "--profile": ["section2", "section3", "both"],
+                "--nec-stable-only": None,
+                "--no-nec-stable-only": None,
+            },
+        ),
+        "export": (
+            [rng.choice(files)],
+            {"--format": ["dot", "svg"], "--highlight": ["p", "q", "zz"]},
+        ),
+    }
+    command = rng.choice(sorted(commands))
+    argv, options = commands[command]
+    argv = [command, *argv]
+    for option in rng.sample(sorted(options), min(len(options), rng.randint(0, 4))):
+        values = options[option]
+        argv += [option] if values is None else [option, rng.choice(values)]
+    return argv
+
+
+def test_generated_commands_conform_to_exit_statuses(tmp_path, capsys):
+    proof = tmp_path / "proof.sal"
+    proof.write_text(
+        "indices: a\nstable: a\n1. p -> p ; A1\n2. [a](p -> p) ; NEC a 1\n", encoding="utf-8"
+    )
+    poset = tmp_path / "chain.sal"
+    poset.write_text("indices: a b\norder: a<=b\n", encoding="utf-8")
+    files = [SEC33, str(proof), str(poset), str(tmp_path / "missing.salm")]
+    rng = random.Random(433)
+    reached = 0
+    for _ in range(300):
+        argv = _generated_command(rng, files)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        if code == 2:
+            one_error = err.startswith("error: ") and err.count("\n") == 1
+            assert one_error or err.startswith("usage: "), argv
+            reached += one_error
+        else:
+            assert err == "", argv
+            reached += 1
+    # Most invocations get past argparse to a handler: an outcome, or one
+    # error line from the handler.
+    assert reached > 150, f"only {reached} of 300 invocations reached a handler"

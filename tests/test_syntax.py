@@ -16,6 +16,7 @@ from salogic.core import (
     IndexPoset,
     Not,
     Or,
+    StratifiedModel,
     is_identifier,
 )
 from salogic.errors import (
@@ -805,7 +806,49 @@ def _reference_pairs(text, words, separator, role):
     return pairs
 
 
-class _ReferenceSections(syntax._Sections):
+class _ReferenceSections:
+    """The section accumulator as it was before a line's words went into one
+    dict: a container per section, a flag for a declared world order, and a
+    duplicate check for indices and worlds."""
+
+    def __init__(self):
+        self.indices: list[str] = []
+        self.order: list[tuple[str, str]] = []
+        self.stable: list[str] = []
+        self.worlds: list[str] = []
+        self.worldorder: list[tuple[str, str]] = []
+        self.worldorder_declared = False
+        self.rel: dict[str, set[tuple[str, str]]] = {}
+        self.val: dict[str, set[str]] = {}
+
+    @staticmethod
+    def _declare(target, names, span, role):
+        for name in names:
+            if name in target:
+                raise ParseError(f"duplicate {role} {name!r}", span, set())
+            target.append(name)
+
+    def build_poset(self, text):
+        if not self.indices:
+            raise ParseError(
+                "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
+            )
+        return IndexPoset.from_order(self.indices, self.order, self.stable)
+
+    def build_model(self, text):
+        poset = self.build_poset(text)
+        if not self.worlds:
+            raise ParseError(
+                "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
+            )
+        return StratifiedModel(
+            poset=poset,
+            worlds=tuple(self.worlds),
+            relations=self.rel,
+            valuation=self.val,
+            world_order=self.worldorder if self.worldorder_declared else None,
+        )
+
     def feed(self, text, content, offset, allowed):
         if not content.strip():
             return
@@ -854,7 +897,9 @@ class _ReferenceSections(syntax._Sections):
 def _reference_parse(parse, text):
     """parse_model or parse_poset, reading each line word by word."""
     model = parse is parse_model
-    allowed = syntax._MODEL_SECTIONS + ("rel", "val") if model else syntax._POSET_SECTIONS
+    allowed = ("indices", "order", "stable")
+    if model:
+        allowed += ("worlds", "worldorder", "rel", "val")
     sections = _ReferenceSections()
     for content, offset in syntax._logical_lines(text):
         sections.feed(text, content, offset, allowed)
