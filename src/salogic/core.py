@@ -244,6 +244,7 @@ class Diamond(Formula):
 
 
 _NODE_TYPES = (Atom, Not, And, Or, Implies, Box, Diamond)
+_KINDS = {t: t for t in _NODE_TYPES}  # exact node type -> node type
 
 
 def _parts(formula: Formula) -> tuple[type, tuple[Formula, ...]]:
@@ -277,9 +278,10 @@ def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
     pushes the children that have none, leftmost on top.  Nodes are
     deduplicated by exact type, label and child positions, since hashing
     a deep node recurses through it, so two nodes share a position
-    exactly when they are equal.  The fields of each node type are read
-    directly; a subclass of a node type goes through _parts and gets that
-    type's step, and anything else raises TypeError there."""
+    exactly when they are equal.  Each node's type is looked up in
+    _KINDS; only a miss goes through _parts, which gives a subclass of a
+    node type that type, so its step is that type's, and raises
+    TypeError for anything else."""
     found: list[Formula] = []
     steps: list[tuple] = []
     keys: dict[tuple, int] = {}  # (exact type, label, *child positions) -> position
@@ -290,9 +292,10 @@ def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
         if id(g) in seen:
             stack.pop()
             continue
-        kind = type(g)
+        exact = type(g)
+        kind = _KINDS.get(exact) or _parts(g)[0]
         if kind is Atom:
-            key = (Atom, g.name)
+            key = (exact, g.name)
         elif kind is And or kind is Or or kind is Implies:
             left, right = g.left, g.right
             a, b = seen.get(id(left)), seen.get(id(right))
@@ -302,21 +305,13 @@ def _walk(*formulas: Formula) -> tuple[list[Formula], list[tuple], list[int]]:
                 if a is None:
                     stack.append(left)
                 continue
-            key = (kind, None, a, b)
-        elif kind is Not or kind is Box or kind is Diamond:
+            key = (exact, None, a, b)
+        else:  # Not, Box, Diamond
             a = seen.get(id(g.operand))
             if a is None:
                 stack.append(g.operand)
                 continue
-            key = (kind, None if kind is Not else g.index, a)
-        else:
-            kind, kids = _parts(g)
-            args = [seen.get(id(c)) for c in kids]
-            if None in args:
-                stack.extend([c for c, a in zip(reversed(kids), reversed(args)) if a is None])
-                continue
-            label = g.name if kind is Atom else getattr(g, "index", None)
-            key = (type(g), label, *args)
+            key = (exact, None if kind is Not else g.index, a)
         stack.pop()
         pos = keys.setdefault(key, len(found))
         if pos == len(found):

@@ -35,11 +35,15 @@ blocks that the scan order below reaches, scans each in slabs of at most
 _SLAB admissible candidates in increasing order, in one thread, and
 re-checks the hit on the same program, so a query is compiled once
 whatever its verdict.  The `workers` argument is kept for compatibility
-and does not change the scan.  axiom_matrix builds each schema instance
-once per call and compiles each distinct instance formula once, so
-equal instances (A4 and DDOWN at a reflexive pair) share one program.
-It keeps one dict of verdicts per mode, keyed by that program and the
-poset it scans, so an instance that recurs under a mode is scanned once.
+and does not change the scan.  axiom_matrix takes each schema instance
+and its program from _instance, built and compiled once per process:
+an LRU of 256 entries keyed by (schema, alpha, beta).  The matrix
+benchmark workload and the 4-world matrix use 13 keys, one profile at
+two indices 10 and a 5-index chain 55; 256 hold every instance over a
+chain of up to 11 indices.  Each call keeps one dict of verdicts per
+mode, keyed by the instance formula and the poset it scans, so equal
+instances (A4 and DDOWN at a reflexive pair) share one scan, and so
+does an instance that recurs under a mode.
 
 Scan order.  The order blocks are scanned in is not the candidate order.
 A countermodel on n' worlds extends to one on any n > n': add worlds
@@ -154,12 +158,14 @@ layout (_Layout) and on two caps, at most _SLAB lanes per slab and
 _PATTERNS digits per cell.  The layout is the world count, the valuation
 bits and, for each kept index, the inclusions, cell group and forced
 diagonal the policy gives it, and the block's pins; index names, atom
-names and the formula are not part of it.  _plan is the one reader of
-the caps that builds slabs: it passes them to _first_slab and _split,
-which take them as arguments (_decide reads _SLAB only to gate pinning).  A slab is a
-list of digit lists, one per cell, in one fixed order: the one-bit
-valuation cells lowest first, then the relation cells by position and
-group, as _split builds them.  _split hands each slab over with its
+names and the formula are not part of it.  _first_hit is the one
+reader of the caps that builds slabs: it passes them to _first_slab and
+_split, which take them as arguments (_decide reads _SLAB only to gate
+pinning).  It scans the first slab from _first_slab, and walks the
+later slabs of _split only when that one misses.  A slab is a list of
+digit lists, one per cell, in one fixed order: the one-bit valuation
+cells lowest first, then the relation cells by position and group, as
+_split builds them.  _split hands each slab over with its
 lane count, the product of the lists' lengths.  The order decides
 neither which candidates a slab holds nor its least hit.  The layout of
 a block scanned before is memoized, and _first_slab, an LRU of 32
@@ -705,36 +711,32 @@ def _scan_slab(
 def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[int, dict[int, int], bool]:
     """The (lanes, columns, more) plan of the layout's first slab under
     the caps `slab` and `patterns`, which it passes on to _split: more is
-    False when the slab is the whole block.  The caps are arguments, so
-    they key the cache with the layout.  A plan is a function of its key
-    and is only read, so what the cache holds changes no verdict."""
+    False when the slab is the whole block, and True when the slab fixes
+    top bits, so _first_hit walks the later slabs only then.  The caps are
+    arguments, which _first_hit reads, so they key the cache with the
+    layout.  A plan is a function of its key and is only read, so what the
+    cache holds changes no verdict."""
     depth, lanes, digits = next(_split(layout, slab, patterns))
     return lanes, _columns(digits, lanes), depth > 0
 
 
-def _plan(block: _Block, policy: FramePolicy) -> Iterator[tuple[int, dict[int, int]]]:
-    """The (lanes, columns) pair of each of the block's slabs, in
-    increasing order, under the caps _SLAB and _PATTERNS: this is the one
-    reader of the two, and hands them to _first_slab and _split.  The
-    first slab's pair comes from _first_slab, so it is built once per
-    layout while the cache holds it; each later slab's is merged from
-    _digit_columns as it is scanned."""
+def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
+    """Least falsifying candidate of the block, or None.  This is the one
+    reader of the caps _SLAB and _PATTERNS that builds slabs.  The first
+    slab's plan comes from _first_slab, so it is built once per layout
+    while the cache holds it.  Only when that slab misses and the block
+    has more are the later slabs of _split walked, in increasing order,
+    each merged from _digit_columns as it is scanned: the first that
+    hits holds the least hit."""
     layout = _layout(block, policy)
     lanes, columns, more = _first_slab(layout, _SLAB, _PATTERNS)
-    yield lanes, columns
-    if more:
+    hit = _scan_slab(block, program, lanes, columns)
+    if hit is None and more:
         for _depth, lanes, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
-            yield lanes, _columns(digits, lanes)
-
-
-def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
-    """Least falsifying candidate of the block, or None.  Slabs are
-    scanned in increasing order, so the first that hits holds it."""
-    for lanes, columns in _plan(block, policy):
-        hit = _scan_slab(block, program, lanes, columns)
-        if hit is not None:
-            return hit
-    return None
+            hit = _scan_slab(block, program, lanes, _columns(digits, lanes))
+            if hit is not None:
+                break
+    return hit
 
 
 def _resolve_atoms(program: Program, bounds: SearchBounds) -> tuple[str, ...]:
@@ -963,6 +965,19 @@ class MatrixRow:
     verdict: Verdict
 
 
+@lru_cache(maxsize=256)
+def _instance(schema: str, alpha: str, beta: str) -> tuple[Formula, Program]:
+    """The schema's instance at (alpha, beta) and its compiled program,
+    built once per process while the table holds them.  Why 256 entries:
+    the matrix benchmark workload and the 4-world matrix use 13 keys, one
+    profile at two indices 10 and a 5-index chain 55; every instance over
+    a chain of up to 11 indices fits.
+    An entry is a function of its key and is only read, so no row
+    depends on what the table holds."""
+    formula = schema_instance(schema, alpha, beta)
+    return formula, Program(formula)
+
+
 def _schema_instances(schema: str, poset: IndexPoset) -> tuple[tuple[str, str], ...]:
     if SCHEMAS[schema][1] == "a<=b":
         return poset.ordered_pairs()
@@ -984,11 +999,12 @@ def axiom_matrix(
 
     Rows are built in one nested loop, so they come out in its order:
     mode, then poset, then schema in SCHEMA_ORDER, then instance indices
-    in declaration order.  Each distinct instance formula is built and
-    compiled once per call, whatever the modes.  Each row's verdict comes
-    from one _decide call over one poset, whose blocks the ceiling counts:
-    the searched poset, or for A3 at alpha that poset with {alpha} as its
-    stable set; rows of one mode with the same program and scanned poset
+    in declaration order.  Each instance and its program come from
+    _instance, so they are built and compiled once per process, and a
+    call on a warm table builds neither.  Each row's verdict comes from
+    one _decide call over one poset, whose blocks the ceiling counts: the
+    searched poset, or for A3 at alpha that poset with {alpha} as its
+    stable set; rows of one mode with an equal formula and scanned poset
     share that call.  A ValidUpTo verdict carries `bounds`.  Every
     countermodel carried by a row re-verifies through the scalar evaluator
     before it is returned.  The scan is sequential; `workers` is accepted
@@ -1003,30 +1019,23 @@ def axiom_matrix(
     allowed = frozenset().union(*(PROFILE_SCHEMAS[p] for p in profiles))
     schemas = [s for s in SCHEMA_ORDER if s in allowed]
     posets = _posets(bounds)
-    formulas: dict[tuple[str, str, str], Formula] = {}
-    programs: dict[Formula, Program] = {}  # equal instances share one program
     rows: list[MatrixRow] = []
     for mode in modes:
         policy = FramePolicy(mode, require_stable_reflexive)
-        verdicts: dict = {}  # (program, posets it scans) -> verdict
+        verdicts: dict = {}  # (formula, poset it scans) -> verdict
         for poset in posets:
             for schema in schemas:
                 for alpha, beta in _schema_instances(schema, poset):
-                    key = (schema, alpha, beta)
-                    if key not in formulas:
-                        formulas[key] = schema_instance(*key)
-                    formula = formulas[key]
-                    if formula not in programs:
-                        programs[formula] = Program(formula)
+                    formula, program = _instance(schema, alpha, beta)
                     scanned = poset
                     if SCHEMAS[schema][1] == "a stable":
                         # Reflection holds at a stable level: scan alpha
                         # stable alone, which covers every stable set
                         # holding alpha.
                         scanned = replace(poset, stable=frozenset({alpha}))
-                    query = (programs[formula], (scanned,))
+                    query = (formula, scanned)
                     if query not in verdicts:
-                        verdicts[query] = _decide(*query, bounds, policy, ceiling)
+                        verdicts[query] = _decide(program, (scanned,), bounds, policy, ceiling)
                     fields = (schema, mode, poset, alpha, beta, formula, require_stable_reflexive)
                     rows.append(MatrixRow(*fields, verdicts[query]))
     return tuple(rows)

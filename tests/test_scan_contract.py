@@ -30,7 +30,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from itertools import combinations, compress, product
+from itertools import combinations, compress, islice, product
 from math import prod
 from pathlib import Path
 
@@ -619,6 +619,14 @@ def fresh_plan(block, policy, slab, patterns) -> list[tuple[int, dict[int, int]]
     return plan
 
 
+def later_slabs(key) -> list[tuple[int, dict[int, int]]]:
+    """The (lanes, columns) pair of each slab after the first under the
+    plan key, built as _first_hit builds them: from _split and _columns,
+    with whatever _digit_columns holds."""
+    later = islice(search._split(*key), 1, None)
+    return [(lanes, search._columns(digits, lanes)) for _depth, lanes, digits in later]
+
+
 def cache_hits() -> int:
     return search._first_slab.cache_info().hits
 
@@ -652,6 +660,8 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     # A plan is a function of its key: blocks with one key list the same
     # digits, and each block's plan, its first slab taken from the cache
     # that earlier blocks filled, equals the plan built with no cache.
+    # `more` is set when the first slab fixes top bits, even when their
+    # other values hold no candidate and the block lists one slab.
     # The blocks are every shape at 1-3 worlds and every 3-index poset at
     # one world.
     search._first_slab.cache_clear()
@@ -664,11 +674,13 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
             for kept in kept_subsets(poset):
                 block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
                 key, case = plan_key(block, policy), (policy, poset, n, kept)
-                digits = [digits for _depth, _lanes, digits in search._split(*key)]
+                slabs = list(search._split(*key))
+                digits = [digits for _depth, _lanes, digits in slabs]
                 assert digits_of.setdefault(key, digits) == digits, case
                 before = cache_hits()
                 fresh = fresh_plan(block, policy, *key[1:])
-                assert list(search._plan(block, policy)) == fresh, case
+                assert search._first_slab(*key) == (*fresh[0], slabs[0][0] > 0), case
+                assert later_slabs(key) == fresh[1:], case
                 served += cache_hits() > before
                 several += cache_hits() > before and len(digits) > 1
     assert served > 7000 and several > 5 and len(digits_of) < 200
@@ -683,17 +695,19 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
     for policy in POLICIES:
         search._first_slab.cache_clear()
-        assert list(search._plan(a_in_chain, policy)) == list(search._plan(b_in_antichain, policy))
+        key = plan_key(a_in_chain, policy)
+        assert key == plan_key(b_in_antichain, policy)
+        assert search._first_slab(*key) == search._first_slab(*plan_key(b_in_antichain, policy))
         info = search._first_slab.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert len(built) == len(POLICIES)
     monkeypatch.setattr(search, "_columns", columns)
 
     # Blocks of several slabs keep their first slab: at 4 lanes and 2
-    # digits per cell nearly every block has several.  _plan reads the
-    # caps, which are part of the key, so no plan built at the default
-    # caps is read here.  Served from the cache, the first slab and the
-    # later ones equal those built with no cache at the same caps.
+    # digits per cell nearly every block has several.  _first_hit reads
+    # the caps, which are part of the key, so no plan built at the
+    # default caps is read here.  Served from the cache, the first slab
+    # and the later ones equal those built with no cache at the same caps.
     monkeypatch.setattr(search, "_SLAB", 4)
     monkeypatch.setattr(search, "_PATTERNS", 2)
     served = 0
@@ -703,7 +717,10 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
                 block = search._Block(poset, n, ("p",), frozenset(poset.indices) - set(kept))
                 fresh = fresh_plan(block, policy, 4, 2)
                 before = cache_hits()
-                assert list(search._plan(block, policy)) == fresh, (policy, poset, n, kept)
+                key, case = plan_key(block, policy), (policy, poset, n, kept)
+                more = next(search._split(*key))[0] > 0  # the first slab fixes top bits
+                assert search._first_slab(*key) == (*fresh[0], more), case
+                assert later_slabs(key) == fresh[1:], case
                 served += cache_hits() > before and len(fresh) > 1
     assert served > 150
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +31,7 @@ from salogic.search import (
 )
 from salogic.proofs import check_derivation
 from salogic.semantics import FramePolicy, evaluate, validate_frame
-from salogic.syntax import parse_formula, parse_proof, print_model
+from salogic.syntax import parse_formula, parse_proof, print_formula, print_model
 
 from fuzz import random_formula
 from oracles import first_countermodel, naive_eval
@@ -427,22 +428,87 @@ def test_each_query_compiles_its_formula_once(monkeypatch):
     assert isinstance(decide_valid(invalid, SearchBounds(3, 2), SHRINK), Counterexample)
     assert walked == [invalid]
 
-    # The matrix compiles each distinct instance formula once per call,
-    # whatever the modes and however many countermodels it re-checks.
+    # The matrix builds and compiles each schema instance once per
+    # process: SECTION2 at 3 worlds has 10 instance keys, and the same
+    # call again compiles none, however many countermodels it re-checks.
+    search._instance.cache_clear()
     walked.clear()
-    rows = axiom_matrix((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), SearchBounds(3, 2))
+    section2 = ((AxiomProfile.SECTION2,), (CoherenceMode.SHRINK,), SearchBounds(3, 2))
+    rows = axiom_matrix(*section2)
     assert all(isinstance(row.verdict, ValidUpTo) for row in rows)
-    assert len(walked) == len({row.formula for row in rows})
+    assert len(walked) == len({(row.schema, row.alpha, row.beta) for row in rows}) == 10
     walked.clear()
+    assert axiom_matrix(*section2) == rows
+    assert walked == []
+    # Every profile and mode then compiles only SECTION3's A4 instances.
+    # Each mode decides each distinct (formula, scanned poset) once, so
+    # A4 and DDOWN at (a, a), equal instances, share one scan.
+    decide = search._decide
+    decided = []
+
+    def counting_decide(program, posets, bounds, policy, ceiling):
+        decided.append((policy.coherence, program.nodes[-1], posets))
+        return decide(program, posets, bounds, policy, ceiling)
+
+    monkeypatch.setattr(search, "_decide", counting_decide)
     rows = axiom_matrix(tuple(AxiomProfile), tuple(CoherenceMode), SearchBounds(3, 2))
-    formulas = {row.formula for row in rows}
-    refuted = {
-        (row.mode, row.formula, row.poset)
+    assert walked == [schema_instance("A4", *pair) for pair in ("aa", "bb", "ab")]
+    assert len(decided) == len(set(decided))
+    scanned = {
+        (row.mode, row.formula, replace(row.poset, stable=frozenset({row.alpha})))
+        if row.schema == "A3"
+        else (row.mode, row.formula, row.poset)
         for row in rows
-        if isinstance(row.verdict, Counterexample)
     }
-    assert refuted and len(formulas) < len({(row.formula, row.poset) for row in rows})
-    assert len(walked) == len(formulas)
+    assert {(mode, formula, poset) for mode, formula, (poset,) in decided} == scanned
+    assert schema_instance("A4", "a", "a") == schema_instance("DDOWN", "a", "a")
+    assert len(decided) < len({(row.mode, row.schema, row.formula, row.poset) for row in rows})
+    assert any(isinstance(row.verdict, Counterexample) for row in rows)
+
+
+def matrix_text(rows) -> list[tuple]:
+    """Each row as text: its fields, the instance by print_formula and
+    the countermodel by print_model, so rows built from a cold and a warm
+    instance table compare by content, not by identity."""
+    texts = []
+    for row in rows:
+        verdict = row.verdict
+        found = (
+            (verdict.bounds,)
+            if isinstance(verdict, ValidUpTo)
+            else (print_model(verdict.model), verdict.world, verdict.index)
+        )
+        fields = (row.schema, row.mode, row.poset, row.alpha, row.beta)
+        texts.append((*fields, print_formula(row.formula), row.require_stable_reflexive, *found))
+    return texts
+
+
+def test_a_warm_instance_table_gives_the_rows_of_a_cold_one():
+    chain3 = IndexPoset.from_order(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    for bounds in (SearchBounds(2, 2), SearchBounds(3, 2), SearchBounds(2, 3, poset=chain3)):
+        for refl in (True, False):
+            args = (tuple(AxiomProfile), tuple(CoherenceMode), bounds)
+            search._instance.cache_clear()
+            cold = axiom_matrix(*args, require_stable_reflexive=refl)
+            before = search._instance.cache_info()
+            assert before.hits > 0
+            # On a warm table every row's instance is a hit.
+            warm = axiom_matrix(*args, require_stable_reflexive=refl)
+            after = search._instance.cache_info()
+            assert (after.hits, after.misses) == (before.hits + len(warm), before.misses)
+            assert matrix_text(warm) == matrix_text(cold)
+
+
+def test_the_matrix_workload_uses_13_instances():
+    # The benchmark's matrix ops: both profiles at 3 worlds and 2
+    # indices, one per coherence mode and reflexivity setting.
+    search._instance.cache_clear()
+    for mode in CoherenceMode:
+        for refl in (True, False):
+            axiom_matrix(
+                tuple(AxiomProfile), (mode,), SearchBounds(3, 2), require_stable_reflexive=refl
+            )
+    assert search._instance.cache_info().currsize == 13
 
 
 def test_rejects_indices_outside_search_space():
