@@ -168,7 +168,10 @@ cells lowest first, then the relation cells by position and group, as
 _split builds them.  _split hands each slab over with its
 lane count, the product of the lists' lengths.  The order decides
 neither which candidates a slab holds nor its least hit.  The layout of
-a block scanned before is memoized, and _first_slab, an LRU of 32
+a block scanned before is memoized in _layout, an LRU of 1,024 entries
+keyed by the block and the policy: with seed 1, one pass of the sweep
+and the matrix workloads' ops leaves 56 and 104 layouts, both in one
+process 158, and a second pass misses none.  _first_slab, an LRU of 32
 entries keyed by the layout and the two caps, holds the (lanes, columns)
 plan of the first slab of the layouts scanned most recently.  So the
 first slab's columns of a layout are built once while it is held,
@@ -415,7 +418,10 @@ def _layout(block: _Block, policy: FramePolicy) -> _Layout:
     restrictions of the full admissible candidates: a dropped index can
     take the union of the kept relations that must sit inside it, plus
     the diagonal when it is reflexive.  Memoized, so a block scanned
-    before builds no layout.
+    before builds no layout.  Why 1,024 entries: with seed 1, one pass of
+    the sweep and the matrix benchmark workloads' ops leaves 56 and 104
+    layouts, and 158 when both run in one process; a second pass misses
+    none.
     """
     poset, kept = block.poset, block.kept
     k = len(kept)

@@ -28,8 +28,10 @@ Model files are line oriented and `#` starts a comment::
     val p: w1             # omitted atom means the atom is undeclared
 
 Sections may appear in any order.  Repeated `rel`/`val` lines for the
-same index/atom union their contents; repeating a declaration inside
-`indices`/`worlds` is an error.
+same index/atom union their contents.  A name repeated in `indices` or
+`worlds`, on one line or across lines, is an error that names the first
+repeat and spans the head of the line it stands on; a name repeated in
+`stable` counts once.
 
 Proof scripts hold numbered lines `N. FORMULA ; JUSTIFICATION`, numbered
 1..n in order.  The justification is one of the axiom tags `A1 K A2 A3
@@ -287,108 +289,89 @@ _ORDER_PAIR = rf"(?<!\S)({_IDENT.pattern})<=({_IDENT.pattern})(?!\S)"
 _RELATION_PAIR = rf"(?<!\S)({_IDENT.pattern})->({_IDENT.pattern})(?!\S)"
 
 # By section keyword: the pattern every word of the line must match, the
-# error for the first word that does not, and its expected set.
+# error for the first word that does not and its expected set, the role of
+# the name the line's head carries after the keyword, and the role of a
+# repeated word that is an error.  A None role means the head is the keyword
+# alone, or repeated words are kept.
 _SECTION_WORDS = {
-    "indices": (_NAME, "index {!r} is not an identifier", "identifier"),
-    "stable": (_NAME, "index {!r} is not an identifier", "identifier"),
-    "worlds": (_NAME, "world {!r} is not an identifier", "identifier"),
-    "val": (_NAME, "world {!r} is not an identifier", "identifier"),
-    "order": (_ORDER_PAIR, "malformed order pair {!r}", "identifier<=identifier"),
-    "worldorder": (_ORDER_PAIR, "malformed world order pair {!r}", "identifier<=identifier"),
-    "rel": (_RELATION_PAIR, "malformed relation pair {!r}", "identifier->identifier"),
+    "indices": (_NAME, "index {!r} is not an identifier", "identifier", None, "index"),
+    "stable": (_NAME, "index {!r} is not an identifier", "identifier", None, None),
+    "worlds": (_NAME, "world {!r} is not an identifier", "identifier", None, "world"),
+    "val": (_NAME, "world {!r} is not an identifier", "identifier", "atom", None),
+    "order": (_ORDER_PAIR, "malformed order pair {!r}", "identifier<=identifier", None, None),
+    "worldorder": (
+        _ORDER_PAIR, "malformed world order pair {!r}", "identifier<=identifier", None, None
+    ),
+    "rel": (
+        _RELATION_PAIR, "malformed relation pair {!r}", "identifier->identifier", "index", None
+    ),
 }
 
 
-class _Sections:
-    """Accumulator for the line-oriented model/poset/proof-header format.
+def _feed(words: dict, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> None:
+    """Read one line of the model/poset/proof-header format into `words`; a
+    blank line adds nothing.
 
     `words` maps a section line's head, split into its parts (`("indices",)`,
     `("rel", "a")`), to the words read under it in line order.  A line
     declares its section even with no words, so a bare `val q:` declares
-    `q` and an empty `worldorder:` line gives an empty world order.  Only
-    `indices` and `worlds` reject a repeated name; the other sections keep
-    repeats, which the poset and model constructors freeze into sets."""
+    `q` and an empty `worldorder:` line gives an empty world order.
 
-    def __init__(self):
-        self.words: dict[tuple[str, ...], list] = {}
-
-    def feed(self, text: str, content: str, offset: int, allowed: tuple[str, ...]) -> None:
-        """Consume one line; a blank line adds nothing.
-
-        The line's words are checked by one findall, whose match count
-        equals the word count exactly when every word matches; the words'
-        offsets are computed only on the error path, to name the first
-        word that does not."""
-        if not content.strip():
-            return
-        head, sep, rest = content.partition(":")
-        stripped = head.strip()
-        lead = len(content) - len(content.lstrip())
-        span = _byte_span(
-            text,
-            offset + lead,
-            offset + max(len(head.rstrip()), lead + 1),
+    The line's words are checked by one findall, whose match count equals
+    the word count exactly when every word matches.  A section whose
+    repeats are errors checks them by one set per line.  The words'
+    offsets, and the first repeat, are looked for only on the error path."""
+    if not content.strip():
+        return
+    head, sep, rest = content.partition(":")
+    stripped = head.strip()
+    lead = len(content) - len(content.lstrip())
+    span = _byte_span(
+        text,
+        offset + lead,
+        offset + max(len(head.rstrip()), lead + 1),
+    )
+    if not sep:
+        raise ParseError("expected a 'section:' line", span, {"':'"})
+    parts = tuple(stripped.split())
+    keyword = parts[0] if parts else ""
+    if keyword not in allowed or len(parts) != 1 + bool(_SECTION_WORDS[keyword][3]):
+        raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
+    pattern, message, expected, head_role, repeat_role = _SECTION_WORDS[keyword]
+    if head_role and not is_identifier(parts[1]):
+        raise ParseError(f"bad {head_role} name {parts[1]!r}", span, {"identifier"})
+    found = re.findall(pattern, rest)
+    if len(found) != len(rest.split()):
+        word, start, end = next(
+            bad
+            for bad in _words_with_offsets(rest, offset + len(head) + 1)
+            if not re.fullmatch(pattern, bad[0])
         )
-        if not sep:
-            raise ParseError("expected a 'section:' line", span, {"':'"})
-        parts = tuple(stripped.split())
-        keyword = parts[0] if parts else ""
-        if keyword not in allowed or len(parts) != (2 if keyword in ("rel", "val") else 1):
-            raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
-        if keyword in ("rel", "val") and not is_identifier(parts[1]):
-            role = "index" if keyword == "rel" else "atom"
-            raise ParseError(f"bad {role} name {parts[1]!r}", span, {"identifier"})
-        pattern, message, expected = _SECTION_WORDS[keyword]
-        found = re.findall(pattern, rest)
-        if len(found) != len(rest.split()):
-            word, start, end = next(
-                bad
-                for bad in _words_with_offsets(rest, offset + len(head) + 1)
-                if not re.fullmatch(pattern, bad[0])
-            )
-            raise ParseError(message.format(word), _byte_span(text, start, end), {expected})
-        words = self.words.setdefault(parts, [])
-        if keyword not in ("indices", "worlds"):
-            words += found
-            return
-        for name in found:
-            if name in words:
-                role = "index" if keyword == "indices" else "world"
-                raise ParseError(f"duplicate {role} {name!r}", span, set())
-            words.append(name)
+        raise ParseError(message.format(word), _byte_span(text, start, end), {expected})
+    known = words.setdefault(parts, [])
+    if repeat_role and len({*known, *found}) != len(known) + len(found):
+        name = next(n for i, n in enumerate(found) if n in known or n in found[:i])
+        raise ParseError(f"duplicate {repeat_role} {name!r}", span, set())
+    known += found
 
-    @classmethod
-    def read(cls, text: str, allowed: tuple[str, ...]) -> _Sections:
-        """The sections of every line of `text`."""
-        sections = cls()
-        for content, offset in _logical_lines(text):
-            sections.feed(text, content, offset, allowed)
-        return sections
 
-    def build_poset(self, text: str) -> IndexPoset:
-        words = self.words
-        if not words.get(("indices",)):
-            raise ParseError(
-                "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
-            )
-        return IndexPoset.from_order(
-            words[("indices",)], words.get(("order",), ()), words.get(("stable",), ())
+def _sections(text: str, allowed: tuple[str, ...]) -> dict:
+    """The section words of every line of `text` (see _feed)."""
+    words: dict[tuple[str, ...], list] = {}
+    for content, offset in _logical_lines(text):
+        _feed(words, text, content, offset, allowed)
+    return words
+
+
+def _poset(words: dict, text: str) -> IndexPoset:
+    """The index poset of the section words read from `text`."""
+    if not words.get(("indices",)):
+        raise ParseError(
+            "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
         )
-
-    def build_model(self, text: str) -> StratifiedModel:
-        poset = self.build_poset(text)
-        words = self.words
-        if not words.get(("worlds",)):
-            raise ParseError(
-                "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
-            )
-        return StratifiedModel(
-            poset=poset,
-            worlds=tuple(words[("worlds",)]),
-            relations={key[1]: found for key, found in words.items() if key[0] == "rel"},
-            valuation={key[1]: found for key, found in words.items() if key[0] == "val"},
-            world_order=words.get(("worldorder",)),
-        )
+    return IndexPoset.from_order(
+        words[("indices",)], words.get(("order",), ()), words.get(("stable",), ())
+    )
 
 
 def parse_model(text: str) -> StratifiedModel:
@@ -398,7 +381,19 @@ def parse_model(text: str) -> StratifiedModel:
     section refers to an unknown world or index, and CycleError when an
     order section is not antisymmetric.
     """
-    return _Sections.read(text, _MODEL_SECTIONS).build_model(text)
+    words = _sections(text, _MODEL_SECTIONS)
+    poset = _poset(words, text)
+    if not words.get(("worlds",)):
+        raise ParseError(
+            "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
+        )
+    return StratifiedModel(
+        poset=poset,
+        worlds=tuple(words[("worlds",)]),
+        relations={key[1]: found for key, found in words.items() if key[0] == "rel"},
+        valuation={key[1]: found for key, found in words.items() if key[0] == "val"},
+        world_order=words.get(("worldorder",)),
+    )
 
 
 def load_example_model(name: str) -> StratifiedModel:
@@ -410,7 +405,7 @@ def load_example_model(name: str) -> StratifiedModel:
 def parse_poset(text: str) -> IndexPoset:
     """Parse a poset file: the model format restricted to the `indices:`,
     `order:` and `stable:` sections."""
-    return _Sections.read(text, _POSET_SECTIONS).build_poset(text)
+    return _poset(_sections(text, _POSET_SECTIONS), text)
 
 
 def _poset_lines(poset: IndexPoset) -> list[str]:
@@ -501,7 +496,7 @@ def parse_proof(
     """
     from .proofs import Derivation, Necessitation, ProofLine
 
-    sections = _Sections()
+    header: dict[tuple[str, ...], list] = {}
     lines: list[ProofLine] = []
     first_use: dict[str, int] = {}  # index -> number of the line naming it first
     for content, offset in _logical_lines(text):
@@ -509,7 +504,7 @@ def parse_proof(
             continue
         head = _PROOF_LINE.match(content)
         if head is None:
-            sections.feed(text, content, offset, _POSET_SECTIONS)
+            _feed(header, text, content, offset, _POSET_SECTIONS)
             continue
         number = int(head.group(1))
         if number != len(lines) + 1:
@@ -535,7 +530,6 @@ def parse_proof(
             first_use.setdefault(name, number)
         lines.append(ProofLine(number, formula, justification))
 
-    header = sections.words
     for section in ("order", "stable"):
         if header.get((section,)) and not header.get(("indices",)):
             raise ParseError(
@@ -546,7 +540,7 @@ def parse_proof(
     # Without a header, the indices in order of first use form an antichain
     # with no stable levels.
     poset = (
-        sections.build_poset(text)
+        _poset(header, text)
         if header.get(("indices",))
         else IndexPoset.from_order(list(first_use) or ["a"])
     )

@@ -152,8 +152,9 @@ def test_no_command_loads_numpy(tmp_path):
 
 
 # Run in a fresh interpreter, where no submodule is loaded yet.  Prints, as
-# JSON, what the package namespace holds before any access and exposes
-# after, and the names some submodule binds to another object.
+# JSON, what the package namespace holds before any access, how it answers
+# an unknown name, what it exposes after, and the names some submodule
+# binds to another object.
 _NAMESPACE_PROBE = textwrap.dedent(
     """
     import importlib, json, sys
@@ -161,6 +162,17 @@ _NAMESPACE_PROBE = textwrap.dedent(
     import salogic
 
     report = {"own": sorted(set(vars(salogic)) & set(salogic.__all__))}
+    unknown = {"hasattr": hasattr(salogic, "bogus")}
+    try:
+        salogic.bogus
+    except AttributeError as error:
+        unknown["attribute"] = [type(error).__name__, str(error)]
+    try:
+        from salogic import bogus
+    except ImportError as error:
+        unknown["import"] = type(error).__name__
+    unknown["loaded"] = sorted(name for name in sys.modules if name.startswith("salogic."))
+    report["unknown"] = unknown
     report["search_before"] = "salogic.search" in sys.modules
     report["decide_valid"] = (
         salogic.search.decide_valid is sys.modules["salogic.search"].decide_valid
@@ -187,6 +199,14 @@ def test_package_namespace():
     submodules = [path.stem for path in MODULES if path.stem != "__main__"]
     report = _run_fresh(_NAMESPACE_PROBE, *submodules)
     assert report["own"] == ["EXAMPLE_MODELS", "example_model_path"]
+    # An unknown name is an AttributeError, or an ImportError from a
+    # `from` import, and loads no submodule.
+    assert report["unknown"] == {
+        "hasattr": False,
+        "attribute": ["AttributeError", "module 'salogic' has no attribute 'bogus'"],
+        "import": "ImportError",
+        "loaded": [],
+    }
     assert report["search_before"] is False
     assert report["decide_valid"] is True
     assert len(report["all"]) == len(set(report["all"]))

@@ -614,6 +614,10 @@ def test_parse_poset():
 IDENTIFIER = {"identifier"}
 ORDER_PAIR = {"identifier<=identifier"}
 RELATION_PAIR = {"identifier->identifier"}
+POSET_SECTIONS = {"indices", "order", "stable"}
+MODEL_SECTIONS = POSET_SECTIONS | {"worlds", "worldorder", "rel", "val"}
+POSET_EXPECTED = ", ".join(sorted(POSET_SECTIONS))
+MODEL_EXPECTED = ", ".join(sorted(MODEL_SECTIONS))
 
 MODEL_LINE_EDGES = [
     # A bad word first, in the middle and last, in each kind of section.
@@ -756,6 +760,52 @@ MODEL_LINE_EDGES = [
       (27, 29), IDENTIFIER)),
     (parse_proof, "indices: a b # x-y\norder: a<=b\n1. p -> p ; A1\n",
      "indices: a b\norder: a<=b\n1. p -> p ; A1\n"),
+    # Section heads: no colon, a head with too many or too few parts, and a
+    # bad name after `rel`.
+    (parse_model, "indices a\nworlds: w0\n",
+     ("expected a 'section:' line at bytes 0..9 (expected ':')", (0, 9), {"':'"})),
+    (parse_model, "indices: a\nworlds: w0\nrel a b: w0->w0\n",
+     ("unknown section 'rel a b' at bytes 22..29 (expected " + MODEL_EXPECTED + ")",
+      (22, 29), MODEL_SECTIONS)),
+    (parse_model, "indices x: a\nworlds: w0\n",
+     ("unknown section 'indices x' at bytes 0..9 (expected " + MODEL_EXPECTED + ")",
+      (0, 9), MODEL_SECTIONS)),
+    (parse_model, "indices: a\nworlds: w0\nval: w0\n",
+     ("unknown section 'val' at bytes 22..25 (expected " + MODEL_EXPECTED + ")",
+      (22, 25), MODEL_SECTIONS)),
+    (parse_model, "indices: a\nworlds: w0\nrel 1x: w0->w0\n",
+     ("bad index name '1x' at bytes 22..28 (expected identifier)", (22, 28), IDENTIFIER)),
+    # A repeated index or world names the first repeat at the head of its
+    # line, on one line or across lines; a bad word is reported before it.
+    # A repeated stable index counts once.
+    (parse_model, "indices: a b a\nworlds: w0\n",
+     ("duplicate index 'a' at bytes 0..7", (0, 7), set())),
+    (parse_model, "indices: a b\nindices: c a\nworlds: w0\n",
+     ("duplicate index 'a' at bytes 13..20", (13, 20), set())),
+    (parse_model, "indices: a b b a\nworlds: w0\n",
+     ("duplicate index 'b' at bytes 0..7", (0, 7), set())),
+    (parse_model, "indices: a\nindices: b b a\nworlds: w0\n",
+     ("duplicate index 'b' at bytes 11..18", (11, 18), set())),
+    (parse_model, "indices: a\nworlds: w0 w1 w1\n",
+     ("duplicate world 'w1' at bytes 11..17", (11, 17), set())),
+    (parse_model, "indices: a\nworlds: w0 w1\nworlds: w1\n",
+     ("duplicate world 'w1' at bytes 25..31", (25, 31), set())),
+    (parse_model, "indices: a\nworlds: w0 w0 1w\n",
+     ("world '1w' is not an identifier at bytes 25..27 (expected identifier)",
+      (25, 27), IDENTIFIER)),
+    (parse_model, "indices: a\nstable: a a\nworlds: w0\n", "indices: a\nstable: a\nworlds: w0\n"),
+    # Poset files and proof headers take only the poset sections, with the
+    # same repeat rules.
+    (parse_poset, "indices: a\nworlds: w0\n",
+     ("unknown section 'worlds' at bytes 11..17 (expected " + POSET_EXPECTED + ")",
+      (11, 17), POSET_SECTIONS)),
+    (parse_proof, "indices: a\nrel a: w0->w0\n1. p -> p ; A1\n",
+     ("unknown section 'rel a' at bytes 11..16 (expected " + POSET_EXPECTED + ")",
+      (11, 16), POSET_SECTIONS)),
+    (parse_proof, "indices: a a\n1. p -> p ; A1\n",
+     ("duplicate index 'a' at bytes 0..7", (0, 7), set())),
+    (parse_proof, "indices: a\nindices: b a\n1. p -> p ; A1\n",
+     ("duplicate index 'a' at bytes 11..18", (11, 18), set())),
 ]
 
 
@@ -954,6 +1004,10 @@ def _fuzzed_text(rng, heads):
     return "\n".join(lines) + rng.choice(("", "\n"))
 
 
+def _proof_header_poset(text):
+    return parse_proof(text + "\n1. p -> p ; A1\n").poset
+
+
 def test_model_lines_match_the_word_by_word_reference():
     rng = random.Random(53)
     for parse, heads in ((parse_model, _MODEL_HEADS), (parse_poset, _POSET_HEADS)):
@@ -962,6 +1016,10 @@ def test_model_lines_match_the_word_by_word_reference():
             text = _fuzzed_text(rng, heads)
             want = _outcome(lambda text: _reference_parse(parse, text), text)
             assert _outcome(parse, text) == want, text
+            # A poset text read as a proof script's header gives the same
+            # poset or error.
+            if parse is parse_poset:
+                assert _outcome(_proof_header_poset, text) == want, text
             if not isinstance(want, tuple):
                 kinds["parsed"] += 1
             else:
