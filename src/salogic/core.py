@@ -353,22 +353,23 @@ class Program:
         are applied to the values, always with `full` or another value
         of the run, so any type with those operators will do."""
         values: list = []
-        for kind, label, *args in self.steps:
+        append = values.append
+        for step in self.steps:
+            kind = step[0]
             if kind is Atom:
-                value = atom(label)
+                append(atom(step[1]))
             elif kind is Diamond:
-                value = diamond(label, values[args[0]])
+                append(diamond(step[1], values[step[2]]))
             elif kind is Box:
-                value = full ^ diamond(label, full ^ values[args[0]])
+                append(full ^ diamond(step[1], full ^ values[step[2]]))
             elif kind is Not:
-                value = full ^ values[args[0]]
+                append(full ^ values[step[2]])
             elif kind is And:
-                value = values[args[0]] & values[args[1]]
+                append(values[step[2]] & values[step[3]])
             elif kind is Or:
-                value = values[args[0]] | values[args[1]]
+                append(values[step[2]] | values[step[3]])
             else:  # Implies: _parts() has rejected every other node type
-                value = (full ^ values[args[0]]) | values[args[1]]
-            values.append(value)
+                append((full ^ values[step[2]]) | values[step[3]])
         return values
 
 

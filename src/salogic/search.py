@@ -142,8 +142,12 @@ the rest of that product, one candidate per lane.  Each candidate bit is
 a periodic column over the lanes, built once per pattern and repeated
 bytewise.  A subformula's value is a tuple of n ints of lanes, one per
 world, whose `&`, `|` and `^` act world by world, so the formula's
-bit-set program (core.Program) runs on it unchanged; a diamond costs one
-AND per column present, at most n*n.  The first slab that hits holds the
+bit-set program (core.Program) runs on it unchanged.  A slab's plan
+(_Plan) carries the kernel's operands with its columns: every lane at
+each world, one value per atom, and for each kept index one row per
+world of the (world, column) pairs whose column is present, absent ones
+dropped when the plan is built.  So an atom is one lookup and a diamond
+costs one AND per pair, at most n*n.  The first slab that hits holds the
 block's least hit, which a walk over the candidate bits from the top
 picks out of the slab's hits.  A hit is rebuilt as a plain
 StratifiedModel and re-checked by semantics.validate_frame and by the
@@ -172,18 +176,23 @@ a block scanned before is memoized in _layout, an LRU of 1,024 entries
 keyed by the block and the policy: with seed 1, one pass of the sweep
 and the matrix workloads' ops leaves 56 and 104 layouts, both in one
 process 158, and a second pass misses none.  _first_slab, an LRU of 32
-entries keyed by the layout and the two caps, holds the (lanes, columns)
-plan of the first slab of the layouts scanned most recently.  So the
-first slab's columns of a layout are built once while it is held,
+entries keyed by the layout and the two caps, holds the plan of the
+first slab of the layouts scanned most recently, with the rows of every
+kept index, and whether the block has more slabs.  So the first slab's
+columns and operands of a layout are built once while it is held,
 however many queries and axiom_matrix rows share it: a block that fits
-one slab, or whose first slab hits, builds none once warm.  The traffic
-is small: the sweep and the matrix benchmark workloads scan 23 and 16
-distinct layouts (0.45 and 0.10 MB of first-slab plans), pins included,
-so each fits the cache; both in one process need 36, 4 more than it
-holds.  Over 1,305 shapes (1-8 indices as an antichain, a chain or a
-star, 1-4 worlds, 0-5 atoms, every coherence mode) the largest first
-slab takes 0.28 MB with no stable index and 0.43 MB with every index
-stable, so 32 plans of those shapes take at most about 14 MB.
+one slab, or whose first slab hits, builds none once warm.  A later
+slab's plan is built as it is scanned, with the rows of only the indices
+the formula names.  The traffic is small: the sweep and the matrix
+benchmark workloads scan 23 and 16 distinct layouts (0.48 and 0.13 MB of
+first-slab plans, each plan's objects counted once by sys.getsizeof;
+0.43 and 0.11 MB without the operands), pins included, so each fits the
+cache; both in one process need 36, 4 more than it holds.  Over 3,024
+shapes (1-8 indices as an antichain, a chain or a star, with no index
+or every index stable, 1-4 worlds, 0-5 atoms, every coherence mode) the
+largest first slab's plan takes 0.33 MB with no stable index and 0.34 MB
+with every index stable (0.32 and 0.33 MB without the operands), so 32
+plans of those shapes take at most about 11 MB.
 
 Every slab's columns are merged from _digit_columns, an LRU of 256
 entries keyed by one digit list, its stride and the slab's width, so a
@@ -200,9 +209,9 @@ caches hold.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 from operator import and_, or_, xor
 from typing import NamedTuple
@@ -312,8 +321,13 @@ class UnsatUpTo:
 Verdict = ValidUpTo | Counterexample | Satisfiable | UnsatUpTo
 
 
+@lru_cache(maxsize=2)
 def enumerated_posets(max_indices: int) -> tuple[IndexPoset, ...]:
-    """The machine-generated poset shapes, in scan order."""
+    """The machine-generated poset shapes, in scan order.  Built on the
+    first call for each size and reused after, so posetless queries and
+    axiom_matrix calls do not rebuild the shapes; the two sizes with
+    shapes fill the table, and a size past them raises and stores
+    nothing."""
     if max_indices == 1:
         return (IndexPoset.from_order(("a",)),)
     if max_indices == 2:
@@ -664,46 +678,79 @@ class _Worlds(tuple):
         return _Worlds(map(xor, self, other))
 
 
-def _scan_slab(
-    block: _Block, program: Program, lanes: int, columns: dict[int, int]
-) -> int | None:
+class _Plan(NamedTuple):
+    """A slab's kernel operands, all functions of its layout and its
+    columns: the lane count, the column of each candidate bit present
+    (the lanes where it is set), `full` (every lane at every world), one
+    _Worlds per atom slot (world w's int is the column of the atom's bit
+    for w, or 0), and for each kept index position j either None or one
+    row per world w of the (u, column) pairs of the relation bits (j, w,
+    u) that have a column, u increasing.  A bit with no column is 0 in
+    every lane, so a row leaves it out."""
+
+    lanes: int
+    columns: dict[int, int]
+    full: _Worlds
+    atoms: tuple[_Worlds, ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...] | None, ...]
+
+
+def _plan(layout: _Layout, lanes: int, columns: dict[int, int], wanted: Container[int]) -> _Plan:
+    """The slab's plan, with the rows of the kept index positions in
+    `wanted` built and None for the others."""
+    n, val_bits = layout.n, layout.val_bits
+    k = len(layout.cell)
+    worlds = range(n)
+    rows = []
+    for j in range(k):
+        if j not in wanted:
+            rows.append(None)
+            continue
+        first = val_bits + (k - 1 - j) * n * n
+        index_rows = []
+        for b in range(first, first + n * n, n):
+            row = []
+            for u in worlds:
+                column = columns.get(b + u)
+                if column is not None:
+                    row.append((u, column))
+            index_rows.append(tuple(row))
+        rows.append(tuple(index_rows))
+    atoms = [_Worlds([columns.get(base + w, 0) for w in worlds]) for base in range(0, val_bits, n)]
+    return _Plan(lanes, columns, _Worlds([(1 << lanes) - 1] * n), tuple(atoms), tuple(rows))
+
+
+def _scan_slab(block: _Block, program: Program, plan: _Plan) -> int | None:
     """Least candidate of the slab that falsifies the formula at some
     world, or None.
 
     A subformula's value is a _Worlds, world w's int holding bit l when
-    the subformula is true at w in lane l, and `<i>x` at world w is the
-    OR over u of x's int for u AND column (i, w*n+u); a column that is
-    absent is 0 and is skipped.  The least hit is found by walking the
-    candidate bits from the top and keeping, at each, the hits that have
-    a 0 there whenever any do.
+    the subformula is true at w in lane l.  An atom's value is its slot's
+    in the plan, and `<i>x` at world w is the OR over the pairs (u,
+    column) of i's row for w of x's int for u AND column.  The hits are
+    the lanes where the formula's value is false at some world.  The
+    least hit is found by walking the candidate bits from the top and
+    keeping, at each, the hits that have a 0 there whenever any do.
     """
-    n, rel_bits, val_bits = block.n, block.rel_bits, block.val_bits
-    kept = block.kept
-    full = _Worlds([(1 << lanes) - 1] * n)
-    first = {idx: val_bits + (len(kept) - 1 - j) * rel_bits for j, idx in enumerate(kept)}
-
-    def atom(name: str) -> _Worlds:
-        base = block.atoms.index(name) * n
-        return _Worlds([columns.get(base + w, 0) for w in range(n)])
+    rows = dict(zip(block.kept, plan.rows))
 
     def diamond(index: str, x: _Worlds) -> _Worlds:
         value = []
-        for row in range(first[index], first[index] + rel_bits, n):
+        for row in rows[index]:
             seen = 0
-            for u, part in enumerate(x):
-                column = columns.get(row + u)
-                if column is not None:
-                    seen |= part & column
+            for u, column in row:
+                seen |= x[u] & column
             value.append(seen)
         return _Worlds(value)
 
-    hits = 0
-    for part in full ^ program.run(full, atom, diamond)[-1]:
-        hits |= part
+    full = plan.full
+    atom = dict(zip(block.atoms, plan.atoms)).__getitem__
+    hits = full[0] ^ reduce(and_, program.run(full, atom, diamond)[-1])
     if not hits:
         return None
+    columns = plan.columns
     candidate = 0
-    for b in reversed(range(len(kept) * rel_bits + val_bits)):
+    for b in reversed(range(len(plan.rows) * block.rel_bits + block.val_bits)):
         column = columns.get(b, 0)
         if hits & ~column:
             hits &= ~column
@@ -714,16 +761,17 @@ def _scan_slab(
 
 
 @lru_cache(maxsize=32)
-def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[int, dict[int, int], bool]:
-    """The (lanes, columns, more) plan of the layout's first slab under
-    the caps `slab` and `patterns`, which it passes on to _split: more is
-    False when the slab is the whole block, and True when the slab fixes
-    top bits, so _first_hit walks the later slabs only then.  The caps are
-    arguments, which _first_hit reads, so they key the cache with the
-    layout.  A plan is a function of its key and is only read, so what the
-    cache holds changes no verdict."""
+def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[_Plan, bool]:
+    """The (plan, more) of the layout's first slab under the caps `slab`
+    and `patterns`, which it passes on to _split: the plan holds the rows
+    of every kept index, and more is False when the slab is the whole
+    block, and True when the slab fixes top bits, so _first_hit walks the
+    later slabs only then.  The caps are arguments, which _first_hit
+    reads, so they key the cache with the layout.  A plan is a function
+    of its key and is only read, so what the cache holds changes no
+    verdict."""
     depth, lanes, digits = next(_split(layout, slab, patterns))
-    return lanes, _columns(digits, lanes), depth > 0
+    return _plan(layout, lanes, _columns(digits, lanes), range(len(layout.cell))), depth > 0
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
@@ -732,14 +780,16 @@ def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | No
     slab's plan comes from _first_slab, so it is built once per layout
     while the cache holds it.  Only when that slab misses and the block
     has more are the later slabs of _split walked, in increasing order,
-    each merged from _digit_columns as it is scanned: the first that
-    hits holds the least hit."""
+    each merged from _digit_columns as it is scanned, with the rows of
+    only the indices the formula names: the first that hits holds the
+    least hit."""
     layout = _layout(block, policy)
-    lanes, columns, more = _first_slab(layout, _SLAB, _PATTERNS)
-    hit = _scan_slab(block, program, lanes, columns)
+    plan, more = _first_slab(layout, _SLAB, _PATTERNS)
+    hit = _scan_slab(block, program, plan)
     if hit is None and more:
+        named = {j for j, idx in enumerate(block.kept) if idx in program.indices}
         for _depth, lanes, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
-            hit = _scan_slab(block, program, lanes, _columns(digits, lanes))
+            hit = _scan_slab(block, program, _plan(layout, lanes, _columns(digits, lanes), named))
             if hit is not None:
                 break
     return hit

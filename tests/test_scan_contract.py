@@ -545,8 +545,9 @@ def test_kernel_lanes_match_the_oracle_at_one_to_four_worlds(monkeypatch):
         runs.append((self, values))
         return values
 
-    def spy_scan_slab(block, program, lanes, columns):
-        hit = scan_slab(block, program, lanes, columns)
+    def spy_scan_slab(block, program, plan):
+        hit = scan_slab(block, program, plan)
+        lanes, columns = plan.lanes, plan.columns
         [(ran, values)] = runs
         runs.clear()
         assert ran is program and len(values) == len(program.nodes)
@@ -627,6 +628,13 @@ def later_slabs(key) -> list[tuple[int, dict[int, int]]]:
     return [(lanes, search._columns(digits, lanes)) for _depth, lanes, digits in later]
 
 
+def cached_plan(key) -> tuple[int, dict[int, int], bool]:
+    """The (lanes, columns, more) of the first slab's plan under the plan
+    key, as _first_slab holds it."""
+    plan, more = search._first_slab(*key)
+    return plan.lanes, plan.columns, more
+
+
 def cache_hits() -> int:
     return search._first_slab.cache_info().hits
 
@@ -679,7 +687,7 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
                 assert digits_of.setdefault(key, digits) == digits, case
                 before = cache_hits()
                 fresh = fresh_plan(block, policy, *key[1:])
-                assert search._first_slab(*key) == (*fresh[0], slabs[0][0] > 0), case
+                assert cached_plan(key) == (*fresh[0], slabs[0][0] > 0), case
                 assert later_slabs(key) == fresh[1:], case
                 served += cache_hits() > before
                 several += cache_hits() > before and len(digits) > 1
@@ -719,17 +727,90 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
                 before = cache_hits()
                 key, case = plan_key(block, policy), (policy, poset, n, kept)
                 more = next(search._split(*key))[0] > 0  # the first slab fixes top bits
-                assert search._first_slab(*key) == (*fresh[0], more), case
+                assert cached_plan(key) == (*fresh[0], more), case
                 assert later_slabs(key) == fresh[1:], case
                 served += cache_hits() > before and len(fresh) > 1
     assert served > 150
+
+
+def reference_operands(block, lanes, columns) -> tuple:
+    """A slab's (full, atoms, rows) kernel operands, rebuilt from its
+    columns by the documented candidate layout: every lane at each world;
+    per atom, the column of its bit at each world or 0; per kept index,
+    per world w, the (u, column) pairs of its relation bits (w, u) that
+    have a column."""
+    n, k = block.n, len(block.kept)
+    atoms = tuple(
+        tuple(columns.get(a * n + w, 0) for w in range(n)) for a in range(len(block.atoms))
+    )
+    rows = []
+    for j in range(k):
+        first = block.val_bits + (k - 1 - j) * block.rel_bits
+        bits = [[first + w * n + u for u in range(n)] for w in range(n)]
+        rows.append(tuple(tuple((b % n, columns[b]) for b in row if b in columns) for row in bits))
+    return ((1 << lanes) - 1,) * n, atoms, tuple(rows)
+
+
+def test_plans_hold_the_operands_of_their_columns(monkeypatch):
+    # The blocks and caps of test_cached_plans_equal_fresh_plans.  Each
+    # first slab's cached plan holds the operands rebuilt from its columns,
+    # the rows of every kept index included.  A later slab scanned by
+    # _first_hit holds the rows of only the indices the formula names,
+    # and those equal the rows rebuilt from its columns.
+    search._first_slab.cache_clear()
+    cases = [
+        (poset, n, ("p",) if n < 3 else (), search._SLAB, search._PATTERNS)
+        for poset, n in contract_blocks() + [(poset, 1) for poset in three_index_posets()]
+    ]
+    cases += [(poset, n, ("p",), 4, 2) for poset, n in contract_blocks() if n < 3]
+    plans = []
+    scan_slab = search._scan_slab
+
+    def spy_scan_slab(block, program, plan):
+        plans.append(plan)
+        return scan_slab(block, program, plan)
+
+    monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
+    first = later = lazy = 0
+    for policy in POLICIES:
+        for poset, n, atoms, slab, patterns in cases:
+            monkeypatch.setattr(search, "_SLAB", slab)
+            monkeypatch.setattr(search, "_PATTERNS", patterns)
+            for kept in kept_subsets(poset):
+                block = search._Block(poset, n, atoms, frozenset(poset.indices) - set(kept))
+                case = (policy, poset, n, kept, slab)
+                plan, _more = search._first_slab(*plan_key(block, policy))
+                assert plan[2:] == reference_operands(block, plan.lanes, plan.columns), case
+                first += 1
+                if slab != 4:
+                    continue
+                # A tautology misses every slab, so _first_hit scans them
+                # all.  This one names every kept index but the last, or
+                # the only one.
+                named = kept[: max(1, len(kept) - 1)]
+                formula = Or(Atom("p"), Not(Atom("p")))
+                for idx in named:
+                    seen = Diamond(idx, Atom("p"))
+                    formula = And(formula, Or(seen, Not(seen)))
+                plans.clear()
+                assert search._first_hit(block, Program(formula), policy) is None, case
+                assert plans[0] == plan, case
+                for scanned in plans[1:]:
+                    full, by_atom, rows = reference_operands(block, scanned.lanes, scanned.columns)
+                    assert (scanned.full, scanned.atoms) == (full, by_atom), case
+                    wanted = tuple(row if idx in named else None for idx, row in zip(kept, rows))
+                    assert scanned.rows == wanted, case
+                    later += 1
+                    lazy += None in scanned.rows
+    search._first_slab.cache_clear()
+    assert first > 8000 and later > 10000 and lazy > 10000
 
 
 def test_a_repeated_query_builds_no_columns(monkeypatch):
     # Every block at 2 worlds fits one slab, whose plan _first_slab
     # holds; the 3-world chain's block takes 4 slabs, whose later columns
     # _digit_columns holds.  So once the first run has planned them, the
-    # same queries build no columns and no layouts.
+    # same queries build no columns, no layouts and no kernel operands.
     policy = FramePolicy(CoherenceMode.SHRINK)
     bounds = SearchBounds(2, 2)
     chain = enumerated_posets(2)[1]
@@ -742,9 +823,10 @@ def test_a_repeated_query_builds_no_columns(monkeypatch):
     first = [decide_valid(formula, within, policy) for formula, within in queries]
     rows = axiom_matrix(*matrix_args)
     built = []
-    periodic, layout = search._periodic, search._Layout
+    periodic, layout, plan = search._periodic, search._Layout, search._plan
     monkeypatch.setattr(search, "_periodic", lambda *args: built.append("column") or periodic(*args))
     monkeypatch.setattr(search, "_Layout", lambda *args: built.append("layout") or layout(*args))
+    monkeypatch.setattr(search, "_plan", lambda *args: built.append("operands") or plan(*args))
     assert [decide_valid(formula, within, policy) for formula, within in queries] == first
     assert axiom_matrix(*matrix_args) == rows
     assert built == []
@@ -807,9 +889,9 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
         blocks.append((block.n, block.poset, block.dropped))
         return first_hit(block, program, policy)
 
-    def spy_scan_slab(block, program, lanes, columns):
-        hit = scan_slab(block, program, lanes, columns)
-        slabs.append((block.n, lanes, hit))
+    def spy_scan_slab(block, program, plan):
+        hit = scan_slab(block, program, plan)
+        slabs.append((block.n, plan.lanes, hit))
         return hit
 
     monkeypatch.setattr(search, "_first_hit", spy_first_hit)
@@ -884,9 +966,9 @@ def test_a_probe_only_pin_leaves_one_slab(monkeypatch):
     lanes = []
     scan_slab = search._scan_slab
 
-    def spy_scan_slab(block, program, count, columns):
-        lanes.append(count)
-        return scan_slab(block, program, count, columns)
+    def spy_scan_slab(block, program, plan):
+        lanes.append(plan.lanes)
+        return scan_slab(block, program, plan)
 
     monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
     bounds = SearchBounds(5, 1)

@@ -58,6 +58,33 @@ def test_bounds_validation():
         enumerated_posets(3)
 
 
+def test_enumerated_posets_are_built_once_per_process(monkeypatch):
+    # Once each size has been asked for, the shapes are the same objects
+    # on every call, and a posetless query or a matrix call builds no
+    # poset and gives the same verdict and rows.  A size past the shapes
+    # raises on every call.
+    matrix_args = ((AxiomProfile.SECTION2,), tuple(CoherenceMode), SearchBounds(2, 2))
+    query = (parse_formula("<a>p -> <b>p"), SearchBounds(2, 2))
+    shapes = [enumerated_posets(1), enumerated_posets(2)]
+    rows, verdict = axiom_matrix(*matrix_args), decide_valid(*query)
+    built = []
+    from_order = IndexPoset.from_order
+    monkeypatch.setattr(
+        IndexPoset, "from_order", lambda *args, **kw: built.append(args) or from_order(*args, **kw)
+    )
+    assert enumerated_posets(1) is shapes[0] and enumerated_posets(2) is shapes[1]
+    assert shapes[1] == (
+        from_order(("a", "b")),
+        from_order(("a", "b"), [("a", "b")]),
+    )
+    built.clear()
+    assert axiom_matrix(*matrix_args) == rows and decide_valid(*query) == verdict
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(BoundsTooLarge):
+            enumerated_posets(3)
+
+
 def test_classical_tautology_is_valid():
     verdict = decide_valid(parse_formula("p | ~p"), SearchBounds(2, 2))
     assert isinstance(verdict, ValidUpTo)
@@ -240,9 +267,9 @@ def test_small_slabs_and_worker_counts_keep_witnesses(monkeypatch):
     scan_slab = search._scan_slab
     scanned = []
 
-    def recording_scan_slab(block, program, lanes, columns):
-        hit = scan_slab(block, program, lanes, columns)
-        scanned.append((block.n, block.dropped, lanes, hit))
+    def recording_scan_slab(block, program, plan):
+        hit = scan_slab(block, program, plan)
+        scanned.append((block.n, block.dropped, plan.lanes, hit))
         return hit
 
     monkeypatch.setattr(search, "_scan_slab", recording_scan_slab)
