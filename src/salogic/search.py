@@ -182,17 +182,17 @@ kept index, and whether the block has more slabs.  So the first slab's
 columns and operands of a layout are built once while it is held,
 however many queries and axiom_matrix rows share it: a block that fits
 one slab, or whose first slab hits, builds none once warm.  A later
-slab's plan is built as it is scanned, with the rows of only the indices
-the formula names.  The traffic is small: the sweep and the matrix
-benchmark workloads scan 23 and 16 distinct layouts (0.48 and 0.13 MB of
-first-slab plans, each plan's objects counted once by sys.getsizeof;
-0.43 and 0.11 MB without the operands), pins included, so each fits the
-cache; both in one process need 36, 4 more than it holds.  Over 3,024
-shapes (1-8 indices as an antichain, a chain or a star, with no index
-or every index stable, 1-4 worlds, 0-5 atoms, every coherence mode) the
-largest first slab's plan takes 0.33 MB with no stable index and 0.34 MB
-with every index stable (0.32 and 0.33 MB without the operands), so 32
-plans of those shapes take at most about 11 MB.
+slab's plan is built as it is scanned.  The traffic is small: the sweep
+and the matrix benchmark workloads scan 23 and 16 distinct layouts (0.48
+and 0.13 MB of first-slab plans, each plan's objects counted once by
+sys.getsizeof; 0.43 and 0.11 MB without the operands), pins included, so
+each fits the cache; both in one process need 36, 4 more than it
+holds.  Over 3,024 shapes (1-8 indices as an antichain, a chain or a
+star, with no index or every index stable, 1-4 worlds, 0-5 atoms, every
+coherence mode) the largest first slab's plan takes 0.33 MB with no
+stable index and 0.34 MB with every index stable (0.32 and 0.33 MB
+without the operands), so 32 plans of those shapes take at most about
+11 MB.
 
 Every slab's columns are merged from _digit_columns, an LRU of 256
 entries keyed by one digit list, its stride and the slab's width, so a
@@ -209,7 +209,7 @@ caches hold.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import islice
@@ -683,29 +683,25 @@ class _Plan(NamedTuple):
     columns: the lane count, the column of each candidate bit present
     (the lanes where it is set), `full` (every lane at every world), one
     _Worlds per atom slot (world w's int is the column of the atom's bit
-    for w, or 0), and for each kept index position j either None or one
-    row per world w of the (u, column) pairs of the relation bits (j, w,
-    u) that have a column, u increasing.  A bit with no column is 0 in
-    every lane, so a row leaves it out."""
+    for w, or 0), and for each kept index position j one row per world w
+    of the (u, column) pairs of the relation bits (j, w, u) that have a
+    column, u increasing.  A bit with no column is 0 in every lane, so a
+    row leaves it out."""
 
     lanes: int
     columns: dict[int, int]
     full: _Worlds
     atoms: tuple[_Worlds, ...]
-    rows: tuple[tuple[tuple[tuple[int, int], ...], ...] | None, ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-def _plan(layout: _Layout, lanes: int, columns: dict[int, int], wanted: Container[int]) -> _Plan:
-    """The slab's plan, with the rows of the kept index positions in
-    `wanted` built and None for the others."""
+def _plan(layout: _Layout, lanes: int, columns: dict[int, int]) -> _Plan:
+    """The plan of the layout's slab of `lanes` lanes and these columns."""
     n, val_bits = layout.n, layout.val_bits
     k = len(layout.cell)
     worlds = range(n)
     rows = []
     for j in range(k):
-        if j not in wanted:
-            rows.append(None)
-            continue
         first = val_bits + (k - 1 - j) * n * n
         index_rows = []
         for b in range(first, first + n * n, n):
@@ -763,15 +759,14 @@ def _scan_slab(block: _Block, program: Program, plan: _Plan) -> int | None:
 @lru_cache(maxsize=32)
 def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[_Plan, bool]:
     """The (plan, more) of the layout's first slab under the caps `slab`
-    and `patterns`, which it passes on to _split: the plan holds the rows
-    of every kept index, and more is False when the slab is the whole
-    block, and True when the slab fixes top bits, so _first_hit walks the
-    later slabs only then.  The caps are arguments, which _first_hit
+    and `patterns`, which it passes on to _split: more is False when the
+    slab is the whole block, and True when the slab fixes top bits, so
+    _first_hit walks the later slabs only then.  The caps are arguments, which _first_hit
     reads, so they key the cache with the layout.  A plan is a function
     of its key and is only read, so what the cache holds changes no
     verdict."""
     depth, lanes, digits = next(_split(layout, slab, patterns))
-    return _plan(layout, lanes, _columns(digits, lanes), range(len(layout.cell))), depth > 0
+    return _plan(layout, lanes, _columns(digits, lanes)), depth > 0
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
@@ -780,16 +775,14 @@ def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | No
     slab's plan comes from _first_slab, so it is built once per layout
     while the cache holds it.  Only when that slab misses and the block
     has more are the later slabs of _split walked, in increasing order,
-    each merged from _digit_columns as it is scanned, with the rows of
-    only the indices the formula names: the first that hits holds the
-    least hit."""
+    each planned from columns merged from _digit_columns as it is
+    scanned: the first that hits holds the least hit."""
     layout = _layout(block, policy)
     plan, more = _first_slab(layout, _SLAB, _PATTERNS)
     hit = _scan_slab(block, program, plan)
     if hit is None and more:
-        named = {j for j, idx in enumerate(block.kept) if idx in program.indices}
         for _depth, lanes, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
-            hit = _scan_slab(block, program, _plan(layout, lanes, _columns(digits, lanes), named))
+            hit = _scan_slab(block, program, _plan(layout, lanes, _columns(digits, lanes)))
             if hit is not None:
                 break
     return hit
