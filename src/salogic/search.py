@@ -139,8 +139,8 @@ candidates are a product of independent cells: one per valuation bit,
 and one per position and group of linked indices, of the bits those
 indices may show there.  A slab fixes the candidate's top bits and holds
 the rest of that product, one candidate per lane.  Each candidate bit is
-a periodic column over the lanes, built once per pattern and repeated
-bytewise.  A subformula's value is a tuple of n ints of lanes, one per
+a periodic column over the lanes, built once per digit list and repeated
+by doubling.  A subformula's value is a tuple of n ints of lanes, one per
 world, whose `&`, `|` and `^` act world by world, so the formula's
 bit-set program (core.Program) runs on it unchanged.  A slab's plan
 (_Plan) carries the kernel's operands with its columns: every lane at
@@ -148,7 +148,7 @@ each world, one value per atom, and for each kept index one row per
 world of the (world, column) pairs whose column is present, absent ones
 dropped when the plan is built.  So an atom is one lookup and a diamond
 costs one AND per pair, at most n*n.  The first slab that hits holds the
-block's least hit, which a walk over the candidate bits from the top
+block's least hit, which a walk over the plan's column bits from the top
 picks out of the slab's hits.  A hit is rebuilt as a plain
 StratifiedModel and re-checked by semantics.validate_frame and by the
 scalar evaluator (semantics._masks, which runs the query's program over
@@ -170,8 +170,10 @@ later slabs of _split only when that one misses.  A slab is a list of
 digit lists, one per cell, in one fixed order: the one-bit valuation
 cells lowest first, then the relation cells by position and group, as
 _split builds them.  _split hands each slab over with its
-lane count, the product of the lists' lengths.  The order decides
-neither which candidates a slab holds nor its least hit.  The layout of
+lane count, the product of the lists' lengths, and _plan alone turns
+those digit lists into the slab's plan, for the first slab and the
+later ones alike.  The order decides neither which candidates a slab
+holds nor its least hit.  The layout of
 a block scanned before is memoized in _layout, an LRU of 1,024 entries
 keyed by the block and the policy: with seed 1, one pass of the sweep
 and the matrix workloads' ops leaves 56 and 104 layouts, both in one
@@ -194,12 +196,14 @@ stable index and 0.34 MB with every index stable (0.32 and 0.33 MB
 without the operands), so 32 plans of those shapes take at most about
 11 MB.
 
-Every slab's columns are merged from _digit_columns, an LRU of 256
-entries keyed by one digit list, its stride and the slab's width, so a
-slab reads the columns that any slab, block or query with the same list
-built.  The sweep and matrix workloads use 120 and 56 keys (0.34 and
-0.08 MB), 131 together; one 4-world chain query with both signs on both
-indices uses 581.  An entry
+_plan merges every slab's columns from _digit_columns, one-digit lists
+included, an LRU of 256 entries keyed by one digit list, its stride and
+the slab's width, so a slab reads the columns that any slab, block or
+query with the same list built.  With seed 1, one pass of the sweep and
+the matrix workloads' ops uses 154 and 80 keys (0.42 and 0.10 MB, each
+dict and its columns counted once by sys.getsizeof), 176 when both run
+in one process; one 4-world chain query with both signs on both indices
+uses 680.  An entry
 holds one column of at most _SLAB bits (8 KiB) per bit its list sets,
 one per index of a cell's group, so 256 entries take at most 2 MiB per
 index of the largest group.  Plans and columns are functions of their
@@ -611,26 +615,27 @@ def _set_bits(x: int) -> Iterator[int]:
 
 
 def _periodic(period: int, length: int, size: int) -> int:
-    """`size` bits of the `length`-bit `period` repeated from bit 0."""
-    if length >= size:
-        return period & ((1 << size) - 1)
-    while length % 8:
+    """`size` bits of the `length`-bit `period` repeated from bit 0, by
+    doubling the repeated run until it covers them."""
+    while length < size:
         period |= period << length
         length *= 2
-    data = period.to_bytes(length // 8, "little") * -(-size // length)
-    return int.from_bytes(data, "little") & ((1 << size) - 1)
+    return period & ((1 << size) - 1)
 
 
 @lru_cache(maxsize=256)
 def _digit_columns(stride: int, options: tuple[int, ...], lanes: int) -> dict[int, int]:
     """The column of each bit that a digit list sets, over `lanes` lanes:
     lane l takes digit l // stride mod len(options), so the column has
-    period stride * len(options) and is built once and repeated bytewise.
-    The dicts are only read.  Why 256 entries: one 4-world chain query
-    that pinning leaves whole (`([a]p -> [b]p) | ([b]p -> [a]p)` under
-    shrink, 2 vCPUs, Python 3.11.7, two runs each) takes 5.6-5.8 s of CPU
-    with 32, 2.4-2.6 s with 128, 2.2 s with 256 and 2.0 s with 1024
-    entries, at a peak RSS of 16.8, 17.5, 19.0 and 22.2 MB."""
+    period stride * len(options) and is built once and repeated by
+    doubling.  A one-digit list's period is `stride` lanes of ones, so
+    its columns are every lane.  The dicts are only read.  Why 256
+    entries: one 4-world chain query that pinning leaves whole
+    (`([a]p -> [b]p) | ([b]p -> [a]p)` under shrink, 680 distinct keys;
+    2 vCPUs, Python 3.11.7, three fresh-process runs each) takes, in CPU
+    seconds, 3.9-4.6 with 32, 1.8-2.0 with 128, 1.4-1.5 with 256 and
+    1.2-1.5 with 1024 entries, at a peak RSS of 20.3, 21.2, 22.2 and
+    25.9 MB."""
     union = 0
     for option in options:
         union |= option
@@ -639,25 +644,6 @@ def _digit_columns(stride: int, options: tuple[int, ...], lanes: int) -> dict[in
     for b in _set_bits(union):
         period = sum(run << (d * stride) for d, option in enumerate(options) if option >> b & 1)
         columns[b] = _periodic(period, stride * len(options), lanes)
-    return columns
-
-
-def _columns(digits: list[list[int]], lanes: int) -> dict[int, int]:
-    """The column of each candidate bit in a slab of `lanes` lanes: the
-    lanes where it is set, lane l as bit l of an int.  A digit list with
-    stride s (the product of the earlier lists' lengths) takes its
-    columns from _digit_columns; a list of one digit sets its bits in
-    every lane."""
-    every_lane = (1 << lanes) - 1
-    columns: dict[int, int] = {}
-    stride = 1
-    for options in digits:
-        if len(options) == 1:
-            for b in _set_bits(options[0]):
-                columns[b] = every_lane
-            continue
-        columns.update(_digit_columns(stride, tuple(options), lanes))
-        stride *= len(options)
     return columns
 
 
@@ -680,13 +666,13 @@ class _Worlds(tuple):
 
 class _Plan(NamedTuple):
     """A slab's kernel operands, all functions of its layout and its
-    columns: the lane count, the column of each candidate bit present
-    (the lanes where it is set), `full` (every lane at every world), one
-    _Worlds per atom slot (world w's int is the column of the atom's bit
-    for w, or 0), and for each kept index position j one row per world w
-    of the (u, column) pairs of the relation bits (j, w, u) that have a
-    column, u increasing.  A bit with no column is 0 in every lane, so a
-    row leaves it out."""
+    digit lists: the lane count, the column of each candidate bit that
+    some digit sets (the lanes where it is set), `full` (every lane at
+    every world), one _Worlds per atom slot (world w's int is the column
+    of the atom's bit for w, or 0), and for each kept index position j
+    one row per world w of the (u, column) pairs of the relation bits
+    (j, w, u) that have a column, u increasing.  A bit with no column is
+    0 in every lane, so a row and the least-hit walk leave it out."""
 
     lanes: int
     columns: dict[int, int]
@@ -695,8 +681,17 @@ class _Plan(NamedTuple):
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-def _plan(layout: _Layout, lanes: int, columns: dict[int, int]) -> _Plan:
-    """The plan of the layout's slab of `lanes` lanes and these columns."""
+def _plan(layout: _Layout, lanes: int, digits: list[list[int]]) -> _Plan:
+    """The plan of the layout's slab of `lanes` lanes with these digit
+    lists, as _split yields them.  Lane l takes from each list digit
+    l // stride mod its length, where the list's stride is the product
+    of the earlier lists' lengths, so each list's columns come from
+    _digit_columns under its stride; a one-digit list's are every lane."""
+    columns: dict[int, int] = {}
+    stride = 1
+    for options in digits:
+        columns.update(_digit_columns(stride, tuple(options), lanes))
+        stride *= len(options)
     n, val_bits = layout.n, layout.val_bits
     k = len(layout.cell)
     worlds = range(n)
@@ -725,8 +720,10 @@ def _scan_slab(block: _Block, program: Program, plan: _Plan) -> int | None:
     in the plan, and `<i>x` at world w is the OR over the pairs (u,
     column) of i's row for w of x's int for u AND column.  The hits are
     the lanes where the formula's value is false at some world.  The
-    least hit is found by walking the candidate bits from the top and
-    keeping, at each, the hits that have a 0 there whenever any do.
+    least hit is found by walking the plan's column bits from the top and
+    keeping, at each, the hits that have a 0 there whenever any do.  A
+    bit with no column is 0 in every lane, so it leaves the hits as they
+    are and the walk skips it.
     """
     rows = dict(zip(block.kept, plan.rows))
 
@@ -744,10 +741,8 @@ def _scan_slab(block: _Block, program: Program, plan: _Plan) -> int | None:
     hits = full[0] ^ reduce(and_, program.run(full, atom, diamond)[-1])
     if not hits:
         return None
-    columns = plan.columns
     candidate = 0
-    for b in reversed(range(len(plan.rows) * block.rel_bits + block.val_bits)):
-        column = columns.get(b, 0)
+    for b, column in sorted(plan.columns.items(), reverse=True):
         if hits & ~column:
             hits &= ~column
         else:
@@ -766,7 +761,7 @@ def _first_slab(layout: _Layout, slab: int, patterns: int) -> tuple[_Plan, bool]
     of its key and is only read, so what the cache holds changes no
     verdict."""
     depth, lanes, digits = next(_split(layout, slab, patterns))
-    return _plan(layout, lanes, _columns(digits, lanes)), depth > 0
+    return _plan(layout, lanes, digits), depth > 0
 
 
 def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | None:
@@ -775,14 +770,14 @@ def _first_hit(block: _Block, program: Program, policy: FramePolicy) -> int | No
     slab's plan comes from _first_slab, so it is built once per layout
     while the cache holds it.  Only when that slab misses and the block
     has more are the later slabs of _split walked, in increasing order,
-    each planned from columns merged from _digit_columns as it is
-    scanned: the first that hits holds the least hit."""
+    each planned by _plan, as the first slab is, when it is scanned: the
+    first that hits holds the least hit."""
     layout = _layout(block, policy)
     plan, more = _first_slab(layout, _SLAB, _PATTERNS)
     hit = _scan_slab(block, program, plan)
     if hit is None and more:
         for _depth, lanes, digits in islice(_split(layout, _SLAB, _PATTERNS), 1, None):
-            hit = _scan_slab(block, program, _plan(layout, lanes, _columns(digits, lanes)))
+            hit = _scan_slab(block, program, _plan(layout, lanes, digits))
             if hit is not None:
                 break
     return hit

@@ -39,7 +39,10 @@ A4 DDOWN`, `MP i j` (line j must be line i -> current), or `NEC a i`
 (current must be [a] applied to line i).  An optional header of
 `indices:`, `order:` and `stable:` lines fixes the index poset; without
 one, the indices appearing in the script form an antichain with no
-stable levels.
+stable levels.  Header lines may stand anywhere in the script, also
+after numbered lines, and still declare the poset for every line; the
+printer writes them first, so a script printed back has them above
+line 1.
 
 Printers emit LF line endings and single-space token separation, and
 parsing a printed artifact reproduces it exactly (models: up to closure

@@ -30,8 +30,10 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations, compress, islice, product
 from math import prod
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -605,27 +607,59 @@ def test_a_narrower_slab_reuses_wider_columns_exactly(monkeypatch):
     assert any(wide > narrow for wide, narrow in zip(widths, widths[1:]))
 
 
+def test_periodic_columns_match_a_per_lane_reference():
+    # _periodic repeats a period from bit 0, and lane l of a digit list's
+    # columns takes digit l // stride mod the list's length; both equal a
+    # lane-by-lane reading.  Sizes run past and short of whole bytes and
+    # of the period, and a one-digit list's columns are every lane.
+    rng = random.Random(3701)
+    for _ in range(400):
+        length = rng.randint(1, 40)
+        size = rng.choice([rng.randint(0, length), rng.randint(length, 300)])
+        period = rng.getrandbits(length)
+        expected = sum(1 << lane for lane in range(size) if period >> lane % length & 1)
+        assert search._periodic(period, length, size) == expected, (period, length, size)
+    search._digit_columns.cache_clear()
+    for _ in range(400):
+        stride = rng.randint(1, 9)
+        options = tuple(rng.getrandbits(6) for _ in range(rng.randint(1, 5)))
+        lanes = rng.randint(0, 200)
+        digit = [options[lane // stride % len(options)] for lane in range(lanes)]
+        union = reduce(or_, options)
+        expected = {
+            b: sum(1 << lane for lane in range(lanes) if digit[lane] >> b & 1)
+            for b in range(6)
+            if union >> b & 1
+        }
+        assert search._digit_columns(stride, options, lanes) == expected, (stride, options, lanes)
+    for stride, lanes in ((1, 1), (3, 13), (64, 65536), (5, 65535)):
+        every = (1 << lanes) - 1
+        assert search._digit_columns(stride, (0b1011,), lanes) == {0: every, 1: every, 3: every}
+
+
 def plan_key(block, policy):
     return (search._layout(block, policy), search._SLAB, search._PATTERNS)
 
 
 def fresh_plan(block, policy, slab, patterns) -> list[tuple[int, dict[int, int]]]:
     """The block's (lanes, columns) pairs under the caps, built from
-    _split and _columns alone, with the column cache cleared first and
-    no plan cache."""
+    _split and _plan alone, with the column cache cleared first and no
+    plan cache."""
     search._digit_columns.cache_clear()
+    layout = search._layout(block, policy)
     plan = []
-    for _depth, lanes, digits in search._split(search._layout(block, policy), slab, patterns):
-        plan.append((lanes, search._columns(digits, lanes)))
+    for _depth, lanes, digits in search._split(layout, slab, patterns):
+        plan.append((lanes, search._plan(layout, lanes, digits).columns))
     return plan
 
 
 def later_slabs(key) -> list[tuple[int, dict[int, int]]]:
     """The (lanes, columns) pair of each slab after the first under the
-    plan key, built as _first_hit builds them: from _split and _columns,
+    plan key, built as _first_hit builds them: from _split and _plan,
     with whatever _digit_columns holds."""
+    layout = key[0]
     later = islice(search._split(*key), 1, None)
-    return [(lanes, search._columns(digits, lanes)) for _depth, lanes, digits in later]
+    return [(lanes, search._plan(layout, lanes, digits).columns) for _depth, lanes, digits in later]
 
 
 def cached_plan(key) -> tuple[int, dict[int, int], bool]:
@@ -699,8 +733,8 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
     a_in_chain = search._Block(chain, 2, ("p",), frozenset({"b"}))
     b_in_antichain = search._Block(antichain, 2, ("p",), frozenset({"a"}))
     built = []
-    columns = search._columns
-    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+    plan = search._plan
+    monkeypatch.setattr(search, "_plan", lambda *args: built.append(args) or plan(*args))
     for policy in POLICIES:
         search._first_slab.cache_clear()
         key = plan_key(a_in_chain, policy)
@@ -709,7 +743,7 @@ def test_cached_plans_equal_fresh_plans(monkeypatch):
         info = search._first_slab.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert len(built) == len(POLICIES)
-    monkeypatch.setattr(search, "_columns", columns)
+    monkeypatch.setattr(search, "_plan", plan)
 
     # Blocks of several slabs keep their first slab: at 4 lanes and 2
     # digits per cell nearly every block has several.  _first_hit reads
@@ -879,7 +913,7 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     bounds = SearchBounds(3, 2)
     antichain, chain = enumerated_posets(2)
     blocks, slabs, built = [], [], []
-    first_hit, scan_slab, columns = search._first_hit, search._scan_slab, search._columns
+    first_hit, scan_slab, plan = search._first_hit, search._scan_slab, search._plan
 
     def spy_first_hit(block, program, policy):
         blocks.append((block.n, block.poset, block.dropped))
@@ -892,7 +926,7 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
 
     monkeypatch.setattr(search, "_first_hit", spy_first_hit)
     monkeypatch.setattr(search, "_scan_slab", spy_scan_slab)
-    monkeypatch.setattr(search, "_columns", lambda *args: built.append(args) or columns(*args))
+    monkeypatch.setattr(search, "_plan", lambda *args: built.append(args) or plan(*args))
 
     # A valid formula scans the blocks at 3 worlds only, one per poset,
     # each projected onto the index it names.
@@ -903,7 +937,7 @@ def test_the_largest_blocks_are_probed_first(monkeypatch):
     # This formula's first countermodel has 1 world.  The largest block is
     # scanned up to its first slab that hits, then the 1-world antichain,
     # which names both indices and so needs no rescan.  Once its plans are
-    # warm the query builds no columns.  Its probe spans 2^21 raw
+    # warm the query builds no plan.  Its probe spans 2^21 raw
     # candidates, more than one slab, so it pins `a` (negative) to its
     # greatest relation and `b` (positive) to its least: one slab of 8
     # lanes, the valuations of p, where the unpinned block has slabs of
