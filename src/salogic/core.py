@@ -98,27 +98,27 @@ def poset_closure(
     messages are fixed by the inputs: an undeclared element is the least
     by repr, and a cycle is named by the first element in `elements` that
     lies on one, with the first element it is ordered both ways with.
+
+    Each element's up-set is one search over the generators, so n
+    elements and e distinct generators cost O(n * (n + e)).
     """
     elems = tuple(elements)
     known = set(elems)
-    below = {e: {e} for e in elems}
     pairs = tuple(pairs)
     if not known.issuperset(chain.from_iterable(pairs)):
         name = _least_undeclared(chain.from_iterable(pairs), known)
         raise UndeclaredIdentifier(f"order generator mentions undeclared {kind} {name!r}")
+    successors: dict[str, set[str]] = {e: set() for e in elems}
     for a, b in pairs:
-        below[a].add(b)
-    # The element sets are tiny; a quadratic saturation sweep is fine.
-    changed = True
-    while changed:
-        changed = False
-        for a in elems:
-            extra: set[str] = set()
-            for b in below[a]:
-                extra |= below[b]
-            if not extra <= below[a]:
-                below[a] |= extra
-                changed = True
+        successors[a].add(b)
+    below = {}
+    for a in elems:
+        below[a] = reached = {a}
+        frontier = [a]
+        for b in frontier:
+            fresh = successors[b] - reached
+            reached |= fresh
+            frontier += fresh
     for a in elems:
         both = {b for b in below[a] if a in below[b]}
         if len(both) > 1:

@@ -44,6 +44,10 @@ after numbered lines, and still declare the poset for every line; the
 printer writes them first, so a script printed back has them above
 line 1.
 
+A ParseError carries the UTF-8 byte span of the text it reports, and
+that span is computed when the error is raised: reading keeps character
+offsets, so a text that parses has none of its offsets converted.
+
 Printers emit LF line endings and single-space token separation, and
 parsing a printed artifact reproduces it exactly (models: up to closure
 of the order sections, which the parser computes anyway).
@@ -102,6 +106,12 @@ def _byte_span(text: str, start: int, end: int) -> SourceSpan:
     )
 
 
+def _error(text: str, message: str, start: int, end: int, expected=()) -> ParseError:
+    """The ParseError for text[start:end]: the one place a parse error's
+    character offsets become its byte span, when it is raised."""
+    return ParseError(message, _byte_span(text, start, end), expected)
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -153,14 +163,11 @@ def _parse_formula(text: str, start: int, end: int) -> tuple[Formula, list[str]]
         group = m.lastgroup
         i, j = m.start(group), m.end()
         if group == "stray":
-            raise ParseError("stray '-'", _byte_span(text, i, j), {"->"})
+            raise _error(text, "stray '-'", i, j, {"->"})
         if group == "bad":
-            raise ParseError(f"unexpected character {m[group]!r}", _byte_span(text, i, j))
+            raise _error(text, f"unexpected character {m[group]!r}", i, j)
         tokens.append((m["op"] or "ident", i, j))
     tokens.append(("eof", end, end))
-
-    def error(message, token, expected):
-        return ParseError(message, _byte_span(text, token[1], token[2]), expected)
 
     nesting = f"formula nesting deeper than {_MAX_NESTING}"
     stack: list = []
@@ -168,24 +175,24 @@ def _parse_formula(text: str, start: int, end: int) -> tuple[Formula, list[str]]
     out = None  # the operand just read, or None where one is expected
     depth = pos = 0  # depth: the '(', prefix operators and '->' on the stack
     while True:
-        kind, i, j = token = tokens[pos]
+        kind, i, j = tokens[pos]
         pos += 1
         if out is None:
             if kind == "ident":
                 out = Atom(text[i:j])
                 continue
             if kind not in ("(", "~", "[", "<"):
-                raise error("expected a formula", token, _ATOM_STARTERS)
+                raise _error(text, "expected a formula", i, j, _ATOM_STARTERS)
             depth += 1
             if depth > _MAX_NESTING:
-                raise error(nesting, token, set())
+                raise _error(text, nesting, i, j)
             args = ()
             if kind in ("[", "<"):
                 close = "]" if kind == "[" else ">"
                 if tokens[pos][0] != "ident":
-                    raise error("expected identifier", tokens[pos], {"identifier"})
+                    raise _error(text, "expected identifier", *tokens[pos][1:], {"identifier"})
                 if tokens[pos + 1][0] != close:
-                    raise error(f"expected '{close}'", tokens[pos + 1], {f"'{close}'"})
+                    raise _error(text, f"expected '{close}'", *tokens[pos + 1][1:], {f"'{close}'"})
                 args = (text[tokens[pos][1] : tokens[pos][2]],)
                 indices += args
                 pos += 2
@@ -202,15 +209,15 @@ def _parse_formula(text: str, start: int, end: int) -> tuple[Formula, list[str]]
             if kind == "->":
                 depth += 1
                 if depth > _MAX_NESTING:
-                    raise error(nesting, tokens[pos], set())
+                    raise _error(text, nesting, *tokens[pos][1:])
             stack.append((*_OPERATORS[kind], (out,)))
             out = None
         elif not stack:
             if kind != "eof":
-                raise error("trailing input after formula", token, {"end of input"})
+                raise _error(text, "trailing input after formula", i, j, {"end of input"})
             return out, indices
         elif kind != ")":
-            raise error("expected ')'", token, {"')'"})
+            raise _error(text, "expected ')'", i, j, {"')'"})
         else:
             stack.pop()
             depth -= 1
@@ -316,33 +323,32 @@ def _feed(words: dict, text: str, content: str, offset: int, allowed: tuple[str,
     blank line adds nothing.
 
     `words` maps a section line's head, split into its parts (`("indices",)`,
-    `("rel", "a")`), to the words read under it in line order.  A line
-    declares its section even with no words, so a bare `val q:` declares
-    `q` and an empty `worldorder:` line gives an empty world order.
+    `("rel", "a")`), to the words read under it in line order: a list, or
+    an ordered set (a dict whose values are None) for a section whose
+    repeats are errors, so that each word's repeat check is one lookup and
+    the first repeat in line order is the one reported.  A line declares
+    its section even with no words, so a bare `val q:` declares `q` and an
+    empty `worldorder:` line gives an empty world order.
 
     The line's words are checked by one findall, whose match count equals
-    the word count exactly when every word matches.  A section whose
-    repeats are errors checks them by one set per line.  The words'
-    offsets, and the first repeat, are looked for only on the error path."""
+    the word count exactly when every word matches.  The line's head span
+    is kept as character offsets; it becomes bytes, and the words' offsets
+    are looked for, only on the error path."""
     if not content.strip():
         return
     head, sep, rest = content.partition(":")
     stripped = head.strip()
     lead = len(content) - len(content.lstrip())
-    span = _byte_span(
-        text,
-        offset + lead,
-        offset + max(len(head.rstrip()), lead + 1),
-    )
+    span = (offset + lead, offset + max(len(head.rstrip()), lead + 1))
     if not sep:
-        raise ParseError("expected a 'section:' line", span, {"':'"})
+        raise _error(text, "expected a 'section:' line", *span, {"':'"})
     parts = tuple(stripped.split())
     keyword = parts[0] if parts else ""
     if keyword not in allowed or len(parts) != 1 + bool(_SECTION_WORDS[keyword][3]):
-        raise ParseError(f"unknown section {stripped!r}", span, set(allowed))
+        raise _error(text, f"unknown section {stripped!r}", *span, allowed)
     pattern, message, expected, head_role, repeat_role = _SECTION_WORDS[keyword]
     if head_role and not is_identifier(parts[1]):
-        raise ParseError(f"bad {head_role} name {parts[1]!r}", span, {"identifier"})
+        raise _error(text, f"bad {head_role} name {parts[1]!r}", *span, {"identifier"})
     found = re.findall(pattern, rest)
     if len(found) != len(rest.split()):
         word, start, end = next(
@@ -350,17 +356,20 @@ def _feed(words: dict, text: str, content: str, offset: int, allowed: tuple[str,
             for bad in _words_with_offsets(rest, offset + len(head) + 1)
             if not re.fullmatch(pattern, bad[0])
         )
-        raise ParseError(message.format(word), _byte_span(text, start, end), {expected})
-    known = words.setdefault(parts, [])
-    if repeat_role and len({*known, *found}) != len(known) + len(found):
-        name = next(n for i, n in enumerate(found) if n in known or n in found[:i])
-        raise ParseError(f"duplicate {repeat_role} {name!r}", span, set())
-    known += found
+        raise _error(text, message.format(word), start, end, {expected})
+    if not repeat_role:
+        words.setdefault(parts, []).extend(found)
+        return
+    known = words.setdefault(parts, {})
+    for name in found:
+        if name in known:
+            raise _error(text, f"duplicate {repeat_role} {name!r}", *span)
+        known[name] = None
 
 
 def _sections(text: str, allowed: tuple[str, ...]) -> dict:
     """The section words of every line of `text` (see _feed)."""
-    words: dict[tuple[str, ...], list] = {}
+    words: dict[tuple[str, ...], list | dict] = {}
     for content, offset in _logical_lines(text):
         _feed(words, text, content, offset, allowed)
     return words
@@ -369,9 +378,7 @@ def _sections(text: str, allowed: tuple[str, ...]) -> dict:
 def _poset(words: dict, text: str) -> IndexPoset:
     """The index poset of the section words read from `text`."""
     if not words.get(("indices",)):
-        raise ParseError(
-            "no indices declared", _byte_span(text, 0, len(text)), {"indices:"}
-        )
+        raise _error(text, "no indices declared", 0, len(text), {"indices:"})
     return IndexPoset.from_order(
         words[("indices",)], words.get(("order",), ()), words.get(("stable",), ())
     )
@@ -387,9 +394,7 @@ def parse_model(text: str) -> StratifiedModel:
     words = _sections(text, _MODEL_SECTIONS)
     poset = _poset(words, text)
     if not words.get(("worlds",)):
-        raise ParseError(
-            "no worlds declared", _byte_span(text, 0, len(text)), {"worlds:"}
-        )
+        raise _error(text, "no worlds declared", 0, len(text), {"worlds:"})
     return StratifiedModel(
         poset=poset,
         worlds=tuple(words[("worlds",)]),
@@ -460,28 +465,28 @@ def _parse_justification(text, words, content, offset):
 
     if not words:
         lead = len(content) - len(content.lstrip())
-        raise ParseError(
+        raise _error(
+            text,
             "missing justification",
-            _byte_span(text, offset + lead, offset + len(content.rstrip())),
-            set(SCHEMA_TAGS) | {"MP", "NEC"},
+            offset + lead,
+            offset + len(content.rstrip()),
+            {*SCHEMA_TAGS, "MP", "NEC"},
         )
     word, start, end = words[0]
-    span = _byte_span(text, start, words[-1][2])
+    span = (start, words[-1][2])
     if word in SCHEMA_TAGS:
         if len(words) != 1:
-            raise ParseError(f"{word} takes no arguments", span, set())
+            raise _error(text, f"{word} takes no arguments", *span)
         return Axiom(word)
     if word == "MP":
         if len(words) != 3 or not all(w[0].isdecimal() for w in words[1:]):
-            raise ParseError("MP needs two line numbers", span, {"MP i j"})
+            raise _error(text, "MP needs two line numbers", *span, {"MP i j"})
         return ModusPonens(int(words[1][0]), int(words[2][0]))
     if word == "NEC":
         if len(words) != 3 or not is_identifier(words[1][0]) or not words[2][0].isdecimal():
-            raise ParseError("NEC needs an index and a line number", span, {"NEC a i"})
+            raise _error(text, "NEC needs an index and a line number", *span, {"NEC a i"})
         return Necessitation(words[1][0], int(words[2][0]))
-    raise ParseError(
-        f"unknown justification {word!r}", span, set(SCHEMA_TAGS) | {"MP", "NEC"}
-    )
+    raise _error(text, f"unknown justification {word!r}", *span, {*SCHEMA_TAGS, "MP", "NEC"})
 
 
 def parse_proof(
@@ -499,7 +504,7 @@ def parse_proof(
     """
     from .proofs import Derivation, Necessitation, ProofLine
 
-    header: dict[tuple[str, ...], list] = {}
+    header: dict[tuple[str, ...], list | dict] = {}
     lines: list[ProofLine] = []
     first_use: dict[str, int] = {}  # index -> number of the line naming it first
     for content, offset in _logical_lines(text):
@@ -511,18 +516,18 @@ def parse_proof(
             continue
         number = int(head.group(1))
         if number != len(lines) + 1:
-            raise ParseError(
+            raise _error(
+                text,
                 f"expected line number {len(lines) + 1}",
-                _byte_span(text, offset + head.start(1), offset + head.end(1)),
+                offset + head.start(1),
+                offset + head.end(1),
                 {str(len(lines) + 1)},
             )
         start = offset + head.end()
         formula_text, sep, just_text = content[head.end() :].partition(";")
         if not sep:
-            raise ParseError(
-                "missing ';' before the justification",
-                _byte_span(text, start, offset + len(content)),
-                {"';'"},
+            raise _error(
+                text, "missing ';' before the justification", start, offset + len(content), {"';'"}
             )
         formula, used = _parse_formula(text, start, start + len(formula_text))
         just_words = _words_with_offsets(just_text, start + len(formula_text) + 1)
@@ -535,10 +540,8 @@ def parse_proof(
 
     for section in ("order", "stable"):
         if header.get((section,)) and not header.get(("indices",)):
-            raise ParseError(
-                f"{section}: requires an indices: header",
-                _byte_span(text, 0, len(text)),
-                {"indices:"},
+            raise _error(
+                text, f"{section}: requires an indices: header", 0, len(text), {"indices:"}
             )
     # Without a header, the indices in order of first use form an antichain
     # with no stable levels.

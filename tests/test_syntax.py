@@ -1157,3 +1157,57 @@ def test_model_parse_totality_on_garbage():
             assert 0 <= err.span.start <= err.span.end <= len(text.encode())
         except SalError:
             pass  # undeclared identifiers / cycles are fine diagnostics too
+
+
+# --- error spans ------------------------------------------------------------
+
+
+def _long_texts(lines):
+    """A model, a poset and a proof script of at least `lines` lines each,
+    with a non-ASCII comment on every line so that bytes and characters
+    part ways."""
+    model = ["indices: a b", "order: a<=b"]
+    model += [f"worlds: w{i}  # µ" for i in range(lines)]
+    model += ["worldorder: w0<=w1 w1<=w2"]
+    model += [f"rel a: w{i}->w{i + 1}  # µ" for i in range(0, lines - 1, 50)]
+    model += [f"val p: w{i}" for i in range(0, lines, 50)]
+    poset = [f"indices: i{k}  # µ" for k in range(lines)]
+    poset += [f"order: i{k}<=i{k + 1}" for k in range(0, lines - 1, 100)]
+    proof = ["indices: a", "stable: a", "1. p -> p ; A1  # µ"]
+    proof += [f"{k}. [a](p -> p) ; NEC a 1  # µ" for k in range(2, lines + 1)]
+    return "\n".join(model) + "\n", "\n".join(poset) + "\n", "\n".join(proof) + "\n"
+
+
+def test_a_text_that_parses_converts_no_offsets(monkeypatch):
+    calls = []
+
+    def counted(text, start, end):
+        calls.append((start, end))
+        return _byte_span(text, start, end)
+
+    monkeypatch.setattr(syntax, "_byte_span", counted)
+    n = 2000
+    model, poset, proof = _long_texts(n)
+    parse_model(model)
+    parse_poset(poset)
+    parse_proof(proof)
+    assert calls == []
+    # An error on the last line converts its own span, once, and that span
+    # counts the bytes of every line above it.
+    cases = [
+        (parse_model, model, "worlds:  w5\n", "worlds", "duplicate world 'w5'"),
+        (parse_model, model, "rel a: w0->w1 w1->\n", "w1->", "malformed relation pair 'w1->'"),
+        (parse_poset, poset, "order: i0<=i1 i1<=µ\n", "i1<=µ", "malformed order pair 'i1<=µ'"),
+        (parse_poset, poset, " bogus : a\n", "bogus", "unknown section 'bogus'"),
+        (parse_proof, proof, f"{n + 1}. p ; MP 1  # µ\n", "MP 1", "MP needs two line numbers"),
+        (parse_proof, proof, f"{n + 1}. p -> µ ; A1\n", "µ", "unexpected character 'µ'"),
+        (parse_proof, proof, f"{n + 2}. p ; A1\n", f"{n + 2}", f"expected line number {n + 1}"),
+    ]
+    for parse, text, line, offender, message in cases:
+        calls.clear()
+        with pytest.raises(ParseError) as err:
+            parse(text + line)
+        start = len((text + line[: line.index(offender)]).encode())
+        assert err.value.span == SourceSpan(start, start + len(offender.encode())), line
+        assert str(err.value).startswith(f"{message} at bytes "), line
+        assert len(calls) == 1, line
